@@ -8,9 +8,10 @@ parameters into figures of merit, and ``predict`` scales a measured
 system to an optimized filling factor.
 
 Exit codes are a stable contract: 0 success, 2 configuration error,
-3 fit-identifiability error, 4 I/O error.  A fit that completes but
-fails to converge exits 1.  All file outputs are deterministic
-functions of the configuration, including the noise seed.
+3 fit-identifiability error, 4 I/O error, which includes a malformed
+map file.  A fit that completes but fails to converge exits 1.  All
+file outputs are deterministic functions of the configuration,
+including the noise seed.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ from .estimators import (
     spin_count,
 )
 from .modes import bogoliubov_two_mode
-from .spectra import DensityMap, add_noise, density_map, lorentzian
+from .spectra import DensityMap, MapFormatError, add_noise, density_map, lorentzian
 
 EXIT_OK = 0
 EXIT_FIT_DID_NOT_CONVERGE = 1
@@ -248,7 +249,7 @@ def main(argv=None) -> int:
     except UnidentifiableModelError as exc:
         print(f"fit error: {exc}", file=sys.stderr)
         return EXIT_UNIDENTIFIABLE
-    except OSError as exc:
+    except (OSError, MapFormatError) as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
     except DomainError as exc:

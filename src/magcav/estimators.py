@@ -163,6 +163,34 @@ def _stderr(fn, p, r, n_data):
 # peaks and ridges
 
 
+# cells of one (candidates, samples) block in the prominence test; bounds
+# its temporaries at a few hundred kB whatever the trace length
+_PEAK_BLOCK_CELLS = 1 << 16
+
+
+def _valley_floors(y, peaks):
+    """Higher of the two valley floors around each peak index.
+
+    Each floor is the minimum of ``y`` from the peak out to the nearest
+    sample that is not <= the peak (strictly higher, or NaN), or to the
+    trace edge.  Candidates go in blocks so temporaries stay
+    O(len(y) * block), never O(len(y) * len(peaks)).
+    """
+    n = y.size
+    idx = np.arange(n)
+    floors = np.empty(peaks.size)
+    step = max(1, _PEAK_BLOCK_CELLS // n)
+    for s in range(0, peaks.size, step):
+        p = peaks[s : s + step, None]
+        wall = ~(y <= y[p])
+        left = np.where(wall & (idx < p), idx, -1).max(axis=1, keepdims=True)
+        right = np.where(wall & (idx > p), idx, n).min(axis=1, keepdims=True)
+        left_min = np.where((idx > left) & (idx <= p), y, np.inf).min(axis=1)
+        right_min = np.where((idx >= p) & (idx < right), y, np.inf).min(axis=1)
+        floors[s : s + step] = np.maximum(left_min, right_min)
+    return floors
+
+
 def find_peaks(f, y, min_prominence):
     """Local maxima of (f, y) above a prominence floor, refined to sub-grid.
 
@@ -176,22 +204,15 @@ def find_peaks(f, y, min_prominence):
         raise DomainError("need at least three (f, y) samples")
     if np.any(np.diff(f) <= 0):
         raise DomainError("f samples must be strictly increasing")
+    mid = y[1:-1]
+    cand = np.flatnonzero((mid > y[:-2]) & (mid >= y[2:])) + 1
+    # drop only where "< min_prominence" holds, so NaN comparisons keep a
+    # peak; no valley floor lies below the trace minimum, so the first
+    # test only drops peaks the second would
+    cand = cand[~(y[cand] - y.min() < min_prominence)]
+    cand = cand[~(y[cand] - _valley_floors(y, cand) < min_prominence)]
     peaks = []
-    for i in range(1, f.size - 1):
-        if not (y[i] > y[i - 1] and y[i] >= y[i + 1]):
-            continue
-        left_min = y[i]
-        j = i - 1
-        while j >= 0 and y[j] <= y[i]:
-            left_min = min(left_min, y[j])
-            j -= 1
-        right_min = y[i]
-        j = i + 1
-        while j < y.size and y[j] <= y[i]:
-            right_min = min(right_min, y[j])
-            j += 1
-        if y[i] - max(left_min, right_min) < min_prominence:
-            continue
+    for i in cand.tolist():
         x0, x1, x2 = f[i - 1 : i + 2]
         y0, y1, y2 = y[i - 1 : i + 2]
         num = (x1 - x0) ** 2 * (y1 - y2) - (x1 - x2) ** 2 * (y1 - y0)

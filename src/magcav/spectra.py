@@ -27,6 +27,7 @@ from .core import DomainError, HybridModel
 
 __all__ = [
     "SingularResponseError",
+    "MapFormatError",
     "PortCouplings",
     "DensityMap",
     "s21",
@@ -38,6 +39,10 @@ __all__ = [
 
 class SingularResponseError(DomainError):
     """The response has no damping to regularize it."""
+
+
+class MapFormatError(DomainError):
+    """A map file's content does not describe a complete (B, f) grid."""
 
 
 @dataclass(frozen=True)
@@ -123,19 +128,43 @@ class DensityMap:
 
     @classmethod
     def read_csv(cls, path) -> "DensityMap":
-        """Rebuild a map from long-form CSV (grid must be complete)."""
-        raw = np.loadtxt(path, delimiter=",", skiprows=1)
+        """Rebuild a map from long-form CSV; each (B, f) cell exactly once.
+
+        Bad content (non-numeric cells, a non-finite field, frequency or
+        amplitude, a wrong column count, missing or repeated cells)
+        raises MapFormatError naming the file.
+        """
+        try:
+            raw = np.loadtxt(path, delimiter=",", skiprows=1)
+        except ValueError as exc:
+            raise MapFormatError(f"{path}: {exc}") from None
         if raw.ndim != 2 or raw.shape[1] != 3:
-            raise DomainError("expected three columns: B_T, f_Hz, s21_dB")
+            raise MapFormatError(f"{path}: expected three columns: B_T, f_Hz, s21_dB")
         B_axis = np.unique(raw[:, 0])
         f_axis = np.unique(raw[:, 1])
-        if raw.shape[0] != B_axis.size * f_axis.size:
-            raise DomainError("CSV rows do not tile a complete (B, f) grid")
-        values = np.empty((B_axis.size, f_axis.size))
-        bi = np.searchsorted(B_axis, raw[:, 0])
-        fj = np.searchsorted(f_axis, raw[:, 1])
-        values[bi, fj] = 10.0 ** (raw[:, 2] / 20.0)
-        return cls(B_axis, f_axis, values, {"source": str(path)})
+        if not (np.all(np.isfinite(B_axis)) and np.all(np.isfinite(f_axis))):
+            raise MapFormatError(f"{path}: B_T and f_Hz must be finite numbers")
+        # flat (B, f) cell of every row, marked in a one-byte-per-cell grid
+        cell = np.searchsorted(B_axis, raw[:, 0]) * f_axis.size
+        cell += np.searchsorted(f_axis, raw[:, 1])
+        seen = np.zeros(B_axis.size * f_axis.size, dtype=bool)
+        seen[cell] = True
+        # as many rows as cells and no cell unseen: each seen exactly once
+        if raw.shape[0] != seen.size or not seen.all():
+            raise MapFormatError(
+                f"{path}: CSV rows do not tile a complete (B, f) grid "
+                f"({int(seen.sum())} of {seen.size} cells in {raw.shape[0]} rows)"
+            )
+        amp = raw[:, 2]  # dB to linear amplitude in place, no full-size temporaries
+        amp /= 20.0
+        np.power(10.0, amp, out=amp)
+        values = np.empty(seen.size)
+        values[cell] = amp
+        try:
+            return cls(B_axis, f_axis, values.reshape(B_axis.size, f_axis.size),
+                       {"source": str(path)})
+        except DomainError as exc:
+            raise MapFormatError(f"{path}: {exc}") from None
 
     def write_pgm(self, path, db_min: float = -120.0, db_max: float = 0.0) -> None:
         """8-bit binary PGM, row = frequency (ascending), column = field.

@@ -125,3 +125,44 @@ def s21_star_formula(f, f_c, kappa, k1, k2, magnons):
     for fj, gj, gpj in magnons:
         den = den + (0.5 * gpj) ** 2 / (1j * (fj - f) + 0.5 * gj)
     return np.sqrt(k1 * k2) / den
+
+
+def find_peaks_scalar(f, y, min_prominence):
+    """Reference peak picker: walk outward from every interior maximum.
+
+    A maximum is y[i] > y[i-1] and y[i] >= y[i+1].  Its prominence is
+    the height over the higher of the two valley floors met before the
+    walk reaches strictly higher terrain (or the trace edge).  Kept
+    maxima are refined to the vertex of the parabola through the three
+    samples around them.  Returns (f_peak, height) pairs sorted in f.
+    """
+    f = np.asarray(f, dtype=float)
+    y = np.asarray(y, dtype=float)
+    peaks = []
+    for i in range(1, f.size - 1):
+        if not (y[i] > y[i - 1] and y[i] >= y[i + 1]):
+            continue
+        left_min = y[i]
+        j = i - 1
+        while j >= 0 and y[j] <= y[i]:
+            left_min = min(left_min, y[j])
+            j -= 1
+        right_min = y[i]
+        j = i + 1
+        while j < y.size and y[j] <= y[i]:
+            right_min = min(right_min, y[j])
+            j += 1
+        if y[i] - max(left_min, right_min) < min_prominence:
+            continue
+        x0, x1, x2 = f[i - 1 : i + 2]
+        y0, y1, y2 = y[i - 1 : i + 2]
+        num = (x1 - x0) ** 2 * (y1 - y2) - (x1 - x2) ** 2 * (y1 - y0)
+        den = (x1 - x0) * (y1 - y2) - (x1 - x2) * (y1 - y0)
+        if den == 0.0:
+            peaks.append((float(x1), float(y1)))
+            continue
+        xv = x1 - 0.5 * num / den
+        xv = min(max(xv, x0), x2)
+        c = np.polyfit([x0, x1, x2], [y0, y1, y2], 2)
+        peaks.append((float(xv), float(np.polyval(c, xv))))
+    return peaks

@@ -191,6 +191,50 @@ def test_fit_missing_map_is_io_error(capsys):
     assert code == 4
 
 
+def _drop_row(lines):
+    del lines[7]
+
+
+def _duplicate_row(lines):
+    lines.insert(7, lines[6])
+
+
+def _hole_and_duplicate(lines):
+    lines[7] = lines[6]
+
+
+def _non_numeric(lines):
+    lines[7] = lines[7].rsplit(",", 1)[0] + ",strong"
+
+
+def _non_finite(lines):
+    lines[7] = lines[7].rsplit(",", 1)[0] + ",nan"
+
+
+def _short_row(lines):
+    lines[7] = lines[7].rsplit(",", 1)[0]
+
+
+def _two_columns(lines):
+    lines[:] = [line.rsplit(",", 1)[0] for line in lines]
+
+
+@pytest.mark.parametrize("damage", [
+    _drop_row, _duplicate_row, _hole_and_duplicate, _non_numeric,
+    _non_finite, _short_row, _two_columns,
+])
+def test_fit_malformed_map_is_io_error(tmp_path, capsys, damage):
+    path = tmp_path / "map.csv"
+    _single_ridge_csv(path)
+    lines = path.read_text().splitlines()
+    damage(lines)
+    path.write_text("\n".join(lines) + "\n")
+    code, out, err = run_cli(capsys, "fit", path)
+    assert code == 4
+    assert out == ""
+    assert err.startswith(f"i/o error: {path}: ")
+
+
 # ---------------------------------------------------------------------------
 # report
 

@@ -2,7 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import oracles
+from magcav import estimators
 from magcav.core import DEFAULT_GYRO, DomainError
 from magcav.estimators import (
     FitReport,
@@ -24,6 +27,11 @@ from magcav.estimators import (
 from magcav.modes import rwa_three_mode, rwa_two_mode
 from magcav.presets import bright_crossing_model, dark_doublet_model
 from magcav.spectra import PortCouplings, density_map, lorentzian, s21
+
+try:
+    from scipy.signal import peak_prominences
+except ImportError:  # scipy is a test-only cross-check, not a dependency
+    peak_prominences = None
 
 PORTS = PortCouplings()
 
@@ -72,6 +80,85 @@ def test_find_peaks_validation():
         find_peaks([0.0, 1.0], [0.0, 1.0], 0.0)
     with pytest.raises(DomainError):
         find_peaks([0.0, 2.0, 1.0], [0.0, 1.0, 0.0], 0.0)
+
+
+# few distinct levels, so ties, equal-height twins and plateaus are common
+_LEVELS = st.integers(0, 6).map(float)
+_SEGMENT = st.tuples(
+    st.sampled_from(("flat", "up", "down", "free")), st.integers(1, 8), _LEVELS
+)
+
+
+@st.composite
+def peak_cases(draw):
+    """(f, y, min_prominence) built from constant, monotone and free runs."""
+    y = []
+    for kind, length, level in draw(st.lists(_SEGMENT, min_size=1, max_size=10)):
+        if kind == "flat":
+            y += [level] * length
+        elif kind == "up":
+            y += [level + k for k in range(length)]
+        elif kind == "down":
+            y += [level - k for k in range(length)]
+        else:
+            y += draw(st.lists(
+                # NaN ends a valley walk like strictly higher terrain
+                st.one_of(_LEVELS, st.floats(-10.0, 10.0, allow_subnormal=False),
+                          st.just(np.nan)),
+                min_size=length, max_size=length,
+            ))
+    y = np.array(y + [0.0] * max(0, 3 - len(y)))
+    steps = np.array(draw(st.lists(
+        st.floats(0.1, 10.0), min_size=y.size, max_size=y.size
+    )))
+    # plain abscissae and GHz-scale ones, where the refinement is ill-posed
+    scale, offset = draw(st.sampled_from(((1.0, 0.0), (1e6, 1.4e10))))
+    f = offset + scale * np.cumsum(steps)
+    i, j = draw(st.integers(0, y.size - 1)), draw(st.integers(0, y.size - 1))
+    # the exact prominence of some peak lands on the floor itself
+    p = draw(st.one_of(st.just(0.0), st.just(abs(y[i] - y[j])), st.floats(0.0, 12.0)))
+    return f, y, p
+
+
+def _same_peaks(got, want):
+    assert np.array([x for x, _ in got]).tobytes() == np.array([x for x, _ in want]).tobytes()
+    np.testing.assert_allclose(
+        [h for _, h in got], [h for _, h in want], rtol=1e-12, atol=0.0
+    )
+
+
+@given(peak_cases())
+@settings(max_examples=400, deadline=None)
+def test_find_peaks_matches_scalar_oracle(case):
+    f, y, p = case
+    _same_peaks(find_peaks(f, y, p), oracles.find_peaks_scalar(f, y, p))
+
+
+def test_find_peaks_many_blocks_match_scalar_oracle(monkeypatch):
+    # a block of 3 candidates spreads a noisy trace over many blocks
+    monkeypatch.setattr(estimators, "_PEAK_BLOCK_CELLS", 3 * 600)
+    rng = np.random.default_rng(5)
+    f = np.linspace(13.65e9, 14.15e9, 600)
+    y = np.abs(lorentzian(f, 1.0, 13.9e9, 3.3e7) + rng.normal(0.0, 0.05, f.size))
+    for p in (0.0, 0.01, 0.1, 0.5):
+        _same_peaks(find_peaks(f, y, p), oracles.find_peaks_scalar(f, y, p))
+
+
+@pytest.mark.skipif(peak_prominences is None, reason="scipy not installed")
+# a plateau that steps up again is a maximum of prominence 0
+@pytest.mark.filterwarnings("ignore:some peaks have a prominence of 0")
+@given(peak_cases())
+@settings(max_examples=200, deadline=None)
+def test_find_peaks_prominence_matches_scipy(case):
+    f, y, p = case
+    mid = y[1:-1]
+    maxima = np.flatnonzero((mid > y[:-2]) & (mid >= y[2:])) + 1
+    prominence = peak_prominences(y, maxima)[0] if maxima.size else np.empty(0)
+    kept = maxima[~(prominence < p)]
+    got = find_peaks(f, y, p)
+    assert len(got) == kept.size
+    for (x, _), i in zip(got, kept):
+        assert f[i - 1] <= x <= f[i + 1]
 
 
 # ---------------------------------------------------------------------------

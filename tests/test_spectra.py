@@ -8,6 +8,7 @@ from magcav.modes import rwa_two_mode
 from magcav.presets import bright_crossing_model, dark_doublet_model
 from magcav.spectra import (
     DensityMap,
+    MapFormatError,
     PortCouplings,
     SingularResponseError,
     add_noise,
@@ -264,6 +265,18 @@ def test_csv_round_trip(tmp_path):
     np.testing.assert_allclose(back.B_axis, dmap.B_axis, rtol=1e-9)
     np.testing.assert_allclose(back.f_axis, dmap.f_axis, rtol=1e-9)
     np.testing.assert_allclose(back.values, dmap.values, rtol=1e-7)
+
+
+def test_read_csv_rejects_duplicated_and_missing_rows(tmp_path):
+    _, dmap = fig5_map(nB=6, nf=24)
+    path = tmp_path / "map.csv"
+    dmap.write_csv(path)
+    lines = path.read_text().splitlines()
+    # one row twice and another gone: row count and both axes still match
+    lines[5] = lines[4]
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(MapFormatError, match="complete"):
+        DensityMap.read_csv(path)
 
 
 def test_pgm_output(tmp_path):
