@@ -30,6 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
+from ._gridcsv import write_grid_csv
 from .core import CONSTANTS, TWO_PI, DomainError, SphereSample
 
 __all__ = [
@@ -183,14 +184,8 @@ class FieldMap:
 
     def to_csv(self, path) -> None:
         """Write x_m, y_m, Hx, Hy, mask rows (mask 1 = excluded node)."""
-        with open(path, "w", encoding="ascii", newline="\n") as fh:
-            fh.write("x_m,y_m,Hx,Hy,mask\n")
-            for i, x in enumerate(self.xs):
-                for j, y in enumerate(self.ys):
-                    fh.write(
-                        f"{x:.9e},{y:.9e},{self.Hx[i, j]:.9e},"
-                        f"{self.Hy[i, j]:.9e},{int(self.excluded[i, j])}\n"
-                    )
+        write_grid_csv(path, "x_m,y_m,Hx,Hy,mask", self.xs, self.ys,
+                       (self.Hx, self.Hy, self.excluded), ("%.9e", "%.9e", "%d"))
 
 
 _MODE_SIGNS = {"dark": (1.0, 1.0), "bright": (1.0, -1.0)}

@@ -223,8 +223,11 @@ def find_peaks(f, y, min_prominence):
         xv = x1 - 0.5 * num / den
         # vertex of the interpolating parabola, clamped to the bracket
         xv = min(max(xv, x0), x2)
-        c = np.polyfit([x0, x1, x2], [y0, y1, y2], 2)
-        peaks.append((float(xv), float(np.polyval(c, xv))))
+        # its height, in Newton form about x1: exact to a few ulps even at
+        # GHz abscissae, where a monomial-basis fit is ill-conditioned
+        s01 = (y1 - y0) / (x1 - x0)
+        c = ((y2 - y1) / (x2 - x1) - s01) / (x2 - x0)
+        peaks.append((float(xv), float(y1 + (xv - x1) * (s01 + c * (xv - x0)))))
     return peaks
 
 

@@ -18,11 +18,13 @@ each other.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import _kernels
+from ._gridcsv import write_grid_csv
 from .core import DomainError, HybridModel
 
 __all__ = [
@@ -119,26 +121,29 @@ class DensityMap:
 
     def write_csv(self, path) -> None:
         """Long-form rows B_T, f_Hz, s21_dB; B outer loop, f inner."""
-        db = self.to_db()
-        with open(path, "w", encoding="ascii", newline="\n") as fh:
-            fh.write("B_T,f_Hz,s21_dB\n")
-            for i, b in enumerate(self.B_axis):
-                for j, fr in enumerate(self.f_axis):
-                    fh.write(f"{b:.9e},{fr:.9e},{db[i, j]:.9e}\n")
+        write_grid_csv(path, "B_T,f_Hz,s21_dB", self.B_axis, self.f_axis,
+                       (self.to_db(),), ("%.9e",))
 
     @classmethod
     def read_csv(cls, path) -> "DensityMap":
         """Rebuild a map from long-form CSV; each (B, f) cell exactly once.
 
-        Bad content (non-numeric cells, a non-finite field, frequency or
-        amplitude, a wrong column count, missing or repeated cells)
-        raises MapFormatError naming the file.
+        Bad content (no data rows, non-numeric cells, a non-finite field,
+        frequency or amplitude, a wrong column count, missing or repeated
+        cells) raises MapFormatError naming the file.
         """
         try:
-            raw = np.loadtxt(path, delimiter=",", skiprows=1)
+            with warnings.catch_warnings():
+                # an empty data section is reported below, not as a warning
+                warnings.filterwarnings(
+                    "ignore", "loadtxt: input contained no data", UserWarning
+                )
+                raw = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
         except ValueError as exc:
             raise MapFormatError(f"{path}: {exc}") from None
-        if raw.ndim != 2 or raw.shape[1] != 3:
+        if raw.shape[0] == 0:
+            raise MapFormatError(f"{path}: no data rows")
+        if raw.shape[1] != 3:
             raise MapFormatError(f"{path}: expected three columns: B_T, f_Hz, s21_dB")
         B_axis = np.unique(raw[:, 0])
         f_axis = np.unique(raw[:, 1])

@@ -163,6 +163,30 @@ def find_peaks_scalar(f, y, min_prominence):
             continue
         xv = x1 - 0.5 * num / den
         xv = min(max(xv, x0), x2)
-        c = np.polyfit([x0, x1, x2], [y0, y1, y2], 2)
-        peaks.append((float(xv), float(np.polyval(c, xv))))
+        # height of the interpolating parabola at xv, Newton form about x1
+        s01 = (y1 - y0) / (x1 - x0)
+        c = ((y2 - y1) / (x2 - x1) - s01) / (x2 - x0)
+        peaks.append((float(xv), float(y1 + (xv - x1) * (s01 + c * (xv - x0)))))
     return peaks
+
+
+def write_map_csv_fstring(path, dmap):
+    """Reference map writer: one f-string and one write per cell."""
+    db = dmap.to_db()
+    with open(path, "w", encoding="ascii", newline="\n") as fh:
+        fh.write("B_T,f_Hz,s21_dB\n")
+        for i, b in enumerate(dmap.B_axis):
+            for j, fr in enumerate(dmap.f_axis):
+                fh.write(f"{b:.9e},{fr:.9e},{db[i, j]:.9e}\n")
+
+
+def write_field_csv_fstring(path, fmap):
+    """Reference field-map writer: one f-string and one write per cell."""
+    with open(path, "w", encoding="ascii", newline="\n") as fh:
+        fh.write("x_m,y_m,Hx,Hy,mask\n")
+        for i, x in enumerate(fmap.xs):
+            for j, y in enumerate(fmap.ys):
+                fh.write(
+                    f"{x:.9e},{y:.9e},{fmap.Hx[i, j]:.9e},"
+                    f"{fmap.Hy[i, j]:.9e},{int(fmap.excluded[i, j])}\n"
+                )

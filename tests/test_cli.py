@@ -235,6 +235,17 @@ def test_fit_malformed_map_is_io_error(tmp_path, capsys, damage):
     assert err.startswith(f"i/o error: {path}: ")
 
 
+# a warning raised as an error would break the one-line stderr contract
+@pytest.mark.filterwarnings("error")
+def test_fit_header_only_map_is_io_error(tmp_path, capsys):
+    path = tmp_path / "empty.csv"
+    path.write_text("B_T,f_Hz,s21_dB\n")
+    code, out, err = run_cli(capsys, "fit", path)
+    assert code == 4
+    assert out == ""
+    assert err == f"i/o error: {path}: no data rows\n"
+
+
 # ---------------------------------------------------------------------------
 # report
 

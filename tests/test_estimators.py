@@ -1,5 +1,7 @@
 """Peak finding, damped least-squares fits, and figure-of-merit chains."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -159,6 +161,34 @@ def test_find_peaks_prominence_matches_scipy(case):
     assert len(got) == kept.size
     for (x, _), i in zip(got, kept):
         assert f[i - 1] <= x <= f[i + 1]
+
+
+def _parabola_exact(xs, ys, x):
+    """Lagrange interpolant through three points, in exact rationals."""
+    xs, ys, x = [Fraction(v) for v in xs], [Fraction(v) for v in ys], Fraction(x)
+    total = Fraction(0)
+    for k in range(3):
+        term = ys[k]
+        for m in range(3):
+            if m != k:
+                term *= (x - xs[m]) / (xs[k] - xs[m])
+        total += term
+    return total
+
+
+@given(
+    st.floats(1e10, 2e10), st.floats(3.0, 6.0), st.floats(3.0, 6.0),
+    st.floats(-3.0, 0.0), st.floats(0.0, 1.0, exclude_max=True), st.floats(0.0, 1.0),
+)
+@settings(max_examples=500, deadline=None)
+def test_find_peaks_vertex_height_exact(x0, log_h01, log_h12, log_y1, r0, r2):
+    # GHz abscissae, 1 kHz to 1 MHz spacings, a maximum in the middle
+    xs = (x0, x0 + 10.0**log_h01, x0 + 10.0**log_h01 + 10.0**log_h12)
+    y1 = 10.0**log_y1
+    ys = (r0 * y1, y1, r2 * y1)
+    [(xv, height)] = find_peaks(xs, ys, 0.0)
+    exact = _parabola_exact(xs, ys, xv)
+    assert abs(Fraction(height) - exact) <= Fraction(1e-14) * abs(exact)
 
 
 # ---------------------------------------------------------------------------

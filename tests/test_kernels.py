@@ -104,6 +104,10 @@ def _probe_flags(extra_env):
     code = "import magcav._kernels as k; print(int(k.USE_NUMBA), int(k.HAVE_NUMBA))"
     env = {k: v for k, v in os.environ.items() if k != "MAGCAV_DISABLE_NUMBA"}
     env.update(extra_env)
+    # the child imports the same magcav as this process, also when only
+    # pytest's own pythonpath setting put it on sys.path
+    src = os.path.dirname(os.path.dirname(_kernels.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )

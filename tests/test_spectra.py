@@ -279,6 +279,15 @@ def test_read_csv_rejects_duplicated_and_missing_rows(tmp_path):
         DensityMap.read_csv(path)
 
 
+def test_read_csv_one_cell_map(tmp_path):
+    path = tmp_path / "one.csv"
+    DensityMap([0.7], [20.9e9], [[0.25]]).write_csv(path)
+    back = DensityMap.read_csv(path)
+    assert back.values.shape == (1, 1)
+    assert back.B_axis.tolist() == [0.7] and back.f_axis.tolist() == [20.9e9]
+    assert back.values[0, 0] == pytest.approx(0.25, rel=1e-9)
+
+
 def test_pgm_output(tmp_path):
     _, dmap = fig5_map(nB=6, nf=24)
     p1 = tmp_path / "a.pgm"
