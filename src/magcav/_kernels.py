@@ -1,13 +1,16 @@
-"""Hot numeric kernels with compiled and pure-numpy implementations.
+"""Hot numeric kernels: transmission-map synthesis and field-map cells.
 
-Two computations dominate runtime: transmission-map synthesis (a small
-complex linear solve per grid point) and midplane field-map construction
-(subsampled quadrature cells along the post and wall circles).  Each has a
-numba ``@njit`` implementation and an independent vectorized numpy one; the
-compiled path is used when numba imports, and setting the environment
-variable ``MAGCAV_DISABLE_NUMBA=1`` (checked once at import) forces the
-numpy path.  ``benchmarks/bench_kernels.py`` times the two against each
-other and asserts they agree.
+Transmission-map synthesis (a small complex linear solve per grid point)
+has a numba ``@njit`` implementation and an independent vectorized numpy
+one; the compiled path is used when numba imports, and setting the
+environment variable ``MAGCAV_DISABLE_NUMBA=1`` (checked once at import)
+forces the numpy path.
+
+Midplane field-map construction (subsampled quadrature cells along the
+post and wall circles) has one numpy path, ``field_cells``.  It shares
+the masks, the subsample points and each post's field between all the
+current-sign rows it is given, so the dark and bright modes of one
+geometry cost one pass.  Its scalar reference lives in the test oracles.
 """
 
 from __future__ import annotations
@@ -43,9 +46,26 @@ __all__ = [
     "response_map_numpy",
     "response_map_numba",
     "field_cells",
-    "field_cells_numpy",
-    "field_cells_numba",
 ]
+
+
+def _line_term(x, y, px, py, current):
+    """In-plane H (A/m) of one infinite line current at points (x, y).
+
+    The line carries ``current`` along +z at (px, py); its azimuthal field
+    is current/(2*pi*rho).  Returns new arrays (Hx, Hy, r2), r2 being the
+    squared distance to the line; H is 0 where r2 == 0.
+    """
+    dx = x - px
+    dy = y - py
+    r2 = dx * dx
+    r2 += dy * dy
+    pref = (2.0 * np.pi) * r2
+    np.divide(current, pref, out=pref, where=r2 > 0.0)
+    hx = np.multiply(pref, dy, out=dy)
+    np.negative(hx, out=hx)
+    hy = np.multiply(pref, dx, out=dx)
+    return hx, hy, r2
 
 
 def line_current_H(
@@ -75,14 +95,10 @@ def line_current_H(
     out = np.zeros(pts.shape)
     inside = np.zeros(pts.shape[:-1], dtype=bool)
     for (px, py), s in zip(np.asarray(posts, dtype=float), np.asarray(signs, dtype=float)):
-        dx = pts[..., 0] - px
-        dy = pts[..., 1] - py
-        r2 = dx * dx + dy * dy
+        hx, hy, r2 = _line_term(pts[..., 0], pts[..., 1], px, py, s * current)
         inside |= r2 < r_post * r_post
-        with np.errstate(divide="ignore", invalid="ignore"):
-            pref = s * current / (2.0 * np.pi * r2)
-        out[..., 0] += np.where(r2 > 0.0, -pref * dy, 0.0)
-        out[..., 1] += np.where(r2 > 0.0, pref * dx, 0.0)
+        out[..., 0] += hx
+        out[..., 1] += hy
     out[inside] = 0.0
     return out
 
@@ -215,137 +231,72 @@ def response_map(freqs, half_widths, half_couplings, drive, f_axis, amplitude):
 # |H|^2 over the covered fraction.
 
 
-def _hx_hy(x, y, px, py, signs, current):
-    hx = 0.0
-    hy = 0.0
-    for p in range(px.shape[0]):
-        dx = x - px[p]
-        dy = y - py[p]
-        r2 = dx * dx + dy * dy
-        if r2 > 0.0:
-            pref = signs[p] * current / (2.0 * np.pi * r2)
-            hx -= pref * dy
-            hy += pref * dx
-    return hx, hy
+def _in_domain(x, y, post_r2, r_post, r_cav):
+    """True where (x, y) lies inside the wall and outside every post.
+
+    ``post_r2`` yields the squared distances of the points to each post.
+    """
+    ok = x * x + y * y <= r_cav * r_cav
+    for r2 in post_r2:
+        ok &= r2 >= r_post * r_post
+    return ok
 
 
-def _in_domain(x, y, px, py, r_post2, r_cav2):
-    if x * x + y * y > r_cav2:
-        return False
-    for p in range(px.shape[0]):
-        dx = x - px[p]
-        dy = y - py[p]
-        if dx * dx + dy * dy < r_post2:
-            return False
-    return True
+def _post_fields(x, y, posts, current, r_post, r_cav):
+    """Each post's (Hx, Hy) at (x, y) when it carries +current, and the domain mask."""
+    fields, r2s = [], []
+    for px, py in posts:
+        hx, hy, r2 = _line_term(x, y, px, py, current)
+        fields.append((hx, hy))
+        r2s.append(r2)
+    return fields, _in_domain(x, y, r2s, r_post, r_cav)
 
 
-def _field_cells_serial(
-    xc, yc, dx, px, py, signs, current, r_post, r_cav, ss, Hx, Hy, energy, coverage
-):
-    nx = xc.shape[0]
-    ny = yc.shape[0]
-    r_post2 = r_post * r_post
-    r_cav2 = r_cav * r_cav
-    half = 0.5 * dx
-    for i in range(nx):
-        for j in range(ny):
-            x = xc[i]
-            y = yc[j]
-            corners = 0
-            for sx in (-1.0, 1.0):
-                for sy in (-1.0, 1.0):
-                    if _in_domain(x + sx * half, y + sy * half, px, py, r_post2, r_cav2):
-                        corners += 1
-            center_in = _in_domain(x, y, px, py, r_post2, r_cav2)
-            if corners == 4:
-                hx, hy = _hx_hy(x, y, px, py, signs, current)
-                Hx[i, j] = hx
-                Hy[i, j] = hy
-                energy[i, j] = hx * hx + hy * hy
-                coverage[i, j] = 1.0
-            elif corners == 0 and not center_in:
-                Hx[i, j] = 0.0
-                Hy[i, j] = 0.0
-                energy[i, j] = 0.0
-                coverage[i, j] = 0.0
-            else:
-                cnt = 0
-                acc = 0.0
-                for a in range(ss):
-                    xs = x - half + (a + 0.5) * dx / ss
-                    for b in range(ss):
-                        ys = y - half + (b + 0.5) * dx / ss
-                        if _in_domain(xs, ys, px, py, r_post2, r_cav2):
-                            hx, hy = _hx_hy(xs, ys, px, py, signs, current)
-                            acc += hx * hx + hy * hy
-                            cnt += 1
-                coverage[i, j] = cnt / (ss * ss)
-                energy[i, j] = acc / cnt if cnt > 0 else 0.0
-                if center_in:
-                    hx, hy = _hx_hy(x, y, px, py, signs, current)
-                    Hx[i, j] = hx
-                    Hy[i, j] = hy
-                else:
-                    Hx[i, j] = 0.0
-                    Hy[i, j] = 0.0
+def _signed_sum(signs, fields):
+    """(Hx, Hy) of the posts with the given signs, summed in post order.
+
+    Sums start from +0, as in ``line_current_H``, so a field that is zero
+    comes out as +0.0 whatever the signs of the zero terms.
+    """
+    Hx = np.zeros_like(fields[0][0])
+    Hy = np.zeros_like(fields[0][1])
+    for s, (hx, hy) in zip(signs, fields):
+        if s > 0.0:
+            Hx += hx
+            Hy += hy
+        elif s < 0.0:
+            Hx -= hx
+            Hy -= hy
+    return Hx, Hy
 
 
-if HAVE_NUMBA:
-    _hx_hy = numba.njit(cache=True, inline="always")(_hx_hy)
-    _in_domain = numba.njit(cache=True, inline="always")(_in_domain)
-    _field_cells_compiled = numba.njit(cache=True)(_field_cells_serial)
+def field_cells(xc, yc, posts, sign_rows, current, r_post, r_cav, subsample=SUBSAMPLE):
+    """Quadrature cells of the midplane field, one set per row of current signs.
 
-    def field_cells_numba(xc, yc, posts, signs, current, r_post, r_cav, subsample=SUBSAMPLE):
-        xc = np.ascontiguousarray(xc, dtype=np.float64)
-        yc = np.ascontiguousarray(yc, dtype=np.float64)
-        posts = np.asarray(posts, dtype=np.float64)
-        shape = (xc.size, yc.size)
-        Hx = np.empty(shape)
-        Hy = np.empty(shape)
-        energy = np.empty(shape)
-        coverage = np.empty(shape)
-        _field_cells_compiled(
-            xc,
-            yc,
-            xc[1] - xc[0],
-            np.ascontiguousarray(posts[:, 0]),
-            np.ascontiguousarray(posts[:, 1]),
-            np.ascontiguousarray(signs, dtype=np.float64),
-            current,
-            r_post,
-            r_cav,
-            subsample,
-            Hx,
-            Hy,
-            energy,
-            coverage,
-        )
-        return Hx, Hy, energy, coverage
-
-else:  # pragma: no cover
-    field_cells_numba = None
-
-
-def field_cells_numpy(xc, yc, posts, signs, current, r_post, r_cav, subsample=SUBSAMPLE):
-    """Vectorized cell classification and boundary-cell subsampling."""
+    In row ``k`` post ``p`` carries ``sign_rows[k][p] * current`` along +z;
+    each sign is -1, 0 or 1.  The cell masks, the subsample points and
+    each post's field are computed once and shared by all rows.  Returns
+    one ``(Hx, Hy, energy, coverage)`` tuple per row: node-center field
+    (0 on nodes outside the domain), cell-mean |H|^2 over the covered
+    fraction, and that fraction, which depends on the geometry only and
+    is the same array in every tuple.
+    """
     xc = np.asarray(xc, dtype=float)
     yc = np.asarray(yc, dtype=float)
     posts = np.asarray(posts, dtype=float)
-    signs = np.asarray(signs, dtype=float)
+    rows = [tuple(float(s) for s in row) for row in sign_rows]
+    if any(len(row) != len(posts) or not set(row) <= {-1.0, 0.0, 1.0} for row in rows):
+        raise ValueError("each sign row needs one sign in {-1, 0, 1} per post")
     dx = xc[1] - xc[0]
-
-    def in_domain(x, y):
-        ok = x * x + y * y <= r_cav * r_cav
-        for (px, py) in posts:
-            ok &= (x - px) ** 2 + (y - py) ** 2 >= r_post * r_post
-        return ok
 
     # corner lattice: one row/column more than cells
     cx = np.concatenate([xc - 0.5 * dx, [xc[-1] + 0.5 * dx]])
     cy = np.concatenate([yc - 0.5 * dx, [yc[-1] + 0.5 * dx]])
     CX, CY = np.meshgrid(cx, cy, indexing="ij")
-    corner_in = in_domain(CX, CY)
+    corner_in = _in_domain(
+        CX, CY, ((CX - px) ** 2 + (CY - py) ** 2 for px, py in posts), r_post, r_cav
+    )
+    del CX, CY
     counts = (
         corner_in[:-1, :-1].astype(int)
         + corner_in[1:, :-1]
@@ -354,39 +305,41 @@ def field_cells_numpy(xc, yc, posts, signs, current, r_post, r_cav, subsample=SU
     )
 
     X, Y = np.meshgrid(xc, yc, indexing="ij")
-    center_in = in_domain(X, Y)
-    H = line_current_H(np.stack([X, Y], axis=-1), posts, signs, current)
-    Hx = np.where(center_in, H[..., 0], 0.0)
-    Hy = np.where(center_in, H[..., 1], 0.0)
-
+    node_fields, center_in = _post_fields(X, Y, posts, current, r_post, r_cav)
+    del X, Y
     full = counts == 4
-    empty = (counts == 0) & ~center_in
-    cut = ~full & ~empty
-
-    energy = np.where(full, Hx * Hx + Hy * Hy, 0.0)
+    outside = ~center_in
+    cut = ~full & ((counts != 0) | center_in)
     coverage = full.astype(float)
+    not_full = ~full
 
     ci, cj = np.nonzero(cut)
-    if ci.size:
-        ss = subsample
-        offs = (np.arange(ss) + 0.5) * dx / ss - 0.5 * dx
-        sx = (X[ci, cj][:, None] + offs[None, :])[:, :, None]  # (m, ss, 1)
-        sy = (Y[ci, cj][:, None] + offs[None, :])[:, None, :]  # (m, 1, ss)
-        px_ = np.broadcast_to(sx, (ci.size, ss, ss)).reshape(ci.size, -1)
-        py_ = np.broadcast_to(sy, (ci.size, ss, ss)).reshape(ci.size, -1)
-        sub_in = in_domain(px_, py_)
-        Hs = line_current_H(np.stack([px_, py_], axis=-1), posts, signs, current)
-        e = (Hs[..., 0] ** 2 + Hs[..., 1] ** 2) * sub_in
-        cnt = sub_in.sum(axis=1)
-        with np.errstate(invalid="ignore"):
-            cell_e = np.where(cnt > 0, e.sum(axis=1) / np.maximum(cnt, 1), 0.0)
-        energy[ci, cj] = cell_e
-        coverage[ci, cj] = cnt / (ss * ss)
-    return Hx, Hy, energy, coverage
+    ss = subsample
+    offs = (np.arange(ss) + 0.5) * dx / ss - 0.5 * dx
+    sx = (xc[ci][:, None] + offs[None, :])[:, :, None]  # (m, ss, 1)
+    sy = (yc[cj][:, None] + offs[None, :])[:, None, :]  # (m, 1, ss)
+    px_ = np.broadcast_to(sx, (ci.size, ss, ss)).reshape(ci.size, -1)
+    py_ = np.broadcast_to(sy, (ci.size, ss, ss)).reshape(ci.size, -1)
+    sub_fields, sub_in = _post_fields(px_, py_, posts, current, r_post, r_cav)
+    del px_, py_
+    cnt = sub_in.sum(axis=1)
+    coverage[ci, cj] = cnt / (ss * ss)
 
+    cells = []
+    for row in rows:
+        Hx, Hy = _signed_sum(row, node_fields)
+        Hx[outside] = 0.0
+        Hy[outside] = 0.0
+        energy = Hx * Hx
+        energy += Hy * Hy
+        energy[not_full] = 0.0
 
-def field_cells(xc, yc, posts, signs, current, r_post, r_cav, subsample=SUBSAMPLE):
-    """Dispatch to the compiled kernel unless disabled by environment."""
-    if USE_NUMBA:
-        return field_cells_numba(xc, yc, posts, signs, current, r_post, r_cav, subsample)
-    return field_cells_numpy(xc, yc, posts, signs, current, r_post, r_cav, subsample)
+        e, ey = _signed_sum(row, sub_fields)
+        e *= e
+        ey *= ey
+        e += ey
+        del ey
+        e *= sub_in
+        energy[ci, cj] = np.where(cnt > 0, e.sum(axis=1) / np.maximum(cnt, 1), 0.0)
+        cells.append((Hx, Hy, energy, coverage))
+    return cells

@@ -150,6 +150,11 @@ class FieldMap:
     cell and ``coverage`` that fraction, which together define all
     integrals.  ``excluded`` marks node centers inside a post or outside
     the cavity wall.
+
+    Maps from ``field_map`` share their arrays: the maps of one in-plane
+    geometry hold the same grid, ``excluded`` and ``coverage`` arrays, and
+    repeated calls return the same field arrays.  The arrays are
+    read-only; copy one before changing it.
     """
 
     xs: np.ndarray
@@ -190,6 +195,42 @@ class FieldMap:
 
 _MODE_SIGNS = {"dark": (1.0, 1.0), "bright": (1.0, -1.0)}
 
+# (key, (centers, excluded, {mode: (Hx, Hy, energy, coverage)})) of the
+# last in-plane geometry, or None.  One entry, so scans over gap or height
+# reuse one quadrature pass while the arrays of two geometries are never
+# held at once.
+_last_cells = None
+
+
+def _mode_cells(geometry: CavityGeometry, resolution: int, current: float):
+    """Read-only field cells of both modes for the in-plane geometry."""
+    global _last_cells
+    key = (geometry.cavity_radius, geometry.post_radius, geometry.post_spacing,
+           resolution, current)
+    last = _last_cells
+    if last is not None and last[0] == key:
+        return last[1]
+    # drop every reference to the old arrays before the new ones exist
+    last = _last_cells = None
+    R = geometry.cavity_radius
+    dx = 2.0 * R / resolution
+    centers = -R + (np.arange(resolution) + 0.5) * dx
+    posts = geometry.post_positions
+    cells = _kernels.field_cells(
+        centers, centers, posts, list(_MODE_SIGNS.values()), current, geometry.post_radius, R
+    )
+    X, Y = np.meshgrid(centers, centers, indexing="ij")
+    inside_wall = X * X + Y * Y <= R * R
+    in_post = np.zeros_like(inside_wall)
+    for px, py in posts:
+        in_post |= (X - px) ** 2 + (Y - py) ** 2 < geometry.post_radius**2
+    excluded = ~inside_wall | in_post
+    for arr in (centers, excluded, *(a for row in cells for a in row)):
+        arr.flags.writeable = False
+    found = (centers, excluded, dict(zip(_MODE_SIGNS, cells)))
+    _last_cells = (key, found)
+    return found
+
 
 def field_map(
     geometry: CavityGeometry,
@@ -201,25 +242,16 @@ def field_map(
 
     ``resolution`` counts grid cells across the cavity diameter; 64 is the
     floor for the quadrature contracts downstream.  Odd values put a node
-    exactly on the inter-post midpoint.
+    exactly on the inter-post midpoint.  Both modes of the last in-plane
+    geometry (cavity radius, post radius and spacing, resolution, current)
+    are kept, so repeated calls share read-only arrays.
     """
     if mode not in _MODE_SIGNS:
         raise DomainError("mode must be 'dark' or 'bright'")
     if resolution < 64:
         raise DomainError("resolution must be at least 64 cells across")
-    R = geometry.cavity_radius
-    dx = 2.0 * R / resolution
-    centers = -R + (np.arange(resolution) + 0.5) * dx
-    posts = geometry.post_positions
-    signs = np.array(_MODE_SIGNS[mode])
-    Hx, Hy, energy, coverage = _kernels.field_cells(
-        centers, centers, posts, signs, current, geometry.post_radius, R
-    )
-    X, Y = np.meshgrid(centers, centers, indexing="ij")
-    inside_wall = X * X + Y * Y <= R * R
-    in_post = np.zeros_like(inside_wall)
-    for px, py in posts:
-        in_post |= (X - px) ** 2 + (Y - py) ** 2 < geometry.post_radius**2
+    centers, excluded, cells = _mode_cells(geometry, resolution, current)
+    Hx, Hy, energy, coverage = cells[mode]
     return FieldMap(
         xs=centers,
         ys=centers,
@@ -227,7 +259,7 @@ def field_map(
         Hy=Hy,
         energy=energy,
         coverage=coverage,
-        excluded=~inside_wall | in_post,
+        excluded=excluded,
         mode=mode,
         current=current,
         geometry=geometry,
@@ -354,10 +386,12 @@ def geometry_scan(
         try:
             geom = dataclasses.replace(base, **{_SCAN_FIELDS[parameter]: float(v)})
             f_dark, f_bright = mode_frequencies(geom)
-            xi = {}
-            for mode in ("dark", "bright"):
-                fm = field_map(geom, mode, resolution=resolution)
-                xi[mode] = filling_factor(fm, sphere, sphere_center)
+            # no map outlives its row: the next row may need new cells
+            xi = {
+                mode: filling_factor(field_map(geom, mode, resolution=resolution),
+                                     sphere, sphere_center)
+                for mode in ("dark", "bright")
+            }
             rows.append(ScanRow(float(v), f_dark, f_bright, xi["dark"], xi["bright"]))
         except DomainError as exc:
             rows.append(ScanRow(float(v), error=str(exc)))

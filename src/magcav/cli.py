@@ -123,6 +123,11 @@ def cmd_spectrum(args) -> int:
 
 def cmd_fit(args) -> int:
     dmap = DensityMap.read_csv(args.map)
+    if dmap.f_axis.size < 3:
+        # peak picking needs a sample on each side of a maximum
+        raise MapFormatError(
+            f"{args.map}: {dmap.f_axis.size} f samples; need at least three"
+        )
     B, f_peak = extract_ridge(dmap, args.prominence)
     if B.size < 10:
         raise UnidentifiableModelError(

@@ -10,6 +10,8 @@ comparisons in the tests meaningful.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 TWO_PI = 2.0 * np.pi
@@ -168,6 +170,94 @@ def find_peaks_scalar(f, y, min_prominence):
         c = ((y2 - y1) / (x2 - x1) - s01) / (x2 - x0)
         peaks.append((float(xv), float(y1 + (xv - x1) * (s01 + c * (xv - x0)))))
     return peaks
+
+
+def _line_currents_H(x, y, posts, signs, current):
+    """(Hx, Hy) of signed line currents at one point, summed in post order."""
+    hx = 0.0
+    hy = 0.0
+    for (px, py), s in zip(posts, signs):
+        dx = x - px
+        dy = y - py
+        r2 = dx * dx + dy * dy
+        if r2 > 0.0:
+            pref = s * current / (2.0 * math.pi * r2)
+            hx -= pref * dy
+            hy += pref * dx
+    return hx, hy
+
+
+def _in_cavity_domain(x, y, posts, r_post2, r_cav2):
+    if x * x + y * y > r_cav2:
+        return False
+    for px, py in posts:
+        dx = x - px
+        dy = y - py
+        if dx * dx + dy * dy < r_post2:
+            return False
+    return True
+
+
+def field_cells_scalar(xc, yc, posts, signs, current, r_post, r_cav, subsample=8):
+    """Reference field cells, one grid cell at a time in plain Python.
+
+    Post ``p`` carries ``signs[p] * current``.  A cell with all four
+    corners in the domain (inside the wall, outside every post) takes the
+    field at its center; a cell with neither a corner nor its center in
+    the domain is empty; every other cell averages |H|^2 over its
+    ``subsample`` x ``subsample`` sub-points that lie in the domain, its
+    coverage is their fraction, and its Hx/Hy are the center field, or 0
+    when the center lies outside the domain.  Returns (Hx, Hy, energy,
+    coverage) arrays of shape (len(xc), len(yc)).
+    """
+    xc = [float(v) for v in xc]
+    yc = [float(v) for v in yc]
+    posts = [(float(px), float(py)) for px, py in posts]
+    signs = [float(s) for s in signs]
+    r_post2 = r_post * r_post
+    r_cav2 = r_cav * r_cav
+    dx = xc[1] - xc[0]
+    half = 0.5 * dx
+    ss = subsample
+    shape = (len(xc), len(yc))
+    Hx = np.zeros(shape)
+    Hy = np.zeros(shape)
+    energy = np.zeros(shape)
+    coverage = np.zeros(shape)
+
+    def in_domain(x, y):
+        return _in_cavity_domain(x, y, posts, r_post2, r_cav2)
+
+    for i, x in enumerate(xc):
+        for j, y in enumerate(yc):
+            corners = sum(
+                in_domain(x + sx * half, y + sy * half)
+                for sx in (-1.0, 1.0)
+                for sy in (-1.0, 1.0)
+            )
+            center_in = in_domain(x, y)
+            if corners == 4:
+                hx, hy = _line_currents_H(x, y, posts, signs, current)
+                Hx[i, j] = hx
+                Hy[i, j] = hy
+                energy[i, j] = hx * hx + hy * hy
+                coverage[i, j] = 1.0
+            elif corners > 0 or center_in:
+                cnt = 0
+                acc = 0.0
+                for a in range(ss):
+                    xs = x - half + (a + 0.5) * dx / ss
+                    for b in range(ss):
+                        ys = y - half + (b + 0.5) * dx / ss
+                        if in_domain(xs, ys):
+                            hx, hy = _line_currents_H(xs, ys, posts, signs, current)
+                            acc += hx * hx + hy * hy
+                            cnt += 1
+                coverage[i, j] = cnt / (ss * ss)
+                energy[i, j] = acc / cnt if cnt > 0 else 0.0
+                if center_in:
+                    Hx[i, j], Hy[i, j] = _line_currents_H(x, y, posts, signs, current)
+    return Hx, Hy, energy, coverage
 
 
 def write_map_csv_fstring(path, dmap):

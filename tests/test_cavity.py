@@ -1,14 +1,17 @@
 """Lumped-element and field-map checks for the double-post cavity."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from magcav import _kernels
+from magcav import _kernels, cavity
 from magcav.cavity import (
     CavityGeometry,
     GeometryError,
+    ScanRow,
     field_map,
     filling_factor,
     geometric_factor,
@@ -152,13 +155,14 @@ def test_mode_energy_complementarity():
     centers = -R + (np.arange(n) + 0.5) * dx
     posts = BARE.post_positions
 
-    def energy(s0, s1):
-        return _kernels.field_cells(
-            centers, centers, posts, np.array([s0, s1]), 1.0, BARE.post_radius, R
-        )[2]
+    cells = _kernels.field_cells(
+        centers, centers, posts, [(1.0, 1.0), (1.0, -1.0), (1.0, 0.0), (0.0, 1.0)],
+        1.0, BARE.post_radius, R,
+    )
+    dark, bright, left, right = (c[2] for c in cells)
 
-    lhs = energy(1.0, 1.0) + energy(1.0, -1.0)
-    rhs = 2.0 * (energy(1.0, 0.0) + energy(0.0, 1.0))
+    lhs = dark + bright
+    rhs = 2.0 * (left + right)
     np.testing.assert_allclose(lhs, rhs, rtol=1e-9, atol=1e-12)
 
 
@@ -293,3 +297,107 @@ def test_field_map_csv(tmp_path):
     assert first[4] in ("0", "1")
     masks = {line.rsplit(",", 1)[1] for line in lines[1:]}
     assert masks == {"0", "1"}
+
+
+# ---------------------------------------------------------------------------
+# The one-entry field-cell memo behind field_map
+
+_MAP_ARRAYS = ("xs", "ys", "Hx", "Hy", "energy", "coverage", "excluded")
+
+# (cavity_radius, post_radius, post_spacing): two share the wall and posts
+_IN_PLANE = [(5.0e-3, 0.4e-3, 2.3e-3), (5.0e-3, 0.4e-3, 1.8e-3), (4.0e-3, 0.3e-3, 2.6e-3)]
+
+
+def _fresh_field_map(geom, mode, resolution, current):
+    cavity._last_cells = None
+    return field_map(geom, mode, resolution=resolution, current=current)
+
+
+@given(data=st.data())
+@settings(max_examples=30, deadline=None)
+def test_field_map_memo_is_invisible(data):
+    resolutions = data.draw(st.lists(st.integers(64, 160), min_size=1, max_size=2))
+    call = st.tuples(
+        st.sampled_from(_IN_PLANE),
+        st.sampled_from([(1.4e-3, 73e-6), (2.0e-3, 30e-6)]),
+        st.sampled_from(resolutions),
+        st.sampled_from([1.0, 0.37, 2.5]),
+        st.sampled_from(["dark", "bright"]),
+    )
+    calls = data.draw(st.lists(call, min_size=2, max_size=8))
+    want = {}
+    for c in calls:
+        (R, rp, a), (h, gap), res, cur, mode = c
+        fm = _fresh_field_map(CavityGeometry(R, h, rp, gap, a), mode, res, cur)
+        want[c] = [getattr(fm, name).tobytes() for name in _MAP_ARRAYS]
+    cavity._last_cells = None
+    for c in calls:
+        (R, rp, a), (h, gap), res, cur, mode = c
+        geom = CavityGeometry(R, h, rp, gap, a)
+        fm = field_map(geom, mode, resolution=res, current=cur)
+        # bytes compare signed zeros too
+        assert [getattr(fm, name).tobytes() for name in _MAP_ARRAYS] == want[c]
+        assert fm.geometry is geom and fm.mode == mode and fm.current == cur
+        for name in _MAP_ARRAYS:
+            with pytest.raises(ValueError):
+                getattr(fm, name)[0] = 0
+
+
+def _scan_row_by_row(base, parameter, values, sphere, resolution):
+    field = {"spacing": "post_spacing", "height": "height", "gap": "gap"}[parameter]
+    rows = []
+    for v in values:
+        try:
+            geom = dataclasses.replace(base, **{field: float(v)})
+            f_dark, f_bright = mode_frequencies(geom)
+            xi = [filling_factor(_fresh_field_map(geom, mode, resolution, 1.0), sphere)
+                  for mode in ("dark", "bright")]
+            rows.append(ScanRow(float(v), f_dark, f_bright, *xi))
+        except DomainError as exc:
+            rows.append(ScanRow(float(v), error=str(exc)))
+    return rows
+
+
+# ranges reach gap >= height, a sphere taller than the cavity or touching
+# a post, and posts outside the wall
+_SCAN_RANGES = {"gap": (5e-6, 2e-3), "height": (0.03e-3, 3e-3), "spacing": (0.5e-3, 9.8e-3)}
+
+
+@given(data=st.data())
+@settings(max_examples=25, deadline=None)
+def test_geometry_scan_matches_row_by_row(data):
+    parameter = data.draw(st.sampled_from(sorted(_SCAN_RANGES)))
+    lo, hi = _SCAN_RANGES[parameter]
+    values = data.draw(st.lists(st.floats(lo, hi), min_size=1, max_size=5))
+    resolution = data.draw(st.integers(64, 100))
+    ref, sph = reference_cavity(), reference_sphere()
+    # leave the memo holding whatever a previous call left there
+    if data.draw(st.booleans()):
+        field_map(ref, "bright", resolution=resolution)
+    got = geometry_scan(ref, parameter, values, sph, resolution=resolution)
+    want = _scan_row_by_row(ref, parameter, values, sph, resolution)
+    assert [repr(r) for r in got] == [repr(r) for r in want]
+
+
+def test_scans_share_one_pass_per_in_plane_geometry(monkeypatch):
+    passes = []
+    kernel = _kernels.field_cells
+
+    def counting(*args, **kwargs):
+        passes.append(args[3])
+        return kernel(*args, **kwargs)
+
+    monkeypatch.setattr(_kernels, "field_cells", counting)
+    ref, sph = reference_cavity(), reference_sphere()
+    cavity._last_cells = None
+    heights = [1.0e-3, 1.4e-3, 2.0e-3, 2.8e-3]
+    rows = geometry_scan(ref, "height", heights, sph, resolution=65)
+    # one pass computes both modes of the one in-plane geometry
+    assert len(passes) == 1 and len(passes[0]) == 2
+    # the maps are shared, but xi still follows each row's own height
+    for a, b in zip(rows, rows[1:]):
+        assert b.xi_dark < a.xi_dark and b.xi_bright < a.xi_bright
+    geometry_scan(ref, "gap", np.linspace(10e-6, 150e-6, 6), sph, resolution=65)
+    assert len(passes) == 1
+    geometry_scan(ref, "spacing", [1.8e-3, 2.3e-3, 3.6e-3], sph, resolution=65)
+    assert len(passes) == 4

@@ -219,9 +219,18 @@ def _two_columns(lines):
     lines[:] = [line.rsplit(",", 1)[0] for line in lines]
 
 
+def _one_cell(lines):
+    del lines[2:]
+
+
+def _two_by_two(lines):
+    # the first two f samples of the first two B columns
+    lines[:] = [lines[0], lines[1], lines[2], lines[301], lines[302]]
+
+
 @pytest.mark.parametrize("damage", [
     _drop_row, _duplicate_row, _hole_and_duplicate, _non_numeric,
-    _non_finite, _short_row, _two_columns,
+    _non_finite, _short_row, _two_columns, _one_cell, _two_by_two,
 ])
 def test_fit_malformed_map_is_io_error(tmp_path, capsys, damage):
     path = tmp_path / "map.csv"

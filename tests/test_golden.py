@@ -1,6 +1,6 @@
-"""Fit reports of the shipped fixtures against stored golden reports.
+"""Fit reports and cavity designs of the shipped fixtures against golden output.
 
-Each case synthesizes a fixture map with ``magcav spectrum`` and fits it
+Each fit case synthesizes a fixture map with ``magcav spectrum`` and fits it
 with ``magcav fit``; every number in the report must match the golden
 file to 1e-12 relative, and every other field exactly.  The path covers
 map synthesis, CSV write and read, peak picking and the LM fits, so a
@@ -10,6 +10,14 @@ deliberate change of results, e.g.
 
     magcav spectrum fixtures/bright_crossing.ini -o /tmp/bright
     magcav fit /tmp/bright.csv --kind two-mode > tests/golden/fit_bright_two_mode.txt
+
+The ``cavity`` report and its three scans are held byte for byte: their
+printed digits are the field-map quadrature's result, so a change in
+how the maps are built must not move a single one.  Each golden file is
+the stdout of the command in ``CAVITY_CASES``, e.g.
+
+    magcav cavity fixtures/reference_cavity.ini --scan gap --start 10 --stop 150 \
+        > tests/golden/cavity_scan_gap.txt
 """
 
 import math
@@ -51,3 +59,20 @@ def test_fit_report_matches_golden(tmp_path, capsys, fixture, fit_args, golden):
             assert math.isclose(float(got[key]), float(value), rel_tol=1e-12), key
         else:
             assert got[key] == value, key
+
+
+CAVITY_CASES = [
+    ([], "cavity.txt"),
+    (["--scan", "gap", "--start", "10", "--stop", "150"], "cavity_scan_gap.txt"),
+    (["--scan", "spacing", "--start", "0.6", "--stop", "9.6", "--steps", "11"],
+     "cavity_scan_spacing.txt"),
+    (["--scan", "height", "--start", "0.05", "--stop", "3.05", "--steps", "11"],
+     "cavity_scan_height.txt"),
+]
+
+
+@pytest.mark.parametrize("args, golden", CAVITY_CASES)
+def test_cavity_output_matches_golden_bytes(capsys, args, golden):
+    code = main(["cavity", str(FIXTURES / "reference_cavity.ini"), *args])
+    assert code == 0
+    assert capsys.readouterr().out == (GOLDEN / golden).read_text()

@@ -1,8 +1,10 @@
-"""Compiled kernels against their pure-numpy twins.
+"""Numeric kernels against independent implementations.
 
-The two implementations share no code beyond the module they live in, so
-agreement on random inputs is a real check, not a tautology.  Both are
-exercised here regardless of which one the environment selects.
+The compiled transmission kernel is checked against its pure-numpy twin
+(both exercised whichever one the environment selects), and the field
+cells against the scalar per-cell oracle in ``oracles.py``.  Neither
+comparison shares code with the implementation under test, so agreement
+on random inputs is a real check, not a tautology.
 """
 
 import os
@@ -17,11 +19,12 @@ from magcav._kernels import (
     HAVE_NUMBA,
     USE_NUMBA,
     field_cells,
-    field_cells_numpy,
     line_current_H,
     response_map,
     response_map_numpy,
 )
+
+from oracles import field_cells_scalar
 
 needs_numba = pytest.mark.skipif(not HAVE_NUMBA, reason="numba not installed")
 
@@ -59,27 +62,42 @@ def test_response_map_singular_point_is_zero():
         assert _kernels.response_map_numba(*args)[0, 0] == 0.0
 
 
-def _reference_cells(resolution=129, mode="bright"):
+SIGN_ROWS = [(1.0, 1.0), (1.0, -1.0), (1.0, 0.0), (0.0, 1.0)]
+
+
+def _reference_cells(resolution):
     r_cav, r_post, a = 5e-3, 0.4e-3, 1.15e-3
     dx = 2.0 * r_cav / resolution
     centers = -r_cav + (np.arange(resolution) + 0.5) * dx
     posts = np.array([[-a, 0.0], [a, 0.0]])
-    signs = np.array([1.0, 1.0]) if mode == "dark" else np.array([1.0, -1.0])
-    return centers, centers, posts, signs, 1.0, r_post, r_cav
+    return centers, centers, posts, 1.0, r_post, r_cav
 
 
-@needs_numba
-@pytest.mark.parametrize("mode", ["dark", "bright"])
-def test_field_cells_implementations_agree(mode):
-    args = _reference_cells(mode=mode)
-    Hx_np, Hy_np, e_np, cov_np = field_cells_numpy(*args)
-    Hx_nb, Hy_nb, e_nb, cov_nb = _kernels.field_cells_numba(*args)
-    # coverage counts subsamples, an integer ratio: must match exactly
-    np.testing.assert_array_equal(cov_nb, cov_np)
-    np.testing.assert_allclose(Hx_nb, Hx_np, rtol=1e-12, atol=1e-9 * np.abs(Hx_np).max())
-    np.testing.assert_allclose(Hy_nb, Hy_np, rtol=1e-12, atol=1e-9 * np.abs(Hy_np).max())
-    # cut-cell energies differ only by summation order
-    np.testing.assert_allclose(e_nb, e_np, rtol=1e-11, atol=1e-12 * e_np.max())
+@pytest.mark.parametrize("resolution", [65, 129])
+def test_field_cells_match_scalar_oracle(resolution):
+    xc, yc, posts, current, r_post, r_cav = _reference_cells(resolution)
+    cells = field_cells(xc, yc, posts, SIGN_ROWS, current, r_post, r_cav)
+    assert len(cells) == len(SIGN_ROWS)
+    for signs, (Hx, Hy, e, cov) in zip(SIGN_ROWS, cells):
+        Hx_o, Hy_o, e_o, cov_o = field_cells_scalar(xc, yc, posts, signs, current, r_post, r_cav)
+        # coverage counts subsamples, an integer ratio: must match exactly
+        np.testing.assert_array_equal(cov, cov_o)
+        np.testing.assert_allclose(Hx, Hx_o, rtol=1e-12, atol=1e-9 * np.abs(Hx_o).max())
+        np.testing.assert_allclose(Hy, Hy_o, rtol=1e-12, atol=1e-9 * np.abs(Hy_o).max())
+        # cut-cell energies differ only by summation order
+        np.testing.assert_allclose(e, e_o, rtol=1e-11, atol=1e-12 * e_o.max())
+        # sums start from +0, as in the oracle: no cell holds a -0.0
+        for arr in (Hx, Hy, e, cov):
+            assert not np.signbit(arr[arr == 0.0]).any()
+    # coverage is a property of the geometry, shared by every row
+    assert all(c[3] is cells[0][3] for c in cells)
+
+
+def test_field_cells_rejects_bad_sign_rows():
+    xc, yc, posts, current, r_post, r_cav = _reference_cells(65)
+    for rows in ([(1.0,)], [(1.0, 0.5)], [(1.0, -1.0, 1.0)]):
+        with pytest.raises(ValueError):
+            field_cells(xc, yc, posts, rows, current, r_post, r_cav)
 
 
 def test_dispatch_matches_selected_path():
@@ -88,16 +106,6 @@ def test_dispatch_matches_selected_path():
         _kernels.response_map_numba(*args) if USE_NUMBA else response_map_numpy(*args)
     )
     np.testing.assert_array_equal(response_map(*args), expected)
-
-    cell_args = _reference_cells(resolution=65)
-    got = field_cells(*cell_args)
-    want = (
-        _kernels.field_cells_numba(*cell_args)
-        if USE_NUMBA
-        else field_cells_numpy(*cell_args)
-    )
-    for g, w in zip(got, want):
-        np.testing.assert_array_equal(g, w)
 
 
 def _probe_flags(extra_env):
