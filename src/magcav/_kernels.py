@@ -1,10 +1,12 @@
-"""Hot numeric kernels: transmission-map synthesis and field-map cells.
+"""Hot numeric kernels: transmission S21 and field-map cells.
 
-Transmission-map synthesis (a small complex linear solve per grid point)
-has a numba ``@njit`` implementation and an independent vectorized numpy
-one; the compiled path is used when numba imports, and setting the
-environment variable ``MAGCAV_DISABLE_NUMBA=1`` (checked once at import)
-forces the numpy path.
+``s21_rows`` is the one transmission forward model: ``spectra.s21``
+calls it with one field row and ``spectra.density_map`` with blocks of
+rows.  S21 needs only the driven mode's entry of A^-1; when the
+couplings form a tree (the star of magnons on one cavity, the
+cavity-R-L chain) that entry is a continued fraction evaluated leaves
+first over the whole block, with no linear solve.  Other coupling graphs
+take one batched ``np.linalg.solve``.
 
 Midplane field-map construction (subsampled quadrature cells along the
 post and wall circles) has one numpy path, ``field_cells``.  It shares
@@ -15,36 +17,16 @@ geometry cost one pass.  Its scalar reference lives in the test oracles.
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
-
-try:
-    import numba
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba
-    numba = None
-    HAVE_NUMBA = False
-
-USE_NUMBA = HAVE_NUMBA and os.environ.get("MAGCAV_DISABLE_NUMBA", "0").lower() not in (
-    "1",
-    "true",
-    "yes",
-)
 
 # Subsamples per axis for cells cut by a post or the outer wall; 8x8 keeps
 # the quadrature second-order despite the 1/rho field at the post surface.
 SUBSAMPLE = 8
 
 __all__ = [
-    "HAVE_NUMBA",
-    "USE_NUMBA",
     "SUBSAMPLE",
     "line_current_H",
-    "response_map",
-    "response_map_numpy",
-    "response_map_numba",
+    "s21_rows",
     "field_cells",
 ]
 
@@ -104,124 +86,111 @@ def line_current_H(
 
 
 # ---------------------------------------------------------------------------
-# Transmission response: out[b, k] = amp * |(A^-1 e_drive)_drive| with
-# A = i*(M(B_b) - f_k*I) + diag(linewidth)/2.
+# Transmission: S21 = amplitude * [A^-1]_dd with A = diag(half_widths) +
+# i*(M - f*I), M holding the bare mode frequencies on its diagonal and the
+# half couplings g/pi/2 off it, and d the driven mode.
 
 
-def response_map_numpy(
-    freqs: np.ndarray,
-    half_widths: np.ndarray,
-    half_couplings: np.ndarray,
-    drive: int,
-    f_axis: np.ndarray,
-    amplitude: float,
-) -> np.ndarray:
-    """Pure-numpy batched solve, one frequency-axis batch per field step."""
-    freqs = np.asarray(freqs, dtype=float)
-    f_axis = np.asarray(f_axis, dtype=float)
-    nB, n = freqs.shape
-    nf = f_axis.size
-    offdiag = 1j * np.asarray(half_couplings, dtype=float)
+def _tree_order(half_couplings, drive):
+    """Leaves-first ``(mode, neighbour towards drive, coupling**2)`` triples.
+
+    Returns None unless the nonzero couplings form a tree that reaches
+    every mode from ``drive``.
+    """
+    h = np.asarray(half_couplings, dtype=float)
+    n = h.shape[0]
+    if np.count_nonzero(np.triu(h, 1)) != n - 1:
+        return None
+    parent = {drive: None}
+    queue = [drive]
+    for v in queue:
+        for c in np.flatnonzero(h[v]).tolist():
+            if c not in parent:
+                parent[c] = v
+                queue.append(c)
+    if len(queue) != n:
+        return None
+    return [(v, parent[v], h[v, parent[v]] ** 2) for v in reversed(queue[1:])]
+
+
+def _fraction(d, order, drive, amplitude):
+    """amplitude / D_drive, each D_v = d_v + sum of h**2 / D_c over v's children."""
+    D = list(d)
+    for v, p, h2 in order:
+        D[p] = D[p] + h2 / D[v]
+    return amplitude / D[drive]
+
+
+def _fraction_zero_pivots(d, order, drive, amplitude):
+    """``_fraction`` where some D is exactly 0 (a lossless subtree on resonance).
+
+    A child with D_c == 0 makes its parent's D infinite, so the parent
+    adds 0 to the level above; two such children of one mode, or D == 0
+    at the driven mode, make A singular, and the cell gives 0.
+    """
+    D = list(d)
+    n_zero = np.zeros(d.shape, dtype=int)  # children with D exactly 0
+    singular = np.zeros(d.shape[1:], dtype=bool)
+    for v, p, h2 in order:
+        live = n_zero[v] == 0
+        zero = live & (D[v] == 0)
+        singular |= n_zero[v] > 1
+        n_zero[p] += zero
+        live &= ~zero
+        D[p] = D[p] + np.divide(h2, D[v], out=np.zeros_like(D[v]), where=live)
+    ok = (n_zero[drive] == 0) & (D[drive] != 0) & ~singular
+    return np.divide(amplitude, D[drive], out=np.zeros_like(D[drive]), where=ok)
+
+
+def _solve(d, half_couplings, drive, amplitude):
+    """amplitude * [A^-1]_dd by one batched LU solve; a singular cell gives 0."""
+    n = d.shape[0]
+    cells = d.reshape(n, -1).T
+    A = np.empty((cells.shape[0], n, n), dtype=complex)
+    A[:] = 1j * np.asarray(half_couplings, dtype=float)
+    idx = np.arange(n)
+    A[:, idx, idx] = cells
     rhs = np.zeros((n, 1), dtype=complex)
     rhs[drive, 0] = 1.0
-    rhs = np.broadcast_to(rhs, (nf, n, 1))
-    idx = np.arange(n)
-    out = np.empty((nB, nf))
-    for b in range(nB):
-        A = np.broadcast_to(offdiag, (nf, n, n)).copy()
-        A[:, idx, idx] = half_widths + 1j * (freqs[b] - f_axis[:, None])
-        try:
-            sol = np.linalg.solve(A, rhs)
-            out[b] = amplitude * np.abs(sol[:, drive, 0])
-        except np.linalg.LinAlgError:
-            # a lossless mode hit exact resonance; that point transmits 0
-            for k in range(nf):
-                try:
-                    out[b, k] = amplitude * abs(np.linalg.solve(A[k], rhs[k])[drive, 0])
-                except np.linalg.LinAlgError:
-                    out[b, k] = 0.0
-    return out
+    rhs = np.broadcast_to(rhs, (cells.shape[0], n, 1))
+    try:
+        x = np.linalg.solve(A, rhs)[:, drive, 0]
+    except np.linalg.LinAlgError:
+        # a lossless mode hit exact resonance; that cell transmits 0
+        x = np.zeros(cells.shape[0], dtype=complex)
+        for k in range(cells.shape[0]):
+            try:
+                x[k] = np.linalg.solve(A[k], rhs[k])[drive, 0]
+            except np.linalg.LinAlgError:
+                pass
+    return (amplitude * x).reshape(d.shape[1:])
 
 
-def _response_map_serial(freqs, half_widths, half_couplings, drive, f_axis, amplitude, out):
-    """Gaussian elimination with partial pivoting per grid point."""
-    nB, n = freqs.shape
-    nf = f_axis.shape[0]
-    A = np.empty((n, n), dtype=np.complex128)
-    x = np.empty(n, dtype=np.complex128)
-    for b in range(nB):
-        for k in range(nf):
-            f = f_axis[k]
-            for i in range(n):
-                for j in range(n):
-                    A[i, j] = 1j * half_couplings[i, j]
-                A[i, i] = half_widths[i] + 1j * (freqs[b, i] - f)
-                x[i] = 0.0
-            x[drive] = 1.0
-            singular = False
-            for col in range(n):
-                piv = col
-                best = abs(A[col, col])
-                for r in range(col + 1, n):
-                    v = abs(A[r, col])
-                    if v > best:
-                        best = v
-                        piv = r
-                if best == 0.0:
-                    singular = True
-                    break
-                if piv != col:
-                    for c in range(col, n):
-                        tmp = A[col, c]
-                        A[col, c] = A[piv, c]
-                        A[piv, c] = tmp
-                    tmp = x[col]
-                    x[col] = x[piv]
-                    x[piv] = tmp
-                for r in range(col + 1, n):
-                    m = A[r, col] / A[col, col]
-                    if m != 0.0:
-                        for c in range(col + 1, n):
-                            A[r, c] -= m * A[col, c]
-                        x[r] -= m * x[col]
-            if singular:
-                out[b, k] = 0.0
-                continue
-            for col in range(n - 1, -1, -1):
-                acc = x[col]
-                for c in range(col + 1, n):
-                    acc -= A[col, c] * x[c]
-                x[col] = acc / A[col, col]
-            out[b, k] = amplitude * abs(x[drive])
+def s21_rows(freqs, half_widths, half_couplings, drive, f_axis, amplitude):
+    """Complex S21 on a block of field rows, ``out[b, k]`` at (freqs[b], f_axis[k]).
 
-
-if HAVE_NUMBA:
-    _response_map_compiled = numba.njit(cache=True)(_response_map_serial)
-
-    def response_map_numba(freqs, half_widths, half_couplings, drive, f_axis, amplitude):
-        freqs = np.ascontiguousarray(freqs, dtype=np.float64)
-        f_axis = np.ascontiguousarray(f_axis, dtype=np.float64)
-        out = np.empty((freqs.shape[0], f_axis.size))
-        _response_map_compiled(
-            freqs,
-            np.ascontiguousarray(half_widths, dtype=np.float64),
-            np.ascontiguousarray(half_couplings, dtype=np.float64),
-            drive,
-            f_axis,
-            amplitude,
-            out,
-        )
-        return out
-
-else:  # pragma: no cover
-    response_map_numba = None
-
-
-def response_map(freqs, half_widths, half_couplings, drive, f_axis, amplitude):
-    """Dispatch to the compiled kernel unless disabled by environment."""
-    if USE_NUMBA:
-        return response_map_numba(freqs, half_widths, half_couplings, drive, f_axis, amplitude)
-    return response_map_numpy(freqs, half_widths, half_couplings, drive, f_axis, amplitude)
+    ``freqs`` is (rows, n): the bare mode frequencies of each row;
+    ``half_widths`` the n linewidths/2 and ``half_couplings`` the
+    symmetric (n, n) g/pi/2, all in Hz.  A tree of couplings is
+    eliminated leaves first as a continued fraction towards ``drive``;
+    any other coupling graph takes one batched linear solve.  A cell
+    where A is singular gives 0.
+    """
+    freqs = np.asarray(freqs, dtype=float)
+    f_axis = np.asarray(f_axis, dtype=float)
+    # A's diagonal, one (rows, len(f_axis)) array per mode
+    d = np.empty((freqs.shape[1], freqs.shape[0], f_axis.size), dtype=complex)
+    d.real = np.asarray(half_widths, dtype=float)[:, None, None]
+    np.subtract(freqs.T[:, :, None], f_axis, out=d.imag)
+    order = _tree_order(half_couplings, drive)
+    if order is None:
+        return _solve(d, half_couplings, drive, amplitude)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        s = _fraction(d, order, drive, amplitude)
+    bad = ~np.isfinite(s)
+    if bad.any():
+        s[bad] = _fraction_zero_pivots(d[:, bad], order, drive, amplitude)
+    return s
 
 
 # ---------------------------------------------------------------------------

@@ -210,10 +210,14 @@ class HybridModel:
         """Index of the first cavity-kind mode (the driven one)."""
         return next(i for i, m in enumerate(self.modes) if m.kind.is_cavity)
 
-    def frequencies_at(self, B: float) -> np.ndarray:
-        """Bare mode frequencies (Hz) at bias field B (T)."""
+    def frequencies_at(self, B) -> np.ndarray:
+        """Bare mode frequencies (Hz) at bias field B (T).
+
+        A scalar B gives shape (n_modes,); an array of fields gives one
+        row per field, shape ``B.shape + (n_modes,)``.
+        """
         f0 = np.array([m.f0 for m in self.modes])
-        return f0 + self.field_slopes * float(B)
+        return f0 + self.field_slopes * np.asarray(B, dtype=float)[..., None]
 
     def matrix_at(self, B: float) -> np.ndarray:
         """Symmetric frequency matrix (Hz) at bias B.

@@ -9,10 +9,11 @@ Hz: the loaded cavity linewidth kappa splits as kappa = kappa0 (1 + beta1
     A(f)   = Gamma/2 + i (M - f I)
 
 with M the frequency matrix (bare frequencies on the diagonal, g/pi/2 off
-it).  For a star of magnons hanging off the cavity this reduces to the
-usual sum of (g/2)^2 / (i (f_j - f) + gamma_j/2) terms in the denominator;
-the matrix form also covers chained topologies where magnons couple to
-each other.
+it).  ``s21`` (one field) and ``density_map`` (a (B, f) grid, in blocks of
+field rows) both evaluate it with ``_kernels.s21_rows``.  For a star of
+magnons on the cavity [A^-1]_cc is 1/(i (f_c - f) + kappa/2 + sum of
+(g/2)^2 / (i (f_j - f) + gamma_j/2)); chains nest one such fraction per
+level, and any other coupling graph is solved as a matrix.
 """
 
 from __future__ import annotations
@@ -62,7 +63,8 @@ class PortCouplings:
 
     def external_rates(self, kappa: float) -> tuple[float, float]:
         """(kappa1, kappa2) in Hz given the loaded linewidth kappa."""
-        kappa0 = kappa / (1.0 + self.beta1 + self.beta2)
+        # beta1 + beta2 first, so swapping the ports is bit-for-bit symmetric
+        kappa0 = kappa / (1.0 + (self.beta1 + self.beta2))
         return self.beta1 * kappa0, self.beta2 * kappa0
 
     def amplitude(self, kappa: float) -> float:
@@ -75,23 +77,21 @@ def s21(f, model: HybridModel, ports: PortCouplings, B: float = 0.0):
     """Complex transmission at frequency f (Hz), scalar or array.
 
     The model is evaluated at bias ``B``; the driven and read-out mode is
-    the model's cavity mode.
+    the model's cavity mode.  A point where the response matrix is
+    singular (a lossless mode exactly on resonance) gives 0.
     """
     kappa = model.modes[model.cavity_index].linewidth
     if kappa <= 0.0:
         raise SingularResponseError("cavity linewidth must be positive")
-    f_arr = np.atleast_1d(np.asarray(f, dtype=float))
-    n = model.n_modes
-    c = model.cavity_index
-    M = model.matrix_at(B)
-    A = np.broadcast_to(1j * M + np.diag(0.5 * model.linewidths), (f_arr.size, n, n)).copy()
-    idx = np.arange(n)
-    A[:, idx, idx] -= 1j * f_arr[:, None]
-    rhs = np.zeros((n, 1), dtype=complex)
-    rhs[c, 0] = 1.0
-    sol = np.linalg.solve(A, np.broadcast_to(rhs, (f_arr.size, n, 1)))
-    out = ports.amplitude(kappa) * sol[:, c, 0]
-    return out[0] if np.isscalar(f) or np.ndim(f) == 0 else out
+    out = _kernels.s21_rows(
+        model.frequencies_at(B)[None, :],
+        0.5 * model.linewidths,
+        0.5 * model.couplings,
+        model.cavity_index,
+        np.ravel(np.asarray(f, dtype=float)),
+        ports.amplitude(kappa),
+    )
+    return out.reshape(np.shape(f))[()]
 
 
 @dataclass(frozen=True, eq=False)
@@ -190,6 +190,11 @@ class DensityMap:
             fh.write(gray.T.tobytes())  # row index runs along f
 
 
+# Cells per transmission block: whole rows, about 16k cells, so the
+# kernel's per-mode complex temporaries stay a few hundred kB.
+_BLOCK_CELLS = 1 << 14
+
+
 def density_map(
     model: HybridModel,
     B_axis,
@@ -197,7 +202,7 @@ def density_map(
     ports: PortCouplings,
     metadata: dict | None = None,
 ) -> DensityMap:
-    """Evaluate |s21| over the grid with the batched response kernel."""
+    """|s21| over the grid, evaluated in blocks of field rows."""
     B_axis = np.asarray(B_axis, dtype=float)
     f_axis = np.asarray(f_axis, dtype=float)
     for name, ax in (("B_axis", B_axis), ("f_axis", f_axis)):
@@ -208,15 +213,13 @@ def density_map(
     kappa = model.modes[model.cavity_index].linewidth
     if kappa <= 0.0:
         raise SingularResponseError("cavity linewidth must be positive")
-    freqs = np.stack([model.frequencies_at(b) for b in B_axis])
-    values = _kernels.response_map(
-        freqs,
-        0.5 * model.linewidths,
-        0.5 * model.couplings,
-        model.cavity_index,
-        f_axis,
-        ports.amplitude(kappa),
-    )
+    freqs = model.frequencies_at(B_axis)
+    args = (0.5 * model.linewidths, 0.5 * model.couplings, model.cavity_index,
+            f_axis, ports.amplitude(kappa))
+    values = np.empty((B_axis.size, f_axis.size))
+    step = max(1, _BLOCK_CELLS // f_axis.size)
+    for i in range(0, B_axis.size, step):
+        np.abs(_kernels.s21_rows(freqs[i:i + step], *args), out=values[i:i + step])
     meta = {
         "modes": ";".join(
             f"{m.kind.value}:{m.f0:.9e}:{m.linewidth:.9e}" for m in model.modes

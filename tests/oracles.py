@@ -129,6 +129,29 @@ def s21_star_formula(f, f_c, kappa, k1, k2, magnons):
     return np.sqrt(k1 * k2) / den
 
 
+def s21_point_solve(freqs, half_widths, half_couplings, drive, f_axis, amplitude):
+    """Reference transmission: one dense LAPACK solve per (field row, f) cell.
+
+    At each cell A = diag(half_widths + i (freqs[b] - f)) + i H is solved
+    against the unit vector of ``drive``.  A singular A gives 0; singular
+    means rank-deficient by SVD, since LU on an exactly singular A often
+    meets a rounding-sized pivot instead of a zero one.  Returns the
+    complex amplitude * x[drive], shaped (len(freqs), len(f_axis)).
+    """
+    freqs = np.asarray(freqs, dtype=float)
+    f_axis = np.asarray(f_axis, dtype=float)
+    H = 1j * np.asarray(half_couplings, dtype=float)
+    e = np.zeros(freqs.shape[1], dtype=complex)
+    e[drive] = 1.0
+    out = np.zeros((freqs.shape[0], f_axis.size), dtype=complex)
+    for b, row in enumerate(freqs):
+        for k, f in enumerate(f_axis):
+            A = np.diag(half_widths + 1j * (row - f)) + H
+            if np.linalg.matrix_rank(A) == len(e):
+                out[b, k] = amplitude * np.linalg.solve(A, e)[drive]
+    return out
+
+
 def find_peaks_scalar(f, y, min_prominence):
     """Reference peak picker: walk outward from every interior maximum.
 

@@ -112,6 +112,16 @@ def test_hybrid_model_at_field():
     assert np.allclose(snap.frequencies_at(0.0), m.frequencies_at(0.743), rtol=1e-15)
 
 
+def test_frequencies_at_field_array_is_bit_equal_to_scalar_calls():
+    m = HybridModel.chain(13.9e9, 33e6, 1.2e6, 143e6, 12.5e6,
+                          offset_r=0.651241e9, offset_l=0.651241e9)
+    B = np.linspace(0.45, 0.492, 220)
+    grid = m.frequencies_at(B)
+    assert grid.shape == (220, 3)
+    assert grid.tobytes() == np.stack([m.frequencies_at(b) for b in B]).tobytes()
+    assert m.frequencies_at(0.743).shape == (3,)
+
+
 def test_hybrid_model_rejects_bad_shapes():
     modes = (
         OscillatorMode(20.9e9, 27e6, ModeKind.CAVITY_BRIGHT),

@@ -11,6 +11,11 @@ deliberate change of results, e.g.
     magcav spectrum fixtures/bright_crossing.ini -o /tmp/bright
     magcav fit /tmp/bright.csv --kind two-mode > tests/golden/fit_bright_two_mode.txt
 
+The fixture maps are held by sha256 in ``maps.sha256``: the CSV and PGM
+of ``magcav spectrum`` on the bright and dark fixtures and of ``magcav
+predict --map`` on the prediction fixture, each written to an output
+prefix named after its fixture (``sha256sum`` of the six files).
+
 The ``cavity`` report and its three scans are held byte for byte: their
 printed digits are the field-map quadrature's result, so a change in
 how the maps are built must not move a single one.  Each golden file is
@@ -20,6 +25,7 @@ the stdout of the command in ``CAVITY_CASES``, e.g.
         > tests/golden/cavity_scan_gap.txt
 """
 
+import hashlib
 import math
 from pathlib import Path
 
@@ -76,3 +82,17 @@ def test_cavity_output_matches_golden_bytes(capsys, args, golden):
     code = main(["cavity", str(FIXTURES / "reference_cavity.ini"), *args])
     assert code == 0
     assert capsys.readouterr().out == (GOLDEN / golden).read_text()
+
+
+def test_fixture_maps_match_golden_sha256(tmp_path, capsys):
+    for stem in ("bright_crossing", "dark_doublet"):
+        assert main(["spectrum", str(FIXTURES / f"{stem}.ini"), "-o", str(tmp_path / stem)]) == 0
+    prefix = tmp_path / "optimized_prediction"
+    assert main(["predict", str(FIXTURES / "optimized_prediction.ini"), "--map", str(prefix)]) == 0
+    capsys.readouterr()
+    want = {}
+    for line in (GOLDEN / "maps.sha256").read_text().splitlines():
+        digest, name = line.split()
+        want[name] = digest
+    got = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in want}
+    assert got == want

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from magcav.core import DomainError, HybridModel, ModeKind, OscillatorMode
 from magcav.modes import rwa_two_mode
@@ -105,6 +106,48 @@ def test_s21_singular_without_damping():
     model = HybridModel(modes, np.array([[0.0, 1e9], [1e9, 0.0]]), np.zeros(2))
     with pytest.raises(SingularResponseError):
         s21(20.9e9, model, PORTS)
+
+
+FC = st.floats(5e9, 25e9)
+KAPPA = st.floats(1e6, 8e7)
+BETA = st.floats(0.0, 0.49)
+
+
+def _passive_and_reciprocal(model, f, b1, b2):
+    fwd = s21(f, model, PortCouplings(b1, b2))
+    rev = s21(f, model, PortCouplings(b2, b1))
+    assert np.all(np.isfinite(fwd))
+    assert np.all(np.abs(fwd) <= 1.0)
+    np.testing.assert_array_equal(fwd, rev)
+    return fwd
+
+
+@given(FC, KAPPA, st.floats(1e5, 8e7), BETA, BETA)
+@settings(max_examples=200, deadline=None)
+def test_passive_and_reciprocal_at_exceptional_point(fc, kappa, gamma, b1, b2):
+    # magnon on the cavity line with g/pi = |kappa - gamma|/2: the two
+    # eigenmodes coalesce and Gamma/2 + iM is defective
+    g = 0.5 * abs(kappa - gamma)
+    model = HybridModel.two_mode(fc, kappa, gamma, g, magnon_offset=fc)
+    f = fc + np.linspace(-3.0, 3.0, 61) * kappa
+    got = _passive_and_reciprocal(model, f, b1, b2)
+    k1, k2 = PortCouplings(b1, b2).external_rates(kappa)
+    want = s21_star_formula(f, fc, kappa, k1, k2, [(fc, gamma, g)])
+    np.testing.assert_allclose(got, want, rtol=1e-12)
+
+
+@given(FC, KAPPA, st.floats(1e6, 5e9), BETA, BETA)
+@settings(max_examples=200, deadline=None)
+def test_passive_and_reciprocal_with_lossless_magnon(fc, kappa, g, b1, b2):
+    model = HybridModel.two_mode(fc, kappa, 0.0, g, magnon_offset=fc)
+    f = fc + np.linspace(-3.0, 3.0, 61) * max(kappa, g)
+    got = _passive_and_reciprocal(model, f, b1, b2)
+    # a lossless magnon exactly on resonance pins the cavity: no transmission
+    assert got[30] == 0.0
+    k1, k2 = PortCouplings(b1, b2).external_rates(kappa)
+    off = f != fc
+    want = s21_star_formula(f[off], fc, kappa, k1, k2, [(fc, 0.0, g)])
+    np.testing.assert_allclose(got[off], want, rtol=1e-12)
 
 
 def test_passivity_random_instances():
