@@ -24,6 +24,7 @@ from .modes import (
     ModeCollapseError,
     bogoliubov_two_mode,
     dispersion_branches,
+    eigenbranches,
     follow_branches,
     minimum_splitting,
     rwa_three_mode,

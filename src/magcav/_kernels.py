@@ -143,26 +143,22 @@ def _fraction_zero_pivots(d, order, drive, amplitude):
 
 
 def _solve(d, half_couplings, drive, amplitude):
-    """amplitude * [A^-1]_dd by one batched LU solve; a singular cell gives 0."""
+    """amplitude * [A^-1]_dd by one batched LU solve; a singular cell gives 0.
+
+    Singular means rank-deficient by SVD: on an exactly singular A, LU
+    often meets a rounding-sized pivot instead of a zero one.
+    """
     n = d.shape[0]
     cells = d.reshape(n, -1).T
     A = np.empty((cells.shape[0], n, n), dtype=complex)
     A[:] = 1j * np.asarray(half_couplings, dtype=float)
     idx = np.arange(n)
     A[:, idx, idx] = cells
+    full = np.linalg.matrix_rank(A) == n
     rhs = np.zeros((n, 1), dtype=complex)
     rhs[drive, 0] = 1.0
-    rhs = np.broadcast_to(rhs, (cells.shape[0], n, 1))
-    try:
-        x = np.linalg.solve(A, rhs)[:, drive, 0]
-    except np.linalg.LinAlgError:
-        # a lossless mode hit exact resonance; that cell transmits 0
-        x = np.zeros(cells.shape[0], dtype=complex)
-        for k in range(cells.shape[0]):
-            try:
-                x[k] = np.linalg.solve(A[k], rhs[k])[drive, 0]
-            except np.linalg.LinAlgError:
-                pass
+    x = np.zeros(cells.shape[0], dtype=complex)
+    x[full] = np.linalg.solve(A[full], np.broadcast_to(rhs, (full.sum(), n, 1)))[:, drive, 0]
     return (amplitude * x).reshape(d.shape[1:])
 
 

@@ -190,11 +190,8 @@ def cmd_predict(args) -> int:
     if args.map is not None:
         b_axis = cfg.require("b_axis")
         f_axis = cfg.require("f_axis")
-        values = np.zeros((b_axis.size, f_axis.size))
-        for i, b in enumerate(b_axis):
-            branches = bogoliubov_two_mode(f_b, slope * b + offset, g_opt)
-            for fk in branches.frequencies:
-                values[i] += lorentzian(f_axis, 1.0, fk, out["kappa_opt"])
+        branches = bogoliubov_two_mode(f_b, slope * b_axis + offset, g_opt).frequencies
+        values = lorentzian(f_axis, 1.0, branches[..., None], out["kappa_opt"]).sum(axis=1)
         dmap = DensityMap(b_axis, f_axis, values, {"kind": "bogoliubov-prediction"})
         csv_path = args.map + ".csv"
         pgm_path = args.map + ".pgm"

@@ -219,15 +219,19 @@ class HybridModel:
         f0 = np.array([m.f0 for m in self.modes])
         return f0 + self.field_slopes * np.asarray(B, dtype=float)[..., None]
 
-    def matrix_at(self, B: float) -> np.ndarray:
+    def matrix_at(self, B) -> np.ndarray:
         """Symmetric frequency matrix (Hz) at bias B.
 
         Diagonal holds the bare frequencies, off-diagonals the
-        half-splittings g/pi/2.
+        half-splittings g/pi/2; an array B gives ``B.shape + (n, n)``.
+        Raises naming the lowest B with a non-positive bare frequency.
         """
-        m = 0.5 * self.couplings.copy()
-        np.fill_diagonal(m, self.frequencies_at(B))
-        return m
+        f = self.frequencies_at(B)
+        bad = np.any(f <= 0.0, axis=-1)
+        if bad.any():
+            B = np.min(np.asarray(B)[bad])
+            raise DomainError(f"non-positive bare mode frequency at B = {B:.6g} T")
+        return 0.5 * self.couplings + f[..., None] * np.eye(self.n_modes)
 
     def at_field(self, B: float) -> "HybridModel":
         """Snapshot with mode intercepts advanced to the frequencies at B.

@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import CONSTANTS, DEFAULT_GYRO, TWO_PI, DomainError
+from .modes import _pair, eigenbranches
 from .spectra import DensityMap, lorentzian
 
 __all__ = [
@@ -317,12 +318,6 @@ def _initial_lines(B, f):
     return fc0, float(gyro0), float(o0)
 
 
-def _two_mode_branches(fc, fm, g):
-    mean = 0.5 * (fc + fm)
-    half = np.hypot(0.5 * (fc - fm), 0.5 * g)
-    return mean - half, mean + half
-
-
 def fit_two_mode(B, f_peak, initial=None) -> FitReport:
     """Fit the two-oscillator crossing; parameters (f_c, gyro, offset, g_over_pi).
 
@@ -340,25 +335,19 @@ def fit_two_mode(B, f_peak, initial=None) -> FitReport:
         )
     if initial is None:
         fc0, gyro0, o0 = _initial_lines(B, f_peak)
-        spread = float(np.ptp(f_peak))
-        best = (math.inf, 0.0)
-        for g_try in np.linspace(0.0, spread, 33):
-            lo, hi = _two_mode_branches(fc0, gyro0 * B + o0, g_try)
-            sse = float(np.sum(np.minimum((f_peak - lo) ** 2, (f_peak - hi) ** 2)))
-            if sse < best[0]:
-                best = (sse, g_try)
-        initial = (fc0, gyro0, o0, best[1] ** 2)
+        g_try = np.linspace(0.0, float(np.ptp(f_peak)), 33)
+        lo, hi = _pair(fc0, gyro0 * B + o0, 0.5 * g_try[:, None])[:2]
+        sse = np.sum(np.minimum((f_peak - lo) ** 2, (f_peak - hi) ** 2), axis=1)
+        initial = (fc0, gyro0, o0, g_try[np.argmin(sse)] ** 2)
 
     def resid(p):
-        fm = p[1] * B + p[2]
-        lo, hi = _two_mode_branches(p[0], fm, math.sqrt(abs(p[3])))
+        lo, hi = _pair(p[0], p[1] * B + p[2], 0.5 * math.sqrt(abs(p[3])))[:2]
         d_lo = f_peak - lo
         d_hi = f_peak - hi
         return np.where(np.abs(d_lo) < np.abs(d_hi), d_lo, d_hi)
 
     p, r, it, conv = _lm(resid, np.asarray(initial, dtype=float))
-    fm = p[1] * B + p[2]
-    lo, hi = _two_mode_branches(p[0], fm, math.sqrt(abs(p[3])))
+    lo, hi = _pair(p[0], p[1] * B + p[2], 0.5 * math.sqrt(abs(p[3])))[:2]
     on_hi = np.abs(f_peak - hi) < np.abs(f_peak - lo)
     if on_hi.all() or (~on_hi).all():
         raise UnidentifiableModelError(
@@ -377,14 +366,12 @@ def fit_two_mode(B, f_peak, initial=None) -> FitReport:
 
 
 def _three_mode_branches(fc, fmR, fmL, gc, gRL):
-    n = fmR.size
-    M = np.zeros((n, 3, 3))
+    M = np.empty((fmR.size, 3, 3))
+    M[:] = 0.5 * np.array([[0.0, gc, 0.0], [gc, 0.0, gRL], [0.0, gRL, 0.0]])
     M[:, 0, 0] = fc
     M[:, 1, 1] = fmR
     M[:, 2, 2] = fmL
-    M[:, 0, 1] = M[:, 1, 0] = 0.5 * gc
-    M[:, 1, 2] = M[:, 2, 1] = 0.5 * gRL
-    return np.linalg.eigvalsh(M)
+    return eigenbranches(M)
 
 
 def fit_three_mode(B, f_peak, initial=None) -> FitReport:

@@ -21,6 +21,7 @@ __all__ = [
     "ModeCollapseError",
     "EigenResult",
     "MinimumSplitting",
+    "eigenbranches",
     "rwa_two_mode",
     "rwa_three_mode",
     "bogoliubov_two_mode",
@@ -38,8 +39,8 @@ class ModeCollapseError(DomainError):
 class EigenResult:
     """Eigenfrequencies (Hz, ascending) and bare-mode composition.
 
-    ``weights[k, j]`` is the fraction of eigenmode k residing in bare mode
-    j; each row sums to 1.
+    ``weights[..., k, j]`` is the fraction of eigenmode k residing in bare
+    mode j; each row sums to 1.  Leading axes, if any, index a stack.
     """
 
     frequencies: np.ndarray
@@ -48,11 +49,11 @@ class EigenResult:
     def __post_init__(self) -> None:
         f = np.asarray(self.frequencies, dtype=float)
         w = np.asarray(self.weights, dtype=float)
-        if np.any(np.diff(f) < 0.0):
+        if np.any(np.diff(f, axis=-1) < 0.0):
             raise DomainError("eigenfrequencies must be sorted ascending")
-        if w.shape != (f.size, f.size):
+        if w.shape != f.shape + f.shape[-1:]:
             raise DomainError("weights must be square, one row per eigenmode")
-        if np.any(w < -1e-12) or np.any(np.abs(w.sum(axis=1) - 1.0) > 1e-9):
+        if np.any(w < -1e-12) or np.any(np.abs(w.sum(axis=-1) - 1.0) > 1e-9):
             raise DomainError("each weight row must be a unit-sum composition")
         f.setflags(write=False)
         w.setflags(write=False)
@@ -60,26 +61,45 @@ class EigenResult:
         object.__setattr__(self, "weights", w)
 
     @property
-    def splitting(self) -> float:
-        """Gap between the two lowest branches (Hz)."""
-        return float(self.frequencies[1] - self.frequencies[0])
+    def splitting(self) -> float | np.ndarray:
+        """Gap between the two lowest branches (Hz), an array for a stack."""
+        return self.frequencies[..., 1] - self.frequencies[..., 0]
 
 
-def _two_level(fc: float, fm: float, h: float) -> EigenResult:
-    """Eigensystem of [[fc, h], [h, fm]] in closed form."""
-    mean = 0.5 * (fc + fm)
-    d = 0.5 * (fc - fm)
-    s = math.hypot(d, h)
-    if s == 0.0 or h == 0.0:
-        # diagonal already; order by frequency
-        lo, hi = sorted((fc, fm))
-        w = np.eye(2) if fc <= fm else np.eye(2)[::-1]
-        return EigenResult(np.array([lo, hi]), w)
-    # eigenvector for the upper branch is (h, s - d), lower is (-(s - d), h)
-    norm = h * h + (s - d) ** 2
-    w_hi = np.array([h * h, (s - d) ** 2]) / norm
-    w_lo = w_hi[::-1]
-    return EigenResult(np.array([mean - s, mean + s]), np.vstack([w_lo, w_hi]))
+def _pair(a, b, h):
+    """[[a, h], [h, b]] over arrays: (mean -+ s, d, s), d = (a - b)/2, s = hypot(d, h)."""
+    mean = 0.5 * (a + b)
+    d = 0.5 * (a - b)
+    s = np.hypot(d, h)
+    return mean - s, mean + s, d, s
+
+
+def eigenbranches(m, weights=False):
+    """Ascending branches (..., n) of symmetric matrices (..., n, n).
+
+    With ``weights`` also returns w (..., n, n), the share w[..., k, j] of
+    branch k in bare mode j.  A 2x2 takes the closed form ``_pair``, larger
+    ones batched ``eigvalsh`` (``eigh`` for weights); a stacked matrix
+    gives the same bits as on its own.
+    """
+    m = np.asarray(m, dtype=float)
+    if m.shape[-1] == 2:
+        a, b, h = m[..., 0, 0], m[..., 1, 1], m[..., 0, 1]
+        lo, hi, d, s = _pair(a, b, h)
+        # an uncoupled pair is exactly its sorted diagonal
+        free = (h == 0.0)[..., None]
+        vals = np.where(free, np.sort(np.stack([a, b], axis=-1)), np.stack([lo, hi], axis=-1))
+        # the upper branch's eigenvector (h, s - d) puts (1 + d/s)/2 on a;
+        # a degenerate uncoupled pair keeps the bare order
+        c = np.divide(d, s, out=np.full(np.shape(s), -1.0), where=s > 0.0)
+        w_hi = np.stack([0.5 + 0.5 * c, 0.5 - 0.5 * c], axis=-1)
+        w = np.stack([w_hi[..., ::-1], w_hi], axis=-2)
+    elif not weights:
+        return np.linalg.eigvalsh(m)
+    else:
+        vals, vecs = np.linalg.eigh(m)
+        w = np.swapaxes(vecs, -1, -2) ** 2
+    return (vals, w) if weights else vals
 
 
 def rwa_two_mode(fc: float, fm: float, g_over_pi: float) -> EigenResult:
@@ -92,7 +112,8 @@ def rwa_two_mode(fc: float, fm: float, g_over_pi: float) -> EigenResult:
         raise DomainError("mode frequencies must be > 0")
     if g_over_pi < 0.0:
         raise DomainError("g_over_pi must be >= 0")
-    return _two_level(fc, fm, 0.5 * g_over_pi)
+    h = 0.5 * g_over_pi
+    return EigenResult(*eigenbranches(np.array([[fc, h], [h, fm]]), weights=True))
 
 
 def rwa_three_mode(
@@ -125,8 +146,7 @@ def rwa_three_mode(
             np.array([fc - s, fc, fc + s]), np.vstack([outer, central, outer])
         )
     m = np.array([[fc, a, 0.0], [a, fR, b], [0.0, b, fL]])
-    vals, vecs = np.linalg.eigh(m)
-    return EigenResult(vals, (vecs.T) ** 2)
+    return EigenResult(*eigenbranches(m, weights=True))
 
 
 def bogoliubov_two_mode(fc: float, fm: float, g_over_pi: float) -> EigenResult:
@@ -139,45 +159,40 @@ def bogoliubov_two_mode(fc: float, fm: float, g_over_pi: float) -> EigenResult:
 
     The pair is asymmetric about (fc + fm)/2, unlike the rotating-wave
     result, and the lower branch softens to zero at g_over_pi =
-    sqrt(fc*fm), beyond which the system is unstable.
+    sqrt(fc*fm), beyond which the system is unstable.  Arrays of fc and
+    fm give a stacked result, one pair per element.
     """
-    if not (fc > 0.0 and fm > 0.0):
+    if not (np.all(fc > 0.0) and np.all(fm > 0.0)):
         raise DomainError("mode frequencies must be > 0")
     if g_over_pi < 0.0:
         raise DomainError("g_over_pi must be >= 0")
-    if g_over_pi >= math.sqrt(fc * fm):
+    if np.any(g_over_pi >= np.sqrt(fc * fm)):
         raise ModeCollapseError(
             "g_over_pi >= sqrt(fc*fm): lower branch frequency collapses to zero"
         )
-    wc = TWO_PI * fc
-    wm = TWO_PI * fm
+    wc, wm = np.broadcast_arrays(TWO_PI * fc, TWO_PI * fm)
     g = math.pi * g_over_pi
     # eigenvalues of the symmetric matrix [[wc^2, h], [h, wm^2]] are Omega^2
-    h = 2.0 * g * math.sqrt(wc * wm)
-    res2 = _two_level(wc * wc, wm * wm, h)
-    return EigenResult(np.sqrt(res2.frequencies) / TWO_PI, res2.weights)
+    h = 2.0 * g * np.sqrt(wc * wm)
+    m = np.moveaxis(np.array([[wc * wc, h], [h, wm * wm]]), (0, 1), (-2, -1))
+    omega2, w = eigenbranches(m, weights=True)
+    return EigenResult(np.sqrt(omega2) / TWO_PI, w)
 
 
 def dispersion_branches(model: HybridModel, B_grid) -> list[EigenResult]:
     """Eigenfrequencies of the model at each bias field.
 
     Magnon modes tune along their field slopes; cavity modes stay put.
-    Raises with the offending B attached if a bare frequency is driven
-    non-positive.
+    Raises with the lowest offending B attached if a bare frequency is
+    driven non-positive.
     """
     B_grid = np.atleast_1d(np.asarray(B_grid, dtype=float))
     if B_grid.size == 0:
         raise DomainError("B grid must be nonempty")
     if np.any(np.diff(B_grid) < 0.0):
         raise DomainError("B grid must be sorted ascending")
-    out = []
-    for B in B_grid:
-        m = model.matrix_at(B)
-        if np.any(np.diagonal(m) <= 0.0):
-            raise DomainError(f"non-positive bare mode frequency at B = {B:.6g} T")
-        vals, vecs = np.linalg.eigh(m)
-        out.append(EigenResult(vals, (vecs.T) ** 2))
-    return out
+    vals, w = eigenbranches(model.matrix_at(B_grid), weights=True)
+    return [EigenResult(*res) for res in zip(vals, w)]
 
 
 def follow_branches(results: list[EigenResult]) -> np.ndarray:
@@ -239,33 +254,31 @@ def minimum_splitting(
     A coarse scan checks that the gap is unimodal; if it is, golden-section
     search refines the minimum.  A multi-valley gap (possible for chains
     near degeneracy) falls back to the global minimum of a dense 10^4-point
-    scan, flagged with ``unimodal=False``.
+    scan, flagged with ``unimodal=False``.  Each scan is one batched
+    evaluation over its field grid; the refinement evaluates one B at a
+    time.
     """
     lo, hi = float(B_range[0]), float(B_range[1])
     if not hi > lo:
         raise DomainError("B range must satisfy lo < hi")
     i, j = branches
 
-    def gap(B: float) -> float:
-        f = dispersion_branches(model, [B])[0].frequencies
-        return float(f[j] - f[i])
+    def gap(B):
+        f = eigenbranches(model.matrix_at(B))
+        return f[..., j] - f[..., i]
 
     Bs = np.linspace(lo, hi, coarse)
-    gaps = np.array([gap(B) for B in Bs])
+    gaps = gap(Bs)
     interior_min = np.nonzero(
         (gaps[1:-1] < gaps[:-2]) & (gaps[1:-1] <= gaps[2:])
     )[0]
     if interior_min.size > 1:
         Bd = np.linspace(lo, hi, 10_000)
-        gd = np.array([gap(B) for B in Bd])
+        gd = gap(Bd)
         k = int(np.argmin(gd))
         return MinimumSplitting(float(Bd[k]), float(gd[k]), unimodal=False)
-    if interior_min.size == 1:
-        k = int(interior_min[0]) + 1
-        a, b = Bs[max(k - 1, 0)], Bs[min(k + 1, coarse - 1)]
-    else:
-        # monotone gap: the minimum sits at an endpoint
-        k = int(np.argmin(gaps))
-        a, b = Bs[max(k - 1, 0)], Bs[min(k + 1, coarse - 1)]
+    # one interior minimum, or a monotone gap whose minimum is an endpoint
+    k = int(interior_min[0]) + 1 if interior_min.size == 1 else int(np.argmin(gaps))
+    a, b = Bs[max(k - 1, 0)], Bs[min(k + 1, coarse - 1)]
     B_min = _golden(gap, float(a), float(b), tol=1e-12 * max(abs(hi), 1.0))
-    return MinimumSplitting(B_min, gap(B_min), unimodal=True)
+    return MinimumSplitting(B_min, float(gap(B_min)), unimodal=True)

@@ -120,6 +120,7 @@ def test_frequencies_at_field_array_is_bit_equal_to_scalar_calls():
     assert grid.shape == (220, 3)
     assert grid.tobytes() == np.stack([m.frequencies_at(b) for b in B]).tobytes()
     assert m.frequencies_at(0.743).shape == (3,)
+    assert m.matrix_at(B).tobytes() == np.stack([m.matrix_at(b) for b in B]).tobytes()
 
 
 def test_hybrid_model_rejects_bad_shapes():

@@ -23,6 +23,10 @@ the stdout of the command in ``CAVITY_CASES``, e.g.
 
     magcav cavity fixtures/reference_cavity.ini --scan gap --start 10 --stop 150 \
         > tests/golden/cavity_scan_gap.txt
+
+The ``predict`` report is held byte for byte too, as the stdout of
+``magcav predict fixtures/optimized_prediction.ini`` (``predict.txt``):
+its branch offsets are the Bogoliubov closed form's digits.
 """
 
 import hashlib
@@ -96,3 +100,8 @@ def test_fixture_maps_match_golden_sha256(tmp_path, capsys):
         want[name] = digest
     got = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in want}
     assert got == want
+
+
+def test_predict_output_matches_golden_bytes(capsys):
+    assert main(["predict", str(FIXTURES / "optimized_prediction.ini")]) == 0
+    assert capsys.readouterr().out == (GOLDEN / "predict.txt").read_text()

@@ -38,6 +38,9 @@ TOPOLOGIES = {
     "chain": (1, lambda k: k - 1, False),
     "branched": (4, lambda k: min(k - 1, 1), False),
     "triangle": (3, lambda k: 0, True),
+    # loop drive-1-2, with the rest as leaves on mode 1: two lossless
+    # leaves on one grid frequency make A exactly singular
+    "loop_leaves": (5, lambda k: 0 if k < 3 else 1, True),
 }
 
 
@@ -48,7 +51,7 @@ def coupled_modes(draw):
     Leaves may be lossless, and any mode may sit exactly on a grid
     frequency, so lossless leaves and grandchildren meet exact resonance.
     """
-    n = draw(st.integers(1, 4))
+    n = draw(st.integers(1, 5))
     topo = draw(st.sampled_from([t for t, (n_min, _, _) in TOPOLOGIES.items() if n >= n_min]))
     _, parent_of, loop = TOPOLOGIES[topo]
     drive = draw(st.integers(0, n - 1))
@@ -98,6 +101,25 @@ def test_response_map_singular_point_is_zero():
     freqs = np.array([[2.0e9]])
     out = s21_rows(freqs, np.array([0.0]), np.zeros((1, 1)), 0, np.array([2.0e9]), 1.0)
     assert out[0, 0] == 0.0
+
+
+def test_singular_cell_of_loop_graph_is_zero():
+    # loop 0-1-2 plus two lossless leaves on mode 1, both on resonance: A
+    # is exactly singular, with a null vector that misses the driven mode.
+    # LU meets a rounding-sized pivot there; the rank test gives the
+    # documented 0, as the dense solve does.
+    f = 2.0e9
+    freqs = np.array([[2.415e9, 1.0024e9, 2.0067e9, f, f]])
+    half_widths = np.array([4.478e7, 4.362e7, 1.024e6, 0.0, 0.0])
+    h = np.zeros((5, 5))
+    for (a, b), g in zip([(0, 1), (0, 2), (1, 2), (1, 3), (1, 4)],
+                         [1.7594e8, 1.2936e7, 1.3587e8, 1.7403e8, 4.554e7]):
+        h[a, b] = h[b, a] = g
+    args = (freqs, half_widths, h, 0, np.array([f - 1e6, f, f + 1e6]), AMP)
+    got = s21_rows(*args)
+    assert got[0, 1] == 0.0
+    assert np.all(got[0, [0, 2]] != 0.0)
+    np.testing.assert_allclose(got, s21_point_solve(*args), rtol=1e-12, atol=ATOL)
 
 
 def test_lossless_grandchild_on_resonance_decouples():

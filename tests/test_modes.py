@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from magcav.core import DomainError, HybridModel
 from magcav.modes import (
@@ -11,6 +12,7 @@ from magcav.modes import (
     ModeCollapseError,
     bogoliubov_two_mode,
     dispersion_branches,
+    eigenbranches,
     follow_branches,
     minimum_splitting,
     rwa_three_mode,
@@ -31,6 +33,8 @@ def test_rwa_two_mode_resonant():
 def test_rwa_two_mode_zero_coupling():
     res = rwa_two_mode(5e9, 5e9, 0.0)
     assert np.array_equal(res.frequencies, [5e9, 5e9])
+    # a tie keeps the bare order: the lower branch is the cavity
+    assert np.array_equal(res.weights, np.eye(2))
     res = rwa_two_mode(7e9, 5e9, 0.0)
     assert np.array_equal(res.frequencies, [5e9, 7e9])
     assert np.array_equal(res.weights, [[0.0, 1.0], [1.0, 0.0]])
@@ -162,6 +166,11 @@ def test_dispersion_errors_carry_field():
     m = HybridModel.two_mode(20.9e9, 27e6, 1.1e6, 2.05e9, magnon_offset=0.0)
     with pytest.raises(DomainError, match="B = 0"):
         dispersion_branches(m, [0.0, 0.1])
+    # a magnon line tuning down reaches 0 Hz at 0.5 T: the first bad B of
+    # the grid, not its first entry, is named
+    down = HybridModel.two_mode(20.9e9, 27e6, 1.1e6, 2.05e9, gyro=-28e9, magnon_offset=14e9)
+    with pytest.raises(DomainError, match=r"B = 0\.5 T"):
+        dispersion_branches(down, [0.1, 0.3, 0.5, 0.7])
     with pytest.raises(DomainError):
         dispersion_branches(m, [])
     with pytest.raises(DomainError):
@@ -210,3 +219,155 @@ def test_eigenresult_validation():
         EigenResult(np.array([2.0, 1.0]), np.eye(2))
     with pytest.raises(DomainError):
         EigenResult(np.array([1.0, 2.0]), np.array([[0.5, 0.2], [0.5, 0.5]]))
+
+
+# ---------------------------------------------------------------------------
+# the eigen-branch evaluator against the bisection and equations-of-motion
+# oracles
+
+EPS = np.finfo(float).eps
+FREQ = st.floats(1e9, 3e10)
+
+
+def _stack2(a, b, h):
+    """Stack of [[a, h], [h, b]], shape (k, 2, 2)."""
+    return np.moveaxis(np.array([[a, h], [h, b]]), (0, 1), (-2, -1))
+
+
+def _bisected(bisect, diag, *off):
+    """Roots (k, n) by a char-poly ``bisect`` oracle, and their error bound.
+
+    The oracle runs on the matrices shifted by their mean diagonal, which
+    keeps the polynomial's coefficients small; the roots are shifted back.
+    Evaluating a degree-n polynomial in floating point moves each root by
+    a few eps * scale^n over |p'(root)|, and a 1e-12 relative floor covers
+    the shifts.
+    """
+    shift = np.mean(diag, axis=0)
+    roots = np.stack(bisect(*(d - shift for d in diag), *off), axis=-1)
+    n = roots.shape[-1]
+    dp = np.ones_like(roots)
+    for k in range(1, n):
+        dp *= roots - np.roll(roots, k, axis=-1)
+    scale = np.abs(roots).max(axis=-1, keepdims=True)
+    with np.errstate(divide="ignore"):
+        tol = 1e-12 * np.abs(shift)[:, None] + 32 * EPS * scale**n / np.abs(dp)
+    return roots + shift[:, None], tol
+
+
+def _check_stack(m, vals, w):
+    """Values-only and weighted calls agree, each matrix gives the same
+    bits on its own, and the weight rows are unit-sum compositions that
+    rebuild the diagonal, m[j, j] = sum_k vals[k] w[k, j]."""
+    only = eigenbranches(m)
+    assert only.shape == vals.shape
+    for k in range(m.shape[0]):
+        v1, w1 = eigenbranches(m[k], weights=True)
+        assert v1.tobytes() == vals[k].tobytes()
+        assert w1.tobytes() == w[k].tobytes()
+        assert eigenbranches(m[k]).tobytes() == only[k].tobytes()
+    assert np.all(np.diff(vals, axis=-1) >= 0.0)
+    assert np.all(w >= -1e-15)
+    np.testing.assert_allclose(w.sum(axis=-1), 1.0, rtol=0.0, atol=1e-12)
+    diag = np.diagonal(m, axis1=-2, axis2=-1)
+    np.testing.assert_allclose(np.einsum("...k,...kj->...j", vals, w), diag, rtol=1e-12)
+
+
+@st.composite
+def pair_stacks(draw):
+    """(a, b, h) of 1-6 matrices, with ties a = b and uncoupled pairs h = 0."""
+    k = draw(st.integers(1, 6))
+    a = np.array([draw(FREQ) for _ in range(k)])
+    b = np.array([draw(st.just(x) | FREQ) for x in a])
+    h = np.array([draw(st.just(0.0) | st.floats(1e6, 5e9)) for _ in range(k)])
+    return a, b, h
+
+
+@given(pair_stacks())
+@settings(max_examples=300, deadline=None)
+def test_eigenbranches_pair_matches_bisection(case):
+    a, b, h = case
+    m = _stack2(a, b, h)
+    vals, w = eigenbranches(m, weights=True)
+    assert vals.shape == (a.size, 2) and w.shape == (a.size, 2, 2)
+    _check_stack(m, vals, w)
+    free = h == 0.0
+    # an uncoupled pair is exactly its sorted diagonal, with pure weights
+    assert np.array_equal(vals[free], np.sort(np.stack([a, b], axis=-1)[free], axis=-1))
+    assert np.all((w[free] == 0.0) | (w[free] == 1.0))
+    want, tol = _bisected(oracles.eig2_bisect, (a, b), h)
+    want = want[~free]
+    assert np.all(np.abs(vals[~free] - want) <= tol[~free])
+    # branch x has eigenvector (h, x - a), so its weight on a is
+    # h^2 / (h^2 + (x - a)^2)
+    cpl = h[~free, None]
+    on_a = cpl**2 / (cpl**2 + (want - a[~free, None]) ** 2)
+    np.testing.assert_allclose(w[~free][..., 0], on_a, rtol=0.0, atol=1e-6)
+
+
+@st.composite
+def chain_stacks(draw):
+    """Cavity-R-L chains near 14 GHz, some of them exactly degenerate."""
+    rows = []
+    for _ in range(draw(st.integers(1, 5))):
+        f0 = draw(st.floats(1.3e10, 1.5e10))
+        if draw(st.booleans()):
+            fR = fL = f0
+        else:
+            fR, fL = (f0 + draw(st.floats(-5e8, 5e8)) for _ in range(2))
+        rows.append((f0, fR, fL, draw(st.floats(1e6, 2e8)), draw(st.floats(1e6, 2e8))))
+    return np.array(rows)
+
+
+@given(chain_stacks())
+@settings(max_examples=200, deadline=None)
+def test_eigenbranches_chain_matches_bisection(rows):
+    fc, fR, fL, a, b = rows.T
+    zero = np.zeros_like(a)
+    m = np.moveaxis(np.array([[fc, a, zero], [a, fR, b], [zero, b, fL]]), (0, 1), (-2, -1))
+    vals, w = eigenbranches(m, weights=True)
+    _check_stack(m, vals, w)
+    want, tol = _bisected(oracles.eig3_bisect, (fc, fR, fL), a, b)
+    assert np.all(np.abs(vals - want) <= tol)
+    # on the degenerate triple rwa_three_mode keeps its closed form; the
+    # evaluator agrees with it
+    for k in np.flatnonzero((fc == fR) & (fR == fL)):
+        closed = rwa_three_mode(fc[k], fR[k], fL[k], 2 * a[k], 2 * b[k])
+        np.testing.assert_allclose(vals[k], closed.frequencies, rtol=1e-12)
+
+
+@given(
+    FREQ,
+    st.lists(FREQ, min_size=1, max_size=6),
+    st.floats(0.0, 1.0) | st.sampled_from([0.0, 1.0 - 1e-6, 1.0 - 1e-9]),
+)
+@settings(max_examples=200, deadline=None)
+def test_bogoliubov_stack_matches_equations_of_motion(fc, fm, frac):
+    fm = np.array(fm)
+    # from no coupling up to just below the collapse of the softest pair
+    g = frac * np.sqrt(fc * fm).min()
+    if g >= np.sqrt(fc * fm).min():
+        return
+    res = bogoliubov_two_mode(fc, fm, g)
+    assert res.frequencies.shape == (fm.size, 2)
+    assert res.weights.shape == (fm.size, 2, 2)
+    for k, fm_k in enumerate(fm):
+        one = bogoliubov_two_mode(fc, float(fm_k), g)
+        assert one.frequencies.tobytes() == res.frequencies[k].tobytes()
+        assert one.weights.tobytes() == res.weights[k].tobytes()
+        # the closed form's rounding is eps * (wc^2 + wm^2) in the squared
+        # frequencies, so compare those
+        want = np.array(oracles.bogoliubov_eom(fc, fm_k, g))
+        np.testing.assert_allclose(
+            res.frequencies[k] ** 2, want**2, rtol=0.0, atol=1e-12 * (fc**2 + fm_k**2)
+        )
+    np.testing.assert_allclose(res.weights.sum(axis=-1), 1.0, rtol=0.0, atol=1e-12)
+    if g == 0.0:
+        # uncoupled: each branch is purely one bare mode
+        assert np.all((res.weights == 0.0) | (res.weights == 1.0))
+
+
+def test_bogoliubov_stack_collapse_rejects_the_stack():
+    # one pair of the stack past collapse rejects the whole stack
+    with pytest.raises(ModeCollapseError):
+        bogoliubov_two_mode(20.9e9, np.array([20.9e9, 1e9]), 10e9)
