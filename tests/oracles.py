@@ -35,12 +35,18 @@ def _bisect_poly(p, lo, hi, iters=80):
 def eig2_bisect(fc, fm, h):
     """Both eigenvalues of [[fc, h], [h, fm]] by bisection on the char poly.
 
-    Returns (lower, upper) arrays.  Brackets: the parabola's vertex sits
-    between the roots; Gershgorin radii bound them outside.
+    Returns (lower, upper) arrays.  The polynomial is formed in the frame
+    shifted by the mean diagonal, so its coefficients stay at the scale
+    of the splitting rather than of the absolute frequency.  Brackets:
+    the parabola's vertex sits between the roots; Gershgorin radii bound
+    them outside.
     """
     fc = np.asarray(fc, dtype=float)
     fm = np.asarray(fm, dtype=float)
     h = np.asarray(h, dtype=float)
+    shift = 0.5 * (fc + fm)
+    fc = fc - shift
+    fm = fm - shift
     tr = fc + fm
     det = fc * fm - h * h
 
@@ -53,16 +59,21 @@ def eig2_bisect(fc, fm, h):
     hi_bound = np.maximum(fc, fm) + r + 1.0
     lower = _bisect_poly(p, lo_bound, vertex)
     upper = _bisect_poly(p, vertex, hi_bound)
-    return lower, upper
+    return lower + shift, upper + shift
 
 
 def eig3_bisect(d0, d1, d2, a, b):
     """All eigenvalues of the tridiagonal [[d0,a,0],[a,d1,b],[0,b,d2]].
 
-    Monic cubic char poly bisected on the three intervals delimited by its
-    stationary points; Gershgorin disks bound the outer brackets.
+    Monic cubic char poly, formed in the frame shifted by the mean
+    diagonal, bisected on the three intervals delimited by its stationary
+    points; Gershgorin disks bound the outer brackets.  Unshifted, the
+    stationary-point bracket sqrt(c2^2 - 3 c1) cancels at GHz frequencies
+    and clustered roots land tens of Hz off.
     """
     d0, d1, d2, a, b = (np.asarray(v, dtype=float) for v in (d0, d1, d2, a, b))
+    shift = (d0 + d1 + d2) / 3.0
+    d0, d1, d2 = d0 - shift, d1 - shift, d2 - shift
     c2 = -(d0 + d1 + d2)
     c1 = d0 * d1 + d0 * d2 + d1 * d2 - a * a - b * b
     c0 = -(d0 * d1 * d2 - a * a * d2 - b * b * d0)
@@ -82,7 +93,7 @@ def eig3_bisect(d0, d1, d2, a, b):
     lower = _bisect_poly(p, g_lo, s_lo)
     middle = _bisect_poly(p, s_lo, s_hi)
     upper = _bisect_poly(p, s_hi, g_hi)
-    return lower, middle, upper
+    return lower + shift, middle + shift, upper + shift
 
 
 def bogoliubov_eom(fc, fm, g_over_pi):

@@ -5,17 +5,24 @@ are the one-f-string-per-cell writers the file format was defined by;
 the production writers must emit the same bytes for the same arrays.
 """
 
+import functools
+import math
+import tempfile
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 import oracles
+from magcav import _gridcsv
 from magcav.cavity import FieldMap, field_map
 from magcav.cli import main
-from magcav.presets import reference_cavity
-from magcav.spectra import DensityMap
+from magcav.config import load_config
+from magcav.presets import bright_crossing_model, reference_cavity
+from magcav.spectra import DensityMap, PortCouplings, density_map
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -67,6 +74,38 @@ def test_field_csv_matches_fstring_oracle(tmp_path, data):
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
 
 
+@pytest.mark.parametrize("block", [1, 3, 7, 64])
+def test_blocks_that_split_rows_match_fstring_oracle(tmp_path, monkeypatch, block):
+    # blocks of whole rows, of one row, and of parts of a row
+    monkeypatch.setattr(_gridcsv, "_BLOCK_CELLS", block)
+    rng = np.random.default_rng(block)
+    shape = (5, 13)
+    cells = rng.choice(np.r_[_SPECIAL, rng.normal(0.0, 1e3, 40)], (3,) + shape)
+    dmap = DensityMap(rng.normal(size=5), rng.normal(size=13), np.abs(cells[0]))
+    dmap.write_csv(tmp_path / "new.csv")
+    oracles.write_map_csv_fstring(tmp_path / "old.csv", dmap)
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+    fmap = FieldMap(
+        rng.normal(size=5), rng.normal(size=13), cells[1], cells[2],
+        energy=None, coverage=None, excluded=rng.random(shape) < 0.5,
+        mode="dark", current=1.0, geometry=None,
+    )
+    fmap.to_csv(tmp_path / "new.csv")
+    oracles.write_field_csv_fstring(tmp_path / "old.csv", fmap)
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+
+def test_integer_column_matches_percent_d(tmp_path):
+    ints = np.array([[0, -1, 7, 10, -10], [99, -100, 2**63 - 1, -(2**63), 120034]])
+    xs, ys = [0.5, -2.0], [1.0, 2.0, 3.0, 4.0, 5.0]
+    _gridcsv.write_grid_csv(tmp_path / "ints.csv", "x,y,n", xs, ys, (ints,), ("%d",))
+    want = "x,y,n\n" + "".join(
+        "%.9e,%.9e,%d\n" % (x, y, ints[i, j])
+        for i, x in enumerate(xs) for j, y in enumerate(ys)
+    )
+    assert (tmp_path / "ints.csv").read_text() == want
+
+
 def test_cavity_field_map_matches_fstring_oracle(tmp_path):
     fmap = field_map(reference_cavity(), "bright", resolution=65)
     fmap.to_csv(tmp_path / "new.csv")
@@ -93,6 +132,76 @@ def test_fixture_maps_match_fstring_oracle(tmp_path, monkeypatch, capsys):
     for k in range(len(runs)):
         new = (tmp_path / f"new{k}.csv").read_bytes()
         assert new == (tmp_path / f"old{k}.csv").read_bytes(), runs[k]
+
+
+def _ulps(x, k):
+    """x moved by k units in the last place (k < 0: towards -inf)."""
+    for _ in range(abs(k)):
+        x = math.nextafter(x, math.copysign(math.inf, k))
+    return x
+
+
+@st.composite
+def _near_ties(draw):
+    """Doubles within 4 ulp of a 10-digit rounding tie or of a power of ten.
+
+    Ties (n + 1/2) 10^(e-9) and powers 10^e are taken, correctly rounded,
+    over every decade e that the writer formats by array arithmetic; these
+    are the values on which the scaled q can round across a tie or a
+    decade, so they exercise the writer's fallback band.
+    """
+    e = draw(st.integers(_gridcsv._E_MIN, _gridcsv._E_MAX))
+    if draw(st.booleans()):
+        n = draw(st.integers(10**9, 10**10 - 1))
+        exact = Fraction(2 * n + 1, 2) * Fraction(10) ** (e - 9)
+    else:
+        exact = Fraction(10) ** e
+    x = _ulps(float(exact), draw(st.integers(-4, 4)))
+    return x if draw(st.booleans()) else -x
+
+
+@given(data=st.data())
+@_BYTES_SETTINGS
+def test_tie_band_cells_match_percent_formatter(tmp_path, data):
+    nx, ny = data.draw(_SHAPES)
+    cells = [data.draw(arrays(np.float64, (nx, ny), elements=_near_ties()))
+             for _ in range(3)]
+    fmap = FieldMap(
+        np.arange(nx) * 1e-3, np.arange(ny) * 1e-3, cells[0], cells[1],
+        energy=None, coverage=None, excluded=np.zeros((nx, ny), dtype=bool),
+        mode="dark", current=1.0, geometry=None,
+    )
+    fmap.to_csv(tmp_path / "field.csv")
+    # the map's dB cells are exactly the drawn values
+    dmap = DensityMap(np.arange(nx), np.arange(ny), np.ones((nx, ny)))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(DensityMap, "to_db", lambda self: cells[2])
+        dmap.write_csv(tmp_path / "map.csv")
+    field_rows = (tmp_path / "field.csv").read_text().splitlines()[1:]
+    map_rows = (tmp_path / "map.csv").read_text().splitlines()[1:]
+    for row, hx, hy in zip(field_rows, cells[0].ravel(), cells[1].ravel()):
+        assert row.split(",")[2:4] == ["%.9e" % hx, "%.9e" % hy]
+    for row, db in zip(map_rows, cells[2].ravel()):
+        assert row.split(",")[2] == "%.9e" % db
+
+
+def test_dark_fixture_map_rarely_falls_back(tmp_path, monkeypatch):
+    # a writer that sent every cell to CPython's formatter would still be
+    # byte-exact; this bounds how many cells leave the array path
+    cfg = load_config(FIXTURES / "dark_doublet.ini")
+    dmap = density_map(cfg.require("model"), cfg.require("b_axis"),
+                       cfg.require("f_axis"), cfg.ports)
+    counted = []
+    sci9 = _gridcsv._sci9
+
+    def counting(*args):
+        counted.append(sci9(*args))
+        return counted[-1]
+
+    monkeypatch.setattr(_gridcsv, "_sci9", counting)
+    dmap.write_csv(tmp_path / "dark.csv")
+    assert dmap.values.size == 330000
+    assert sum(counted) <= dmap.values.size // 1000
 
 
 @st.composite
@@ -126,3 +235,61 @@ def test_csv_round_trip_at_written_precision(tmp_path, data):
     np.testing.assert_allclose(db, dmap.to_db(), rtol=5e-10, atol=0.0)
     # and the reader returns exactly the amplitude of the written dB
     assert back.values.tobytes() == (10.0 ** (db / 20.0)).tobytes()
+
+
+@functools.cache
+def _small_map():
+    """A 20 x 60 bright-crossing map on which ``fit --kind two-mode`` exits 0."""
+    dmap = density_map(bright_crossing_model(), np.linspace(0.6, 0.89, 20),
+                       np.linspace(18.9e9, 22.9e9, 60), PortCouplings())
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "map.csv"
+        dmap.write_csv(path)
+        return path.read_bytes()
+
+
+@st.composite
+def _mutated_map(draw):
+    """The small map with one byte-level or row-level corruption."""
+    data = _small_map()
+    lines = data.splitlines(keepends=True)
+    kind = draw(st.sampled_from(
+        ["replace", "delete", "insert", "truncate", "duplicate", "swap", "crlf", "header"]))
+    at = draw(st.integers(0, len(data) - 1))
+    row = draw(st.integers(1, len(lines) - 1))
+    byte = bytes([draw(st.integers(0, 255) | st.sampled_from(b",.-+eE\n\r "))])
+    if kind == "replace":
+        return data[:at] + byte + data[at + 1:]
+    if kind == "delete":
+        return data[:at] + data[at + 1:]
+    if kind == "insert":
+        return data[:at] + byte + data[at:]
+    if kind == "truncate":
+        return data[:at]
+    if kind == "duplicate":
+        return b"".join(lines[:row + 1] + lines[row:])
+    if kind == "swap":
+        other = draw(st.integers(1, len(lines) - 1))
+        lines[row], lines[other] = lines[other], lines[row]
+        return b"".join(lines)
+    if kind == "crlf":
+        return data.replace(b"\n", b"\r\n")
+    return lines[0] + data
+
+
+def test_small_map_fits(tmp_path, capsys):
+    (tmp_path / "map.csv").write_bytes(_small_map())
+    assert main(["fit", str(tmp_path / "map.csv"), "--kind", "two-mode"]) == 0
+    capsys.readouterr()
+
+
+@given(content=_mutated_map())
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_malformed_map_ends_in_an_exit_code(tmp_path, capsys, content):
+    path = tmp_path / "map.csv"
+    path.write_bytes(content)
+    # a documented exit code, never a traceback: 0 ok, 1 not converged,
+    # 3 unidentifiable, 4 bad map content
+    assert main(["fit", str(path), "--kind", "two-mode"]) in (0, 1, 3, 4)
+    capsys.readouterr()

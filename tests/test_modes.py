@@ -94,6 +94,18 @@ def test_rwa_three_mode_vs_oracle():
     assert abs(res.frequencies[2] - hi) < 1.0
 
 
+def test_bisection_oracles_at_absolute_ghz():
+    # clustered roots at 13 GHz, where the unshifted char polys lose the
+    # splitting to cancellation (the chain's roots came out tens of Hz off)
+    d, a, b = (1.3e10, 1.3002347e10, 1.3e10), 2.346825e6, 2.346875e6
+    want = np.linalg.eigvalsh([[d[0], a, 0.0], [a, d[1], b], [0.0, b, d[2]]])
+    got = oracles.eig3_bisect(*d, a, b)
+    assert np.all(np.abs(np.array(got) - want) < 1.0)
+    fc, fm, h = 1.4e10, 1.4e10 + 1e3, 5e2
+    want = np.linalg.eigvalsh([[fc, h], [h, fm]])
+    assert np.all(np.abs(np.array(oracles.eig2_bisect(fc, fm, h)) - want) < 1.0)
+
+
 def test_bogoliubov_frozen_and_oracle():
     res = bogoliubov_two_mode(20.9e9, 20.9e9, 2.05e9)
     assert np.allclose(
@@ -237,22 +249,23 @@ def _stack2(a, b, h):
 def _bisected(bisect, diag, *off):
     """Roots (k, n) by a char-poly ``bisect`` oracle, and their error bound.
 
-    The oracle runs on the matrices shifted by their mean diagonal, which
-    keeps the polynomial's coefficients small; the roots are shifted back.
-    Evaluating a degree-n polynomial in floating point moves each root by
-    a few eps * scale^n over |p'(root)|, and a 1e-12 relative floor covers
-    the shifts.
+    The oracle works in the frame shifted by the mean diagonal, which
+    keeps the polynomial's coefficients small.  Evaluating a degree-n
+    polynomial in floating point moves each root by a few eps * scale^n
+    over |p'(root)|, with the scale taken in that frame, and a 1e-12
+    relative floor covers the shifts.
     """
+    roots = np.stack(bisect(*diag, *off), axis=-1)
     shift = np.mean(diag, axis=0)
-    roots = np.stack(bisect(*(d - shift for d in diag), *off), axis=-1)
+    centred = roots - shift[:, None]
     n = roots.shape[-1]
     dp = np.ones_like(roots)
     for k in range(1, n):
-        dp *= roots - np.roll(roots, k, axis=-1)
-    scale = np.abs(roots).max(axis=-1, keepdims=True)
-    with np.errstate(divide="ignore"):
+        dp *= centred - np.roll(centred, k, axis=-1)
+    scale = np.abs(centred).max(axis=-1, keepdims=True)
+    with np.errstate(divide="ignore", invalid="ignore"):  # 0/0: degenerate, uncoupled
         tol = 1e-12 * np.abs(shift)[:, None] + 32 * EPS * scale**n / np.abs(dp)
-    return roots + shift[:, None], tol
+    return roots, tol
 
 
 def _check_stack(m, vals, w):
