@@ -45,6 +45,8 @@ CASES = [
     ("bright_crossing.ini", ["--kind", "two-mode"], "fit_bright_two_mode.txt"),
     ("dark_doublet.ini", ["--kind", "three-mode", "--prominence", "0.02"],
      "fit_dark_three_mode.txt"),
+    # no column carries three peaks: the three-mode fit falls back to two
+    ("bright_crossing.ini", ["--kind", "three-mode"], "fit_bright_three_mode_fallback.txt"),
 ]
 
 
