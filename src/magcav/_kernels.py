@@ -241,10 +241,11 @@ def field_cells(xc, yc, posts, sign_rows, current, r_post, r_cav, subsample=SUBS
     In row ``k`` post ``p`` carries ``sign_rows[k][p] * current`` along +z;
     each sign is -1, 0 or 1.  The cell masks, the subsample points and
     each post's field are computed once and shared by all rows.  Returns
-    one ``(Hx, Hy, energy, coverage)`` tuple per row: node-center field
-    (0 on nodes outside the domain), cell-mean |H|^2 over the covered
-    fraction, and that fraction, which depends on the geometry only and
-    is the same array in every tuple.
+    one ``(Hx, Hy, energy, coverage, excluded)`` tuple per row: node-center
+    field (0 on nodes outside the domain), cell-mean |H|^2 over the
+    covered fraction, that fraction, and the mask of nodes outside the
+    domain; the last two depend on the geometry only and are the same
+    arrays in every tuple.
     """
     xc = np.asarray(xc, dtype=float)
     yc = np.asarray(yc, dtype=float)
@@ -306,5 +307,5 @@ def field_cells(xc, yc, posts, sign_rows, current, r_post, r_cav, subsample=SUBS
         del ey
         e *= sub_in
         energy[ci, cj] = np.where(cnt > 0, e.sum(axis=1) / np.maximum(cnt, 1), 0.0)
-        cells.append((Hx, Hy, energy, coverage))
+        cells.append((Hx, Hy, energy, coverage, outside))
     return cells

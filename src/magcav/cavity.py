@@ -195,7 +195,7 @@ class FieldMap:
 
 _MODE_SIGNS = {"dark": (1.0, 1.0), "bright": (1.0, -1.0)}
 
-# (key, (centers, excluded, {mode: (Hx, Hy, energy, coverage)})) of the
+# (key, (centers, {mode: (Hx, Hy, energy, coverage, excluded)})) of the
 # last in-plane geometry, or None.  One entry, so scans over gap or height
 # reuse one quadrature pass while the arrays of two geometries are never
 # held at once.
@@ -219,15 +219,9 @@ def _mode_cells(geometry: CavityGeometry, resolution: int, current: float):
     cells = _kernels.field_cells(
         centers, centers, posts, list(_MODE_SIGNS.values()), current, geometry.post_radius, R
     )
-    X, Y = np.meshgrid(centers, centers, indexing="ij")
-    inside_wall = X * X + Y * Y <= R * R
-    in_post = np.zeros_like(inside_wall)
-    for px, py in posts:
-        in_post |= (X - px) ** 2 + (Y - py) ** 2 < geometry.post_radius**2
-    excluded = ~inside_wall | in_post
-    for arr in (centers, excluded, *(a for row in cells for a in row)):
+    for arr in (centers, *(a for row in cells for a in row)):
         arr.flags.writeable = False
-    found = (centers, excluded, dict(zip(_MODE_SIGNS, cells)))
+    found = (centers, dict(zip(_MODE_SIGNS, cells)))
     _last_cells = (key, found)
     return found
 
@@ -250,8 +244,8 @@ def field_map(
         raise DomainError("mode must be 'dark' or 'bright'")
     if resolution < 64:
         raise DomainError("resolution must be at least 64 cells across")
-    centers, excluded, cells = _mode_cells(geometry, resolution, current)
-    Hx, Hy, energy, coverage = cells[mode]
+    centers, cells = _mode_cells(geometry, resolution, current)
+    Hx, Hy, energy, coverage, excluded = cells[mode]
     return FieldMap(
         xs=centers,
         ys=centers,

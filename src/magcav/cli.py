@@ -7,9 +7,10 @@ and runs the requested crossing model, ``report`` turns measured line
 parameters into figures of merit, and ``predict`` scales a measured
 system to an optimized filling factor.
 
-Exit codes are a stable contract: 0 success, 2 configuration error,
-3 fit-identifiability error, 4 I/O error, which includes a malformed
-map file.  A fit that completes but fails to converge exits 1.  All
+Exit codes are a stable contract: 0 success, 2 configuration error
+(which includes values whose derived figures overflow or divide by
+zero), 3 fit-identifiability error, 4 I/O error, which includes a
+malformed map file.  A fit that completes but fails to converge exits 1.  All
 file outputs are deterministic functions of the configuration,
 including the noise seed.
 """
@@ -256,6 +257,10 @@ def main(argv=None) -> int:
         return EXIT_IO
     except DomainError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except ArithmeticError as exc:
+        # finite inputs whose derived figures overflow or underflow to 0
+        print(f"config error: a value is out of range: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
 

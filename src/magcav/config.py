@@ -29,6 +29,7 @@ Sections:
 from __future__ import annotations
 
 import configparser
+import math
 import re
 from dataclasses import dataclass, field
 
@@ -74,11 +75,14 @@ class _Section:
         try:
             if kind is int:
                 return int(raw)
-            return float(raw)
+            value = float(raw)
         except ValueError:
             raise ConfigError(
                 f"[{self.name}] {key} = {raw!r} is not a valid {kind.__name__}"
             ) from None
+        if not math.isfinite(value):
+            raise ConfigError(f"[{self.name}] {key} = {raw!r} is not a finite number")
+        return value
 
     def pull_pattern(self, regex: str):
         """Pop and yield (match, float value) for every key matching regex."""
@@ -252,18 +256,25 @@ def _build_report(sec: _Section) -> dict:
         "q_measured": ("q_measured", 1.0),
         "rs_reference": ("rs_reference_mohm", 1e-3),
     }
-    return {name: sec.pull(key) * scale for name, (key, scale) in keys.items()}
+    rep = {name: sec.pull(key) * scale for name, (key, scale) in keys.items()}
+    if not rep["rs_reference"] > 0.0:
+        raise ConfigError("[report] rs_reference_mohm must be > 0")
+    return rep
 
 
 def load_config(path) -> RunConfig:
     """Parse and validate a configuration file.
 
-    Raises ConfigError for structural problems and for any physical
+    Raises ConfigError for structural problems (including text that is
+    not UTF-8 and numbers that are not finite) and for any physical
     invariant the constructed objects reject; OSError passes through so
     callers can distinguish unreadable files from bad content.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text: {exc}") from None
     parser = configparser.ConfigParser(
         interpolation=None, inline_comment_prefixes=("#", ";")
     )

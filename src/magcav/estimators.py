@@ -1,14 +1,15 @@
 """Parameter extraction and derived figures of merit.
 
-Fitting is damped least squares on the normal equations: multiplicative
-damping of the scaled diagonal, adapted by acceptance, so the accepted
-residual sequence is monotone by construction.  Couplings enter the
-avoided-crossing fits as g^2 internally and are reported as sqrt, which
-keeps them non-negative without constraints.
+Every fit runs through ``_fit``: damped least squares on the normal
+equations (multiplicative damping of the scaled diagonal, adapted by
+acceptance, so the accepted residual sequence is monotone by
+construction), then standard errors and one report.  Couplings enter the
+crossing fits as g^2 and are reported as g with error err/(2g), or
+sqrt(err) at g = 0, which keeps them non-negative without constraints.
 
-Ridge fitting treats the data as unlabeled (B, f_peak) points and scores
-each against the nearest model branch; it never needs branch assignments
-from the caller.
+Ridge fits treat the data as unlabeled (B, f_peak) points and score each
+against its nearest model branch (``_nearest``, ties to the lowest
+branch); they never need branch assignments from the caller.
 """
 
 from __future__ import annotations
@@ -94,10 +95,6 @@ def _jacobian(fn, p, r0):
     return J
 
 
-def _solve_damped(JTJ, JTr, lam, D):
-    return np.linalg.solve(JTJ + lam * D, -JTr)
-
-
 def _lm(fn, p0):
     """Minimize sum fn(p)^2; returns (p, r, iterations, converged)."""
     p = np.asarray(p0, dtype=float).copy()
@@ -118,7 +115,7 @@ def _lm(fn, p0):
         accepted = False
         for _ in range(60):
             try:
-                dp = _solve_damped(JTJ, JTr, lam, D)
+                dp = np.linalg.solve(JTJ + lam * D, -JTr)
             except np.linalg.LinAlgError:
                 lam *= 10.0
                 continue
@@ -158,6 +155,35 @@ def _stderr(fn, p, r, n_data):
     except np.linalg.LinAlgError:
         cov = s2 * np.linalg.pinv(JTJ)
     return np.sqrt(np.maximum(np.diag(cov), 0.0))
+
+
+def _fit(resid, p0, names, n_data, squared=()):
+    """Minimize sum resid(p)^2 from p0; returns (FitReport, final p).
+
+    ``names`` label the entries of p.  A name in ``squared`` is fitted as
+    g^2 and reported as g = sqrt|p| with error err/(2g), or sqrt(err) at
+    g = 0, so both errors are in the units of g.
+    """
+    p, r, it, conv = _lm(resid, np.asarray(p0, dtype=float))
+    err = _stderr(resid, p, r, n_data)
+    params = {}
+    for name, value, e in zip(names, p.tolist(), err.tolist()):
+        if name in squared:
+            value = math.sqrt(abs(value))
+            e = e / (2.0 * value) if value > 0.0 else math.sqrt(e)
+        params[name] = (value, e)
+    return FitReport(params, float(np.sqrt(np.mean(r**2))), it, conv), p
+
+
+def _nearest(f_peak, branches):
+    """Signed distance of each peak to its nearest branch, and that branch.
+
+    ``branches`` (..., n, k) holds k ascending branches at each of the n
+    peaks; a tie goes to the lowest branch.
+    """
+    d = f_peak[:, None] - branches
+    pick = np.argmin(np.abs(d), axis=-1)
+    return np.take_along_axis(d, pick[..., None], axis=-1)[..., 0], pick
 
 
 # ---------------------------------------------------------------------------
@@ -284,15 +310,10 @@ def fit_lorentzian(f, y, initial=None) -> FitReport:
     def resid(p):
         return lorentzian(f, p[0], p[1], abs(p[2]), p[3]) - y
 
-    p, r, it, conv = _lm(resid, np.asarray(initial, dtype=float))
-    err = _stderr(resid, p, r, f.size)
-    params = {
-        "amplitude": (float(p[0]), float(err[0])),
-        "f0": (float(p[1]), float(err[1])),
-        "fwhm": (abs(float(p[2])), float(err[2])),
-        "baseline": (float(p[3]), float(err[3])),
-    }
-    return FitReport(params, float(np.sqrt(np.mean(r**2))), it, conv)
+    fit, _ = _fit(resid, initial, ("amplitude", "f0", "fwhm", "baseline"), f.size)
+    # the model sees only |fwhm|
+    fit.parameters["fwhm"] = (abs(fit["fwhm"]), fit.stderr("fwhm"))
+    return fit
 
 
 def _check_ridge(B, f):
@@ -318,6 +339,12 @@ def _initial_lines(B, f):
     return fc0, float(gyro0), float(o0)
 
 
+def _two_mode_branches(p, B):
+    """(..., n, 2) branches of (f_c, gyro, offset, (g/pi)^2) at the n fields B."""
+    fc, gyro, offset, g2 = p
+    return np.stack(_pair(fc, gyro * B + offset, 0.5 * np.sqrt(np.abs(g2)))[:2], axis=-1)
+
+
 def fit_two_mode(B, f_peak, initial=None) -> FitReport:
     """Fit the two-oscillator crossing; parameters (f_c, gyro, offset, g_over_pi).
 
@@ -335,42 +362,31 @@ def fit_two_mode(B, f_peak, initial=None) -> FitReport:
         )
     if initial is None:
         fc0, gyro0, o0 = _initial_lines(B, f_peak)
-        g_try = np.linspace(0.0, float(np.ptp(f_peak)), 33)
-        lo, hi = _pair(fc0, gyro0 * B + o0, 0.5 * g_try[:, None])[:2]
-        sse = np.sum(np.minimum((f_peak - lo) ** 2, (f_peak - hi) ** 2), axis=1)
-        initial = (fc0, gyro0, o0, g_try[np.argmin(sse)] ** 2)
+        g2_try = np.linspace(0.0, float(np.ptp(f_peak)), 33) ** 2
+        d, _ = _nearest(f_peak, _two_mode_branches((fc0, gyro0, o0, g2_try[:, None]), B))
+        initial = (fc0, gyro0, o0, g2_try[np.argmin(np.sum(d**2, axis=1))])
 
     def resid(p):
-        lo, hi = _pair(p[0], p[1] * B + p[2], 0.5 * math.sqrt(abs(p[3])))[:2]
-        d_lo = f_peak - lo
-        d_hi = f_peak - hi
-        return np.where(np.abs(d_lo) < np.abs(d_hi), d_lo, d_hi)
+        return _nearest(f_peak, _two_mode_branches(p, B))[0]
 
-    p, r, it, conv = _lm(resid, np.asarray(initial, dtype=float))
-    lo, hi = _pair(p[0], p[1] * B + p[2], 0.5 * math.sqrt(abs(p[3])))[:2]
-    on_hi = np.abs(f_peak - hi) < np.abs(f_peak - lo)
-    if on_hi.all() or (~on_hi).all():
+    fit, p = _fit(resid, initial, ("f_c", "gyro", "offset", "g_over_pi"), B.size,
+                  squared=("g_over_pi",))
+    if np.ptp(_nearest(f_peak, _two_mode_branches(p, B))[1]) == 0:
         raise UnidentifiableModelError(
             "ridge touches a single branch; coupling is not identifiable"
         )
-    err = _stderr(resid, p, r, B.size)
-    g = math.sqrt(abs(p[3]))
-    g_err = err[3] / (2.0 * g) if g > 0.0 else math.sqrt(err[3])
-    params = {
-        "f_c": (float(p[0]), float(err[0])),
-        "gyro": (float(p[1]), float(err[1])),
-        "offset": (float(p[2]), float(err[2])),
-        "g_over_pi": (g, float(g_err)),
-    }
-    return FitReport(params, float(np.sqrt(np.mean(r**2))), it, conv)
+    return fit
 
 
-def _three_mode_branches(fc, fmR, fmL, gc, gRL):
-    M = np.empty((fmR.size, 3, 3))
-    M[:] = 0.5 * np.array([[0.0, gc, 0.0], [gc, 0.0, gRL], [0.0, gRL, 0.0]])
+def _three_mode_branches(p, B):
+    """(n, 3) branches of (f_c, gyro, offset_r, offset_l, g_c^2, g_rl^2) at B."""
+    fc, gyro, o_r, o_l, gc2, grl2 = p
+    gc, grl = math.sqrt(abs(gc2)), math.sqrt(abs(grl2))
+    M = np.empty((B.size, 3, 3))
+    M[:] = 0.5 * np.array([[0.0, gc, 0.0], [gc, 0.0, grl], [0.0, grl, 0.0]])
     M[:, 0, 0] = fc
-    M[:, 1, 1] = fmR
-    M[:, 2, 2] = fmL
+    M[:, 1, 1] = gyro * B + o_r
+    M[:, 2, 2] = gyro * B + o_l
     return eigenbranches(M)
 
 
@@ -412,30 +428,12 @@ def fit_three_mode(B, f_peak, initial=None) -> FitReport:
         initial = (fc0, float(gyro0), float(o0), float(o0), 0.95 * gap, 0.3 * gap)
 
     def resid(p):
-        ev = _three_mode_branches(
-            p[0], p[1] * B + p[2], p[1] * B + p[3],
-            math.sqrt(abs(p[4])), math.sqrt(abs(p[5])),
-        )
-        d = f_peak[:, None] - ev
-        pick = np.argmin(np.abs(d), axis=1)
-        return d[np.arange(d.shape[0]), pick]
+        return _nearest(f_peak, _three_mode_branches(p, B))[0]
 
     p0 = np.asarray(initial, dtype=float)
-    p0[4] = p0[4] ** 2
-    p0[5] = p0[5] ** 2
-    p, r, it, conv = _lm(resid, p0)
-    err = _stderr(resid, p, r, B.size)
-    gc = math.sqrt(abs(p[4]))
-    gRL = math.sqrt(abs(p[5]))
-    params = {
-        "f_c": (float(p[0]), float(err[0])),
-        "gyro": (float(p[1]), float(err[1])),
-        "offset_r": (float(p[2]), float(err[2])),
-        "offset_l": (float(p[3]), float(err[3])),
-        "g_c_over_pi": (gc, float(err[4] / (2 * gc)) if gc > 0 else float(err[4])),
-        "g_rl_over_pi": (gRL, float(err[5] / (2 * gRL)) if gRL > 0 else float(err[5])),
-    }
-    return FitReport(params, float(np.sqrt(np.mean(r**2))), it, conv)
+    p0[4:] **= 2
+    names = ("f_c", "gyro", "offset_r", "offset_l", "g_c_over_pi", "g_rl_over_pi")
+    return _fit(resid, p0, names, B.size, squared=names[4:])[0]
 
 
 # ---------------------------------------------------------------------------

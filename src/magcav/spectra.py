@@ -94,6 +94,9 @@ def s21(f, model: HybridModel, ports: PortCouplings, B: float = 0.0):
     return out.reshape(np.shape(f))[()]
 
 
+_MAP_HEADER = "B_T,f_Hz,s21_dB"
+
+
 @dataclass(frozen=True, eq=False)
 class DensityMap:
     """|S21| on a (B, f) grid, linear amplitude, with provenance strings."""
@@ -121,17 +124,23 @@ class DensityMap:
 
     def write_csv(self, path) -> None:
         """Long-form rows B_T, f_Hz, s21_dB; B outer loop, f inner."""
-        write_grid_csv(path, "B_T,f_Hz,s21_dB", self.B_axis, self.f_axis,
+        write_grid_csv(path, _MAP_HEADER, self.B_axis, self.f_axis,
                        (self.to_db(),), ("%.9e",))
 
     @classmethod
     def read_csv(cls, path) -> "DensityMap":
         """Rebuild a map from long-form CSV; each (B, f) cell exactly once.
 
-        Bad content (no data rows, non-numeric cells, a non-finite field,
-        frequency or amplitude, a wrong column count, missing or repeated
-        cells) raises MapFormatError naming the file.
+        Bad content (a first line other than the header B_T,f_Hz,s21_dB
+        with an LF or CRLF end, no data rows, non-numeric cells, a
+        non-finite field, frequency or amplitude, a wrong column count,
+        missing or repeated cells) raises MapFormatError naming the file.
         """
+        head = _MAP_HEADER.encode()
+        with open(path, "rb") as fh:
+            line = fh.readline(len(head) + 2)
+        if line not in (head + b"\n", head + b"\r\n"):
+            raise MapFormatError(f"{path}: first line {line!r} is not the header {_MAP_HEADER}")
         try:
             with warnings.catch_warnings():
                 # an empty data section is reported below, not as a warning

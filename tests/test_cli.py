@@ -10,8 +10,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from magcav.cli import main
+from magcav.config import ConfigError, RunConfig, load_config
 from magcav.spectra import DensityMap, lorentzian
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -117,6 +119,91 @@ def test_missing_config_file_is_io_error(capsys):
     code, _, err = run_cli(capsys, "cavity", "/no/such/file.ini")
     assert code == 4
     assert "file.ini" in err
+
+
+@pytest.mark.parametrize("fixture, command, old, new, named", [
+    # a byte that is not UTF-8, in a comment
+    ("reference_cavity.ini", "report", b"Copper", b"Copp\xe9r", "UTF-8"),
+    ("bright_crossing.ini", "spectrum", b"sigma = 1e-3", b"sigma = nan", "sigma"),
+    ("reference_cavity.ini", "report", b"rs_reference_mohm = 76", b"rs_reference_mohm = 0",
+     "rs_reference_mohm"),
+    ("reference_cavity.ini", "report", b"rs_reference_mohm = 76", b"rs_reference_mohm = nan",
+     "rs_reference_mohm"),
+    ("reference_cavity.ini", "report", b"power_dbm = -90", b"power_dbm = -inf", "power_dbm"),
+    # finite values whose derived figures overflow, or underflow into a divisor
+    ("reference_cavity.ini", "report", b"power_dbm = -90", b"power_dbm = 4000", "out of range"),
+    ("reference_cavity.ini", "report", b"photon_q = 714", b"photon_q = 1e300", "out of range"),
+    ("optimized_prediction.ini", "predict", b"g_over_pi_ghz = 2.05", b"g_over_pi_ghz = 1e150",
+     "out of range"),
+])
+def test_bad_config_value_is_config_error(tmp_path, capsys, fixture, command, old, new, named):
+    bad = tmp_path / "bad.ini"
+    text = (FIXTURES / fixture).read_bytes()
+    assert old in text
+    bad.write_bytes(text.replace(old, new))
+    code, _, err = run_cli(capsys, command, bad, *(["-o", tmp_path / "map"] * (command == "spectrum")))
+    assert code == 2
+    assert err.startswith("config error: ") and named in err
+    assert not (tmp_path / "map.csv").exists()
+
+
+_CONFIG_TOKENS = (
+    "0", "-1", "2", "0.5", "nan", "inf", "-inf", "1e-320", "1e-300", "1e150", "1e300",
+    "-1e300", "", "abc",
+)
+
+
+@st.composite
+def _mutated_config(draw):
+    """A fixture INI with one byte-level, line-level or value corruption."""
+    data = (FIXTURES / draw(st.sampled_from(sorted(p.name for p in FIXTURES.glob("*.ini"))))
+            ).read_bytes()
+    lines = data.splitlines(keepends=True)
+    kind = draw(st.sampled_from(
+        ["replace", "delete", "insert", "truncate", "duplicate", "swap", "crlf", "value"]))
+    at = draw(st.integers(0, len(data) - 1))
+    row = draw(st.integers(0, len(lines) - 1))
+    byte = bytes([draw(st.integers(0, 255) | st.sampled_from(b"[]=#;.-+eE0123456789\n\r "))])
+    if kind == "replace":
+        return data[:at] + byte + data[at + 1:]
+    if kind == "delete":
+        return data[:at] + data[at + 1:]
+    if kind == "insert":
+        return data[:at] + byte + data[at:]
+    if kind == "truncate":
+        return data[:at]
+    if kind == "duplicate":
+        return b"".join(lines[:row + 1] + lines[row:])
+    if kind == "swap":
+        other = draw(st.integers(0, len(lines) - 1))
+        lines[row], lines[other] = lines[other], lines[row]
+        return b"".join(lines)
+    if kind == "crlf":
+        return data.replace(b"\n", b"\r\n")
+    keyed = [i for i, line in enumerate(lines) if b" = " in line and not line.startswith(b"#")]
+    i = draw(st.sampled_from(keyed))
+    key = lines[i].split(b" = ")[0]
+    lines[i] = key + b" = " + draw(st.sampled_from(_CONFIG_TOKENS)).encode() + b"\n"
+    return b"".join(lines)
+
+
+# cavity and spectrum stay out: a mutated resolution or *_steps can ask
+# for a grid of any size
+@given(content=_mutated_config())
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_mutated_config_ends_in_an_exit_code(tmp_path, capsys, content):
+    path = tmp_path / "mutated.ini"
+    path.write_bytes(content)
+    try:
+        assert isinstance(load_config(path), RunConfig)
+    except (ConfigError, OSError):
+        pass
+    # a documented exit code, never a traceback: 0 ok, 2 config,
+    # 3 unidentifiable, 4 i/o
+    for command in ("report", "predict"):
+        assert main([command, str(path)]) in (0, 2, 3, 4)
+    capsys.readouterr()
 
 
 # ---------------------------------------------------------------------------

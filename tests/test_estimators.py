@@ -241,6 +241,52 @@ def test_fit_lorentzian_validation():
 
 
 # ---------------------------------------------------------------------------
+# the shared fit path
+
+
+def test_fit_squared_parameter_error_at_positive_g():
+    # residual g^2 - y: g^2 is the mean of y, with its ordinary stderr
+    y = np.array([4.0, 4.3, 3.8, 4.1, 3.9])
+
+    def resid(p):
+        return p[0] - y
+
+    plain, _ = estimators._fit(resid, [1.0], ("g2",), y.size)
+    rep, p = estimators._fit(resid, [1.0], ("g",), y.size, squared=("g",))
+    assert p[0] == plain["g2"]
+    assert rep["g"] == np.sqrt(plain["g2"])
+    # d g = d(g^2) / (2 g), in the units of g
+    assert rep.stderr("g") == plain.stderr("g2") / (2.0 * rep["g"])
+    se = np.std(y, ddof=1) / np.sqrt(y.size)
+    assert rep.stderr("g") == pytest.approx(se / (2.0 * np.sqrt(y.mean())), rel=1e-6)
+
+
+def test_fit_squared_parameter_error_at_zero_g():
+    # x . y = 0, so g^2 = 0 is exactly stationary: LM never leaves it,
+    # and the residual left over gives g^2 a nonzero error
+    x = np.array([1e20, -1e20, 1e20, -1e20])
+    y = np.ones(4)
+
+    def resid(p):
+        return p[0] * x - y
+
+    plain, _ = estimators._fit(resid, [0.0], ("g2",), y.size)
+    rep, p = estimators._fit(resid, [0.0], ("g",), y.size, squared=("g",))
+    assert p[0] == 0.0 and rep["g"] == 0.0
+    err = plain.stderr("g2")
+    assert err == pytest.approx(np.sqrt((4.0 / 3.0) / 4e40), rel=1e-9)
+    # sqrt of the g^2 error, in the units of g, not err itself
+    assert rep.stderr("g") == np.sqrt(err)
+
+
+def test_nearest_ties_go_to_the_lowest_branch():
+    branches = np.array([[0.0, 2.0, 4.0], [0.0, 2.0, 4.0], [1.0, 1.0, 5.0]])
+    d, pick = estimators._nearest(np.array([1.0, 3.0, 1.5]), branches)
+    assert pick.tolist() == [0, 1, 0]
+    assert d.tolist() == [1.0, 1.0, 0.5]
+
+
+# ---------------------------------------------------------------------------
 # crossing fits
 
 

@@ -17,7 +17,7 @@ from magcav import _kernels, spectra
 from magcav._kernels import field_cells, line_current_H, s21_rows
 from magcav.config import load_config
 
-from oracles import field_cells_scalar, s21_point_solve
+from oracles import _in_cavity_domain, field_cells_scalar, s21_point_solve
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -171,7 +171,7 @@ def test_field_cells_match_scalar_oracle(resolution):
     xc, yc, posts, current, r_post, r_cav = _reference_cells(resolution)
     cells = field_cells(xc, yc, posts, SIGN_ROWS, current, r_post, r_cav)
     assert len(cells) == len(SIGN_ROWS)
-    for signs, (Hx, Hy, e, cov) in zip(SIGN_ROWS, cells):
+    for signs, (Hx, Hy, e, cov, _) in zip(SIGN_ROWS, cells):
         Hx_o, Hy_o, e_o, cov_o = field_cells_scalar(xc, yc, posts, signs, current, r_post, r_cav)
         # coverage counts subsamples, an integer ratio: must match exactly
         np.testing.assert_array_equal(cov, cov_o)
@@ -182,8 +182,14 @@ def test_field_cells_match_scalar_oracle(resolution):
         # sums start from +0, as in the oracle: no cell holds a -0.0
         for arr in (Hx, Hy, e, cov):
             assert not np.signbit(arr[arr == 0.0]).any()
-    # coverage is a property of the geometry, shared by every row
-    assert all(c[3] is cells[0][3] for c in cells)
+    # coverage and the node mask are properties of the geometry, shared by
+    # every row
+    assert all(c[3] is cells[0][3] and c[4] is cells[0][4] for c in cells)
+    excluded = [
+        [not _in_cavity_domain(x, y, posts, r_post * r_post, r_cav * r_cav) for y in yc]
+        for x in xc
+    ]
+    np.testing.assert_array_equal(cells[0][4], excluded)
 
 
 def test_field_cells_rejects_bad_sign_rows():

@@ -283,6 +283,24 @@ def test_small_map_fits(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("header, code", [
+    (b"B_T,f_Hz,s21_dB\r\n", 0),
+    (b"x_m,y_m,Hx\n", 4),
+    (b"B_T,f_Hz,s21_dB \n", 4),
+    (b"b_t,f_hz,s21_db\n", 4),
+    (b"B_T,f_Hz,s21_dB\r", 4),
+    (b"", 4),
+])
+def test_fit_requires_the_map_header(tmp_path, capsys, header, code):
+    path = tmp_path / "map.csv"
+    data = _small_map()
+    path.write_bytes(header + data[data.index(b"\n") + 1:])
+    assert main(["fit", str(path), "--kind", "two-mode"]) == code
+    err = capsys.readouterr().err
+    if code == 4:
+        assert err.startswith(f"i/o error: {path}: first line ")
+
+
 @given(content=_mutated_map())
 @settings(max_examples=150, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
