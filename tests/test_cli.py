@@ -141,7 +141,8 @@ def test_bad_config_value_is_config_error(tmp_path, capsys, fixture, command, ol
     text = (FIXTURES / fixture).read_bytes()
     assert old in text
     bad.write_bytes(text.replace(old, new))
-    code, _, err = run_cli(capsys, command, bad, *(["-o", tmp_path / "map"] * (command == "spectrum")))
+    args = ["-o", tmp_path / "map"] if command == "spectrum" else []
+    code, _, err = run_cli(capsys, command, bad, *args)
     assert code == 2
     assert err.startswith("config error: ") and named in err
     assert not (tmp_path / "map.csv").exists()
