@@ -284,8 +284,8 @@ def field_cells(xc, yc, posts, sign_rows, current, r_post, r_cav, subsample=SUBS
     offs = (np.arange(ss) + 0.5) * dx / ss - 0.5 * dx
     sx = (xc[ci][:, None] + offs[None, :])[:, :, None]  # (m, ss, 1)
     sy = (yc[cj][:, None] + offs[None, :])[:, None, :]  # (m, 1, ss)
-    px_ = np.broadcast_to(sx, (ci.size, ss, ss)).reshape(ci.size, -1)
-    py_ = np.broadcast_to(sy, (ci.size, ss, ss)).reshape(ci.size, -1)
+    px_ = np.broadcast_to(sx, (ci.size, ss, ss)).reshape(ci.size, ss * ss)
+    py_ = np.broadcast_to(sy, (ci.size, ss, ss)).reshape(ci.size, ss * ss)
     sub_fields, sub_in = _post_fields(px_, py_, posts, current, r_post, r_cav)
     del px_, py_
     cnt = sub_in.sum(axis=1)

@@ -287,8 +287,7 @@ def filling_factor(
         if math.hypot(cx - px, cy - py) < r + geom.post_radius:
             raise GeometryError("sphere overlaps a post")
 
-    X, Y = np.meshgrid(fmap.xs, fmap.ys, indexing="ij")
-    rho2 = (X - cx) ** 2 + (Y - cy) ** 2
+    rho2 = (fmap.xs[:, None] - cx) ** 2 + (fmap.ys[None, :] - cy) ** 2
     chord = 2.0 * np.sqrt(np.maximum(r * r - rho2, 0.0))
     sphere_integral = float(
         (fmap.energy * fmap.coverage * chord).sum() * fmap.cell_area

@@ -18,6 +18,7 @@ including the noise seed.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 import numpy as np
@@ -94,6 +95,8 @@ def cmd_cavity(args) -> int:
     unit, scale = _SCAN_UNIT[args.scan]
     if args.start is None or args.stop is None:
         raise ConfigError("--scan needs --start and --stop")
+    if args.steps < 1:
+        raise ConfigError(f"--steps {args.steps} must be >= 1")
     values = np.linspace(args.start * scale, args.stop * scale, args.steps)
     rows = geometry_scan(geom, args.scan, values, sphere, resolution=cfg.resolution)
     lines = list(_scan_csv_lines(rows))
@@ -186,7 +189,9 @@ def cmd_predict(args) -> int:
     down = f_b - eig.frequencies[0]
     _emit("branch_offset_upper_Hz", up)
     _emit("branch_offset_lower_Hz", down)
-    _emit("branch_asymmetry", abs(up - down) / (eig.frequencies[1] - eig.frequencies[0]))
+    split = eig.frequencies[1] - eig.frequencies[0]
+    # g = 0 leaves one degenerate line: no splitting to compare against
+    _emit("branch_asymmetry", abs(up - down) / split if split > 0.0 else math.nan)
 
     if args.map is not None:
         b_axis = cfg.require("b_axis")

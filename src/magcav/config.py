@@ -1,10 +1,11 @@
 """Run configuration for the command-line tools.
 
 Files are INI-style, parsed strictly: unknown sections or keys abort
-before any computation, and every numeric key carries its unit in the
-name (gap_um, f_start_ghz, b_stop_t), so a value can never be fed to the
-model in the wrong scale.  Each tool pulls only the sections it needs;
-a missing required section is reported by name.
+before any computation.  A numeric key's unit suffix alone decides its
+factor to SI (``_UNITS``); other keys are dimensionless.  A number must
+be finite once scaled, and counts are bounded where they are read, before
+any grid is allocated.  Each tool pulls only the sections it needs; a
+missing required section is reported by name.
 
 Sections:
 
@@ -23,7 +24,7 @@ Sections:
              magnon_slope_ghz_per_t, magnon_offset_ghz
 [optimized]  xi_bright, linewidth_factor
 [report]     bright/dark line parameters plus photon and surface-loss
-             inputs; see _build_report
+             inputs; see _REPORT_KEYS
 """
 
 from __future__ import annotations
@@ -48,9 +49,26 @@ class ConfigError(ValueError):
 
 _MISSING = object()
 
+# unit suffix -> factor to SI; a key takes the first suffix it ends with,
+# so longer suffixes come first
+_UNITS = {
+    "_ghz_per_t": 1e9, "_per_cm3": 1e6, "_mohm": 1e-3, "_ohm": 1.0,
+    "_ghz": 1e9, "_mhz": 1e6, "_mm": 1e-3, "_um": 1e-6, "_t": 1.0,
+}
+
+_MAX_CELLS = 2**22  # b_steps * f_steps
+
+
+def _unit(key: str) -> tuple[str, float]:
+    """The key without its unit suffix, and that suffix's factor to SI."""
+    for suffix, factor in _UNITS.items():
+        if key.endswith(suffix):
+            return key[: -len(suffix)], factor
+    return key, 1.0
+
 
 class _Section:
-    """One config section with typed, consume-on-read access.
+    """One config section with consume-on-read access.
 
     Keys are popped as they are read so that whatever remains at
     ``finish()`` time is by construction unknown and can be rejected
@@ -64,35 +82,40 @@ class _Section:
     def __contains__(self, key: str) -> bool:
         return key in self._items
 
-    def pull(self, key: str, kind=float, default=_MISSING):
-        if key not in self._items:
-            if default is _MISSING:
-                raise ConfigError(f"[{self.name}] missing required key '{key}'")
-            return default
-        raw = self._items.pop(key).strip()
-        if kind is str:
-            return raw
+    def text(self, key: str, default=_MISSING):
+        if key in self._items:
+            return self._items.pop(key).strip()
+        if default is _MISSING:
+            raise ConfigError(f"[{self.name}] missing required key '{key}'")
+        return default
+
+    def pull(self, key: str, default=_MISSING) -> float:
+        """The number under ``key`` in SI units; ``default`` is in the typed unit."""
+        raw = self.text(key, default)
         try:
-            if kind is int:
-                return int(raw)
-            value = float(raw)
+            value = float(raw) * _unit(key)[1]
         except ValueError:
-            raise ConfigError(
-                f"[{self.name}] {key} = {raw!r} is not a valid {kind.__name__}"
-            ) from None
+            raise ConfigError(f"[{self.name}] {key} = {raw!r} is not a valid float") from None
         if not math.isfinite(value):
-            raise ConfigError(f"[{self.name}] {key} = {raw!r} is not a finite number")
+            raise ConfigError(f"[{self.name}] {key} = {raw!r} does not give a finite SI value")
+        return value
+
+    def count(self, key: str, lo: int, hi: float = math.inf, default=_MISSING) -> int:
+        raw = self.text(key, default)
+        try:
+            value = int(raw)
+        except ValueError:
+            raise ConfigError(f"[{self.name}] {key} = {raw!r} is not a valid int") from None
+        if not lo <= value <= hi:
+            bound = f"be >= {lo}" if hi == math.inf else f"lie in [{lo}, {hi}]"
+            raise ConfigError(f"[{self.name}] {key} = {value} must {bound}")
         return value
 
     def pull_pattern(self, regex: str):
-        """Pop and yield (match, float value) for every key matching regex."""
+        """Pop and yield (match, SI value) for every key matching regex."""
         pat = re.compile(regex)
-        out = []
-        for key in sorted(self._items):
-            m = pat.fullmatch(key)
-            if m is not None:
-                out.append((m, self.pull(key)))
-        return out
+        return [(m, self.pull(key)) for key in sorted(self._items)
+                if (m := pat.fullmatch(key)) is not None]
 
     def finish(self) -> None:
         if self._items:
@@ -122,21 +145,10 @@ class RunConfig:
     def require(self, name: str):
         value = getattr(self, name)
         if value is None:
-            raise ConfigError(f"{self.path}: missing required [{_BLOCKS[name]}] section")
+            section = "grid" if name in ("b_axis", "f_axis") else name
+            raise ConfigError(f"{self.path}: missing required [{section}] section")
         return value
 
-
-# attribute -> section a subcommand will name when it is absent
-_BLOCKS = {
-    "geometry": "geometry",
-    "sphere": "sphere",
-    "model": "model",
-    "b_axis": "grid",
-    "f_axis": "grid",
-    "current": "current",
-    "optimized": "optimized",
-    "report": "report",
-}
 
 _MODE_KINDS = {
     "cavity-dark": ModeKind.CAVITY_DARK,
@@ -145,38 +157,34 @@ _MODE_KINDS = {
 }
 
 
-def _build_geometry(sec: _Section) -> tuple[CavityGeometry, int]:
+def _geometry(sec: _Section) -> dict:
     geom = CavityGeometry(
-        cavity_radius=sec.pull("cavity_radius_mm") * 1e-3,
-        height=sec.pull("height_mm") * 1e-3,
-        post_radius=sec.pull("post_radius_mm") * 1e-3,
-        gap=sec.pull("gap_um") * 1e-6,
-        post_spacing=sec.pull("post_spacing_mm") * 1e-3,
+        cavity_radius=sec.pull("cavity_radius_mm"),
+        height=sec.pull("height_mm"),
+        post_radius=sec.pull("post_radius_mm"),
+        gap=sec.pull("gap_um"),
+        post_spacing=sec.pull("post_spacing_mm"),
         eps_r_gap=sec.pull("eps_r_gap", default=1.0),
         L_correction=sec.pull("l_correction", default=1.0),
         coupling_k=sec.pull("coupling_k", default=0.0),
     )
-    resolution = sec.pull("resolution", int, default=257)
-    return geom, resolution
+    return {"geometry": geom, "resolution": sec.count("resolution", 64, 2049, default=257)}
 
 
-def _build_sphere(sec: _Section) -> SphereSample:
-    diameter = sec.pull("diameter_mm") * 1e-3
+def _sphere(sec: _Section) -> dict:
+    diameter = sec.pull("diameter_mm")
     mu0_Ms = sec.pull("mu0_ms_t")
-    density = sec.pull("spin_density_per_cm3") * 1e6
-    widths = {
-        m.group(1).upper(): v * 1e6
-        for m, v in sec.pull_pattern(r"linewidth_([a-z0-9]+)_mhz")
-    }
-    return SphereSample(diameter, mu0_Ms, density, widths)
+    density = sec.pull("spin_density_per_cm3")
+    widths = {m.group(1).upper(): v for m, v in sec.pull_pattern(r"linewidth_([a-z0-9]+)_mhz")}
+    return {"sphere": SphereSample(diameter, mu0_Ms, density, widths)}
 
 
-def _build_model(sec: _Section) -> HybridModel:
+def _model(sec: _Section) -> dict:
     modes = []
     slopes = []
     idx = 1
     while f"mode{idx}_kind" in sec:
-        kind_raw = sec.pull(f"mode{idx}_kind", str)
+        kind_raw = sec.text(f"mode{idx}_kind")
         if kind_raw not in _MODE_KINDS:
             raise ConfigError(
                 f"[model] mode{idx}_kind = {kind_raw!r}; expected one of "
@@ -184,13 +192,13 @@ def _build_model(sec: _Section) -> HybridModel:
             )
         modes.append(
             OscillatorMode(
-                f0=sec.pull(f"mode{idx}_f0_ghz") * 1e9,
-                linewidth=sec.pull(f"mode{idx}_linewidth_mhz") * 1e6,
+                f0=sec.pull(f"mode{idx}_f0_ghz"),
+                linewidth=sec.pull(f"mode{idx}_linewidth_mhz"),
                 kind=_MODE_KINDS[kind_raw],
-                label=sec.pull(f"mode{idx}_label", str, default=""),
+                label=sec.text(f"mode{idx}_label", default=""),
             )
         )
-        slopes.append(sec.pull(f"mode{idx}_slope_ghz_per_t", default=0.0) * 1e9)
+        slopes.append(sec.pull(f"mode{idx}_slope_ghz_per_t", default=0.0))
         idx += 1
     if not modes:
         raise ConfigError("[model] defines no modes; expected mode1_kind, ...")
@@ -202,73 +210,89 @@ def _build_model(sec: _Section) -> HybridModel:
             raise ConfigError(
                 f"[model] {m.group(0)}: indices must satisfy 1 <= i < j <= {n}"
             )
-        couplings[i - 1, j - 1] = couplings[j - 1, i - 1] = value * 1e9
-    return HybridModel(tuple(modes), couplings, np.array(slopes))
+        couplings[i - 1, j - 1] = couplings[j - 1, i - 1] = value
+    return {"model": HybridModel(tuple(modes), couplings, np.array(slopes))}
 
 
-def _build_axis(sec: _Section, prefix: str, scale: float) -> np.ndarray:
-    start = sec.pull(f"{prefix}_start_{'t' if prefix == 'b' else 'ghz'}") * scale
-    stop = sec.pull(f"{prefix}_stop_{'t' if prefix == 'b' else 'ghz'}") * scale
-    steps = sec.pull(f"{prefix}_steps", int)
-    if steps < 2:
-        raise ConfigError(f"[grid] {prefix}_steps must be >= 2")
+def _ports(sec: _Section) -> dict:
+    return {"ports": PortCouplings(sec.pull("beta1", default=0.01),
+                                   sec.pull("beta2", default=0.01))}
+
+
+def _axis(sec: _Section, start_key: str, stop_key: str, steps_key: str) -> tuple:
+    start, stop, steps = sec.pull(start_key), sec.pull(stop_key), sec.count(steps_key, 2)
     if not start < stop:
-        raise ConfigError(f"[grid] {prefix}_start must lie below {prefix}_stop")
-    return np.linspace(start, stop, steps)
+        raise ConfigError(f"[grid] {start_key} must lie below {stop_key}")
+    if not math.isfinite(stop - start):
+        raise ConfigError(f"[grid] {stop_key} - {start_key} is not finite")
+    return start, stop, steps
 
 
-def _build_current(sec: _Section) -> dict:
-    return {
-        "f_b": sec.pull("f_bright_ghz") * 1e9,
-        "g_over_pi": sec.pull("g_over_pi_ghz") * 1e9,
-        "kappa_b": sec.pull("kappa_mhz") * 1e6,
-        "gamma_m": sec.pull("gamma_mhz") * 1e6,
+def _grid(sec: _Section) -> dict:
+    b = _axis(sec, "b_start_t", "b_stop_t", "b_steps")
+    f = _axis(sec, "f_start_ghz", "f_stop_ghz", "f_steps")
+    if b[2] * f[2] > _MAX_CELLS:
+        raise ConfigError(f"[grid] b_steps * f_steps = {b[2] * f[2]} exceeds {_MAX_CELLS} cells")
+    return {"b_axis": np.linspace(*b), "f_axis": np.linspace(*f)}
+
+
+def _noise(sec: _Section) -> dict:
+    sigma = sec.pull("sigma")
+    if sigma < 0.0:
+        raise ConfigError("[noise] sigma must be >= 0")
+    return {"noise_sigma": sigma, "noise_seed": sec.count("seed", 0, default=0)}
+
+
+def _current(sec: _Section) -> dict:
+    return {"current": {
+        "f_b": sec.pull("f_bright_ghz"),
+        "g_over_pi": sec.pull("g_over_pi_ghz"),
+        "kappa_b": sec.pull("kappa_mhz"),
+        "gamma_m": sec.pull("gamma_mhz"),
         "xi_b": sec.pull("xi_bright"),
-        "magnon_slope": sec.pull("magnon_slope_ghz_per_t", default=28.129) * 1e9,
-        "magnon_offset": sec.pull("magnon_offset_ghz", default=0.0) * 1e9,
-    }
+        "magnon_slope": sec.pull("magnon_slope_ghz_per_t", default=28.129),
+        "magnon_offset": sec.pull("magnon_offset_ghz", default=0.0),
+    }}
 
 
-def _build_optimized(sec: _Section) -> dict:
-    return {
+def _optimized(sec: _Section) -> dict:
+    return {"optimized": {
         "xi_b": sec.pull("xi_bright"),
         "linewidth_factor": sec.pull("linewidth_factor", default=1.0),
-    }
+    }}
 
 
-def _build_report(sec: _Section) -> dict:
-    keys = {
-        "bright_g_over_pi": ("bright_g_over_pi_ghz", 1e9),
-        "bright_kappa": ("bright_kappa_mhz", 1e6),
-        "bright_gamma": ("bright_gamma_mhz", 1e6),
-        "dark_g_over_pi": ("dark_g_over_pi_mhz", 1e6),
-        "dark_kappa": ("dark_kappa_mhz", 1e6),
-        "dark_gamma": ("dark_gamma_mhz", 1e6),
-        "f_bright": ("f_bright_ghz", 1e9),
-        "f_dark": ("f_dark_ghz", 1e9),
-        "xi_bright": ("xi_bright", 1.0),
-        "xi_dark": ("xi_dark", 1.0),
-        "power_dbm": ("power_dbm", 1.0),
-        "photon_f0": ("photon_f0_ghz", 1e9),
-        "photon_q": ("photon_q", 1.0),
-        "photon_beta": ("photon_beta", 1.0),
-        "geometric_factor": ("geometric_factor_ohm", 1.0),
-        "q_measured": ("q_measured", 1.0),
-        "rs_reference": ("rs_reference_mohm", 1e-3),
-    }
-    rep = {name: sec.pull(key) * scale for name, (key, scale) in keys.items()}
+# each report value is named after its key without the unit suffix
+_REPORT_KEYS = (
+    "bright_g_over_pi_ghz", "bright_kappa_mhz", "bright_gamma_mhz", "dark_g_over_pi_mhz",
+    "dark_kappa_mhz", "dark_gamma_mhz", "f_bright_ghz", "f_dark_ghz", "xi_bright",
+    "xi_dark", "power_dbm", "photon_f0_ghz", "photon_q", "photon_beta",
+    "geometric_factor_ohm", "q_measured", "rs_reference_mohm",
+)
+
+
+def _report(sec: _Section) -> dict:
+    rep = {_unit(key)[0]: sec.pull(key) for key in _REPORT_KEYS}
     if not rep["rs_reference"] > 0.0:
         raise ConfigError("[report] rs_reference_mohm must be > 0")
-    return rep
+    return {"report": rep}
+
+
+# section name -> builder of its RunConfig fields
+_SECTIONS = {
+    "geometry": _geometry, "sphere": _sphere, "model": _model, "ports": _ports,
+    "grid": _grid, "noise": _noise, "current": _current, "optimized": _optimized,
+    "report": _report,
+}
 
 
 def load_config(path) -> RunConfig:
     """Parse and validate a configuration file.
 
-    Raises ConfigError for structural problems (including text that is
-    not UTF-8 and numbers that are not finite) and for any physical
-    invariant the constructed objects reject; OSError passes through so
-    callers can distinguish unreadable files from bad content.
+    Raises ConfigError for structural problems (text that is not UTF-8,
+    numbers not finite in SI units, counts out of bounds) and for any
+    physical invariant the constructed objects reject; OSError passes
+    through so callers can distinguish unreadable files from bad content.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -288,34 +312,10 @@ def load_config(path) -> RunConfig:
     fields: dict = {"path": str(path)}
     try:
         for name in parser.sections():
-            sec = _Section(name, parser.items(name))
-            if name == "geometry":
-                fields["geometry"], fields["resolution"] = _build_geometry(sec)
-            elif name == "sphere":
-                fields["sphere"] = _build_sphere(sec)
-            elif name == "model":
-                fields["model"] = _build_model(sec)
-            elif name == "ports":
-                fields["ports"] = PortCouplings(
-                    sec.pull("beta1", default=0.01), sec.pull("beta2", default=0.01)
-                )
-            elif name == "grid":
-                fields["b_axis"] = _build_axis(sec, "b", 1.0)
-                fields["f_axis"] = _build_axis(sec, "f", 1e9)
-            elif name == "noise":
-                sigma = sec.pull("sigma")
-                if sigma < 0.0:
-                    raise ConfigError("[noise] sigma must be >= 0")
-                fields["noise_sigma"] = sigma
-                fields["noise_seed"] = sec.pull("seed", int, default=0)
-            elif name == "current":
-                fields["current"] = _build_current(sec)
-            elif name == "optimized":
-                fields["optimized"] = _build_optimized(sec)
-            elif name == "report":
-                fields["report"] = _build_report(sec)
-            else:
+            if name not in _SECTIONS:
                 raise ConfigError(f"{path}: unknown section [{name}]")
+            sec = _Section(name, parser.items(name))
+            fields.update(_SECTIONS[name](sec))
             sec.finish()
     except DomainError as exc:
         # invariant violations become config errors but keep the message

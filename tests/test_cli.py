@@ -90,6 +90,18 @@ def test_cavity_invalid_geometry_names_invariant(tmp_path, capsys):
     assert "post_spacing" in err
 
 
+@pytest.mark.parametrize("steps", ["0", "-1"])
+def test_cavity_scan_needs_a_step(tmp_path, capsys, steps):
+    csv = tmp_path / "scan.csv"
+    code, out, err = run_cli(
+        capsys, "cavity", FIXTURES / "reference_cavity.ini",
+        "--scan", "gap", "--start", "10", "--stop", "150", "--steps", steps, "--csv", csv,
+    )
+    assert code == 2 and out == ""
+    assert err.startswith("config error: ") and "--steps" in err
+    assert not csv.exists()
+
+
 def test_unknown_key_rejected(tmp_path, capsys):
     bad = tmp_path / "bad.ini"
     bad.write_text((FIXTURES / "reference_cavity.ini").read_text() + "\nwindage = 3\n")
@@ -121,6 +133,16 @@ def test_missing_config_file_is_io_error(capsys):
     assert "file.ini" in err
 
 
+def _run_edited(tmp_path, capsys, fixture, command, old, new):
+    """Run ``command`` on a fixture with ``old`` replaced by ``new``."""
+    path = tmp_path / "edited.ini"
+    text = (FIXTURES / fixture).read_bytes()
+    assert old in text
+    path.write_bytes(text.replace(old, new))
+    args = ["-o", tmp_path / "map"] if command == "spectrum" else []
+    return run_cli(capsys, command, path, *args)
+
+
 @pytest.mark.parametrize("fixture, command, old, new, named", [
     # a byte that is not UTF-8, in a comment
     ("reference_cavity.ini", "report", b"Copper", b"Copp\xe9r", "UTF-8"),
@@ -137,15 +159,42 @@ def test_missing_config_file_is_io_error(capsys):
      "out of range"),
 ])
 def test_bad_config_value_is_config_error(tmp_path, capsys, fixture, command, old, new, named):
-    bad = tmp_path / "bad.ini"
-    text = (FIXTURES / fixture).read_bytes()
-    assert old in text
-    bad.write_bytes(text.replace(old, new))
-    args = ["-o", tmp_path / "map"] if command == "spectrum" else []
-    code, _, err = run_cli(capsys, command, bad, *args)
+    code, _, err = _run_edited(tmp_path, capsys, fixture, command, old, new)
     assert code == 2
     assert err.startswith("config error: ") and named in err
     assert not (tmp_path / "map.csv").exists()
+
+
+# values just past each bound, checked before anything is computed,
+# printed or written
+@pytest.mark.parametrize("fixture, command, old, new, named", [
+    # finite as typed, inf Hz once scaled
+    ("reference_cavity.ini", "report", b"bright_kappa_mhz = 27", b"bright_kappa_mhz = 1e303",
+     "bright_kappa_mhz"),
+    ("optimized_prediction.ini", "predict", b"b_start_t = 0.40\nb_stop_t = 1.10",
+     b"b_start_t = -1e308\nb_stop_t = 1e308", "b_start_t"),
+    # 8389 * 500 cells is one row past 2**22
+    ("optimized_prediction.ini", "predict", b"b_steps = 120", b"b_steps = 8389", "b_steps"),
+    ("reference_cavity.ini", "report", b"resolution = 257", b"resolution = 2050", "resolution"),
+    ("reference_cavity.ini", "cavity", b"resolution = 257", b"resolution = 63", "resolution"),
+    ("bright_crossing.ini", "spectrum", b"seed = 20260817", b"seed = -1", "seed"),
+], ids=["kappa_overflow", "b_span_overflow", "cells", "resolution_high", "resolution_low",
+        "seed"])
+def test_value_past_a_bound_is_config_error(tmp_path, capsys, fixture, command, old, new, named):
+    code, out, err = _run_edited(tmp_path, capsys, fixture, command, old, new)
+    assert code == 2 and out == ""
+    assert err.startswith("config error: ") and named in err
+    assert list(tmp_path.iterdir()) == [tmp_path / "edited.ini"]
+
+
+@pytest.mark.parametrize("fixture, command, old, new", [
+    ("optimized_prediction.ini", "predict", b"b_steps = 120", b"b_steps = 8388"),
+    ("reference_cavity.ini", "report", b"resolution = 257", b"resolution = 2049"),
+    ("reference_cavity.ini", "cavity", b"resolution = 257", b"resolution = 64"),
+    ("bright_crossing.ini", "spectrum", b"seed = 20260817", b"seed = 0"),
+], ids=["cells", "resolution_high", "resolution_low", "seed"])
+def test_value_at_a_bound_is_accepted(tmp_path, capsys, fixture, command, old, new):
+    assert _run_edited(tmp_path, capsys, fixture, command, old, new)[0] == 0
 
 
 _CONFIG_TOKENS = (
@@ -188,8 +237,7 @@ def _mutated_config(draw):
     return b"".join(lines)
 
 
-# cavity and spectrum stay out: a mutated resolution or *_steps can ask
-# for a grid of any size
+# cavity and spectrum, which compute a grid, run in the property below
 @given(content=_mutated_config())
 @settings(max_examples=300, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -204,6 +252,18 @@ def test_mutated_config_ends_in_an_exit_code(tmp_path, capsys, content):
     # 3 unidentifiable, 4 i/o
     for command in ("report", "predict"):
         assert main([command, str(path)]) in (0, 2, 3, 4)
+    capsys.readouterr()
+
+
+# the bounds on resolution and *_steps keep every grid these draw small
+@given(content=_mutated_config())
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_mutated_config_runs_cavity_and_spectrum_to_an_exit_code(tmp_path, capsys, content):
+    path = tmp_path / "mutated.ini"
+    path.write_bytes(content)
+    for argv in (["cavity", path], ["spectrum", path, "-o", tmp_path / "map"]):
+        assert main([str(a) for a in argv]) in (0, 2, 3, 4)
     capsys.readouterr()
 
 
@@ -389,6 +449,19 @@ def test_predict_reference_chain(capsys):
     assert kv["g_opt_over_pi"] == pytest.approx(5.293077239816803e9, rel=1e-9)
     assert kv["cooperativity_opt"] == pytest.approx(1.1319865319865318e7, rel=1e-9)
     assert kv["branch_asymmetry"] > 0.01
+
+
+# a warning raised as an error would break the one-line stderr contract
+@pytest.mark.filterwarnings("error")
+def test_predict_zero_coupling_prints_nan_without_warning(tmp_path, capsys):
+    cfg = tmp_path / "zero.ini"
+    text = (FIXTURES / "optimized_prediction.ini").read_text()
+    cfg.write_text(text.replace("g_over_pi_ghz = 2.05", "g_over_pi_ghz = 0"))
+    code, out, err = run_cli(capsys, "predict", cfg)
+    assert code == 0 and err == ""
+    kv = parse_kv(out)
+    # one degenerate line: no splitting, so neither ratio has a value
+    assert kv["branch_asymmetry"] == "nan" and kv["per_spin_scale"] == "nan"
 
 
 def test_predict_map_output(tmp_path, capsys):

@@ -192,6 +192,19 @@ def test_field_cells_match_scalar_oracle(resolution):
     np.testing.assert_array_equal(cells[0][4], excluded)
 
 
+def test_field_cells_without_cut_cells_match_scalar_oracle():
+    # a 9x9 patch of +-0.1 mm around the midpoint between the posts: every
+    # cell lies wholly inside the domain, so none is cut
+    _, _, posts, current, r_post, r_cav = _reference_cells(65)
+    xc = yc = np.linspace(-1e-4, 1e-4, 9)
+    cells = field_cells(xc, yc, posts, SIGN_ROWS, current, r_post, r_cav)
+    for signs, (Hx, Hy, e, cov, excluded) in zip(SIGN_ROWS, cells):
+        assert cov.min() == 1.0 and not excluded.any()
+        oracle = field_cells_scalar(xc, yc, posts, signs, current, r_post, r_cav)
+        for arr, arr_o in zip((Hx, Hy, e, cov), oracle):
+            np.testing.assert_array_equal(arr, arr_o)
+
+
 def test_field_cells_rejects_bad_sign_rows():
     xc, yc, posts, current, r_post, r_cav = _reference_cells(65)
     for rows in ([(1.0,)], [(1.0, 0.5)], [(1.0, -1.0, 1.0)]):
