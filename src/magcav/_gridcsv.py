@@ -2,9 +2,9 @@
 
 Every grid file the package writes goes through ``write_grid_csv``: one
 header line, then one row per cell with the outer axis in the outer
-loop, the inner axis in the inner loop, and the cell values after them.
-Floats are exactly ``'%.9e' % x``, CPython's correctly rounded formatter,
-and integers exactly ``'%d' % n``.
+loop, the inner axis in the inner loop, and the cell's value after them.
+Every float is exactly ``FORMAT % x``, CPython's correctly rounded
+formatter.
 
 Cell values are formatted a block of cells at a time, by array
 arithmetic.  For a float x with e = floor(log10 |x|) in the decades
@@ -22,15 +22,18 @@ string is exact once its rounding is certain, and only the cells near a
 tie need the slow path.  On the fixture maps 92 of 470 000 cells do.
 
 Each cell's row is laid out in 8-byte-aligned fields padded with NUL
-bytes: the outer-axis string and its comma (``'%.9e'`` once per outer
-row), the inner axis's string and comma (once per file), then one slot
-per value column.  The padding is dropped from each block before one
+bytes: the outer-axis string and its comma (formatted once per outer
+row), the inner axis's string and comma (once per file), then the
+value's 24-byte slot.  The padding is dropped from each block before one
 ``write`` call, so temporaries stay at one block of cells.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+# The one float format of every grid file: ten significant digits.
+FORMAT = "%.9e"
 
 # Cells per block: about 16k, as spectra._BLOCK_CELLS, so a block's row
 # buffer and the formatter's temporaries stay at about a megabyte.
@@ -64,8 +67,8 @@ def _digits8(v):
     return (hi | (v - hi * _U(10)) << _U(8)) + _ZEROS
 
 
-def _sci9(x, words, sep):
-    """Write ``'%.9e' % x + sep`` for the 1-D float array ``x``.
+def _sci9(x, words):
+    """Write ``FORMAT % x`` and a newline for the 1-D float array ``x``.
 
     ``words`` is the (x.size, 3) view of each cell's 24-byte slot.
     Returns the number of cells written by CPython's formatter.
@@ -83,33 +86,15 @@ def _sci9(x, words, sep):
     top = n // _U(100000000)  # the first two digits
     d0 = (top * _U(103)) >> _U(10)
     low = _digits8(n - top * _U(100000000))
-    # sign, d0, ".", d1 | d2 .. d9 | "e+dd" | sep
+    # sign, d0, ".", d1 | d2 .. d9 | "e+dd" | newline
     head = (d0 << _U(8)) | (top - d0 * _U(10)) << _U(24) | _U(0x302E3000)
     words[:, 0] = (head + np.signbit(x) * _U(ord("-"))) | low << _U(32)
     words[:, 1] = low >> _U(32) | _EXPONENT[k] << _U(32)
-    words[:, 2] = ord(sep)
+    words[:, 2] = ord("\n")
     slow = np.flatnonzero(~fast)
     if slow.size:
-        words.view(np.uint8)[slow] = _text(["%.9e" % v + sep for v in x[slow].tolist()], 24)
+        words.view(np.uint8)[slow] = _text([FORMAT % v + "\n" for v in x[slow].tolist()], 24)
     return slow.size
-
-
-def _int(n, words, sep):
-    """Write ``'%d' % n + sep`` for the 1-D integer (or bool) array ``n``.
-
-    ``words`` is the view of each cell's slot, wide enough for a sign,
-    the digits of every |n| and ``sep``.
-    """
-    raw = words.view(np.uint8)
-    n = n.astype(np.int64)
-    digits = raw.shape[1] - 2
-    raw[:] = 0
-    raw[:, 0] = np.where(n < 0, ord("-"), 0)
-    rest = np.where(n < 0, -n, n).view(np.uint64)  # exact for n = -2^63 too
-    for col in range(digits, 0, -1):  # right-aligned, leading zeros left NUL
-        raw[:, col] = np.where((rest > 0) | (col == digits), rest % _U(10) + _U(48), 0)
-        rest = rest // _U(10)
-    raw[:, digits + 1] = ord(sep)
 
 
 def _text(strings, width):
@@ -122,39 +107,25 @@ def _round8(n):
     return -(-n // 8) * 8
 
 
-def write_grid_csv(path, header: str, outer, inner, columns, formats) -> None:
-    """Write ``outer[i], inner[j], columns[0][i, j], ...`` rows.
+def write_grid_csv(path, header: str, outer, inner, values) -> None:
+    """Write ``outer[i], inner[j], values[i, j]`` rows.
 
-    ``formats`` holds one conversion per column: ``"%.9e"`` or ``"%d"``.
     Rows are built in blocks of about ``_BLOCK_CELLS`` cells (whole outer
     rows, or parts of one row when a row is longer than a block), each
     written with one call.
     """
-    if len(columns) != len(formats):
-        raise ValueError("one format per column is needed")
-    outer_s = ["%.9e," % x for x in np.asarray(outer).tolist()]
-    inner_s = ["%.9e," % x for x in np.asarray(inner).tolist()]
+    values = np.asarray(values, dtype=float)
+    outer_s = [FORMAT % x + "," for x in np.asarray(outer).tolist()]
+    inner_s = [FORMAT % x + "," for x in np.asarray(inner).tolist()]
     n_outer, n_inner = len(outer_s), len(inner_s)
     # the (r, c) words of each axis's NUL-padded "x," strings
     outer_w = _text(outer_s, _round8(max(map(len, outer_s), default=0))).view(_WORD)
     inner_w = _text(inner_s, _round8(max(map(len, inner_s), default=0))).view(_WORD)
-    slots = []  # (values, writer, first word, words, separator)
-    at = outer_w.shape[1] + inner_w.shape[1]
-    for k, (col, fmt) in enumerate(zip(columns, formats)):
-        if fmt == "%.9e":
-            col, put, size = np.asarray(col, dtype=float), _sci9, 3
-        elif fmt == "%d":
-            col, put = np.asarray(col), _int
-            size = _round8(len(str(max(-int(col.min(initial=0)),
-                                       int(col.max(initial=0))))) + 2) // 8
-        else:
-            raise ValueError(f"unsupported column format {fmt!r}")
-        slots.append((col, put, at, size, "\n" if k == len(columns) - 1 else ","))
-        at += size
+    n_o = outer_w.shape[1]
+    at = n_o + inner_w.shape[1]  # the value's first word
     rows = max(1, _BLOCK_CELLS // max(n_inner, 1))
     span = min(max(n_inner, 1), _BLOCK_CELLS)
-    buf = np.empty((rows, span, at), dtype=_WORD)
-    n_o = outer_w.shape[1]
+    buf = np.empty((rows, span, at + 3), dtype=_WORD)
     with open(path, "wb") as fh:
         fh.write(header.encode("ascii") + b"\n")
         for i0 in range(0, n_outer, rows):
@@ -166,8 +137,7 @@ def write_grid_csv(path, header: str, outer, inner, columns, formats) -> None:
                     block[..., w] = outer_w[i0:i1, w, None]
                 for w in range(inner_w.shape[1]):
                     block[..., n_o + w] = inner_w[j0:j1, w]
-                words = block.reshape(-1, at)
-                for values, put, w0, size, sep in slots:
-                    put(values[i0:i1, j0:j1].ravel(), words[:, w0:w0 + size], sep)
+                words = block.reshape(-1, at + 3)
+                _sci9(values[i0:i1, j0:j1].ravel(), words[:, at:])
                 flat = words.view(np.uint8).reshape(-1)
                 fh.write(flat[flat != 0])

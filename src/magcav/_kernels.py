@@ -13,6 +13,8 @@ post and wall circles) has one numpy path, ``field_cells``.  It shares
 the masks, the subsample points and each post's field between all the
 current-sign rows it is given, so the dark and bright modes of one
 geometry cost one pass.  Its scalar reference lives in the test oracles.
+Every line-current field, on the grid or on a circle, is one post's
+unit-current field from ``post_fields`` summed by ``signed_sum``.
 """
 
 from __future__ import annotations
@@ -25,64 +27,11 @@ SUBSAMPLE = 8
 
 __all__ = [
     "SUBSAMPLE",
-    "line_current_H",
+    "post_fields",
+    "signed_sum",
     "s21_rows",
     "field_cells",
 ]
-
-
-def _line_term(x, y, px, py, current):
-    """In-plane H (A/m) of one infinite line current at points (x, y).
-
-    The line carries ``current`` along +z at (px, py); its azimuthal field
-    is current/(2*pi*rho).  Returns new arrays (Hx, Hy, r2), r2 being the
-    squared distance to the line; H is 0 where r2 == 0.
-    """
-    dx = x - px
-    dy = y - py
-    r2 = dx * dx
-    r2 += dy * dy
-    pref = (2.0 * np.pi) * r2
-    np.divide(current, pref, out=pref, where=r2 > 0.0)
-    hx = np.multiply(pref, dy, out=dy)
-    np.negative(hx, out=hx)
-    hy = np.multiply(pref, dx, out=dx)
-    return hx, hy, r2
-
-
-def line_current_H(
-    points: np.ndarray,
-    posts: np.ndarray,
-    signs: np.ndarray,
-    current: float = 1.0,
-    r_post: float = 0.0,
-) -> np.ndarray:
-    """In-plane H (A/m) of signed infinite line currents at given points.
-
-    Each post carries ``signs[p]*current`` along +z at ``posts[p]``; the
-    azimuthal field I/(2*pi*rho) is superposed.  Points within ``r_post``
-    of any post center get H = 0 (perfect-conductor interior).
-
-    Parameters
-    ----------
-    points : (..., 2) array of x, y in m.
-    posts : (npost, 2) array of post centers in m.
-    signs : (npost,) array of current signs.
-
-    Returns
-    -------
-    (..., 2) array of (Hx, Hy).
-    """
-    pts = np.asarray(points, dtype=float)
-    out = np.zeros(pts.shape)
-    inside = np.zeros(pts.shape[:-1], dtype=bool)
-    for (px, py), s in zip(np.asarray(posts, dtype=float), np.asarray(signs, dtype=float)):
-        hx, hy, r2 = _line_term(pts[..., 0], pts[..., 1], px, py, s * current)
-        inside |= r2 < r_post * r_post
-        out[..., 0] += hx
-        out[..., 1] += hy
-    out[inside] = 0.0
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -196,32 +145,40 @@ def s21_rows(freqs, half_widths, half_couplings, drive, f_axis, amplitude):
 # |H|^2 over the covered fraction.
 
 
-def _in_domain(x, y, post_r2, r_post, r_cav):
-    """True where (x, y) lies inside the wall and outside every post.
+def _line_term(x, y, px, py):
+    """In-plane H (A/m) at points (x, y) of a unit line current at (px, py).
 
-    ``post_r2`` yields the squared distances of the points to each post.
+    The line carries 1 A along +z; its azimuthal field is 1/(2*pi*rho).
+    Returns new arrays (Hx, Hy, r2), r2 being the squared distance to the
+    line; H is 0 where r2 == 0.
     """
-    ok = x * x + y * y <= r_cav * r_cav
-    for r2 in post_r2:
-        ok &= r2 >= r_post * r_post
-    return ok
+    dx = x - px
+    dy = y - py
+    r2 = dx * dx
+    r2 += dy * dy
+    pref = (2.0 * np.pi) * r2
+    np.divide(1.0, pref, out=pref, where=r2 > 0.0)
+    hx = np.multiply(pref, dy, out=dy)
+    np.negative(hx, out=hx)
+    hy = np.multiply(pref, dx, out=dx)
+    return hx, hy, r2
 
 
-def _post_fields(x, y, posts, current, r_post, r_cav):
-    """Each post's (Hx, Hy) at (x, y) when it carries +current, and the domain mask."""
+def post_fields(x, y, posts):
+    """Each post's unit-current (Hx, Hy) at (x, y), and the squared distances."""
     fields, r2s = [], []
     for px, py in posts:
-        hx, hy, r2 = _line_term(x, y, px, py, current)
+        hx, hy, r2 = _line_term(x, y, px, py)
         fields.append((hx, hy))
         r2s.append(r2)
-    return fields, _in_domain(x, y, r2s, r_post, r_cav)
+    return fields, r2s
 
 
-def _signed_sum(signs, fields):
-    """(Hx, Hy) of the posts with the given signs, summed in post order.
+def signed_sum(signs, fields):
+    """(Hx, Hy) of the posts with the given current signs, summed in post order.
 
-    Sums start from +0, as in ``line_current_H``, so a field that is zero
-    comes out as +0.0 whatever the signs of the zero terms.
+    Sums start from +0, so a field that is zero comes out as +0.0
+    whatever the signs of the zero terms.
     """
     Hx = np.zeros_like(fields[0][0])
     Hy = np.zeros_like(fields[0][1])
@@ -235,13 +192,24 @@ def _signed_sum(signs, fields):
     return Hx, Hy
 
 
-def field_cells(xc, yc, posts, sign_rows, current, r_post, r_cav, subsample=SUBSAMPLE):
+def _in_domain(x, y, post_r2, r_post, r_cav):
+    """True where (x, y) lies inside the wall and outside every post.
+
+    ``post_r2`` yields the squared distances of the points to each post.
+    """
+    ok = x * x + y * y <= r_cav * r_cav
+    for r2 in post_r2:
+        ok &= r2 >= r_post * r_post
+    return ok
+
+
+def field_cells(xc, yc, posts, sign_rows, r_post, r_cav):
     """Quadrature cells of the midplane field, one set per row of current signs.
 
-    In row ``k`` post ``p`` carries ``sign_rows[k][p] * current`` along +z;
-    each sign is -1, 0 or 1.  The cell masks, the subsample points and
-    each post's field are computed once and shared by all rows.  Returns
-    one ``(Hx, Hy, energy, coverage, excluded)`` tuple per row: node-center
+    In row ``k`` post ``p`` carries ``sign_rows[k][p]`` A along +z; each
+    sign is -1, 0 or 1.  The cell masks, the subsample points and each
+    post's field are computed once and shared by all rows.  Returns one
+    ``(Hx, Hy, energy, coverage, excluded)`` tuple per row: node-center
     field (0 on nodes outside the domain), cell-mean |H|^2 over the
     covered fraction, that fraction, and the mask of nodes outside the
     domain; the last two depend on the geometry only and are the same
@@ -271,8 +239,9 @@ def field_cells(xc, yc, posts, sign_rows, current, r_post, r_cav, subsample=SUBS
     )
 
     X, Y = np.meshgrid(xc, yc, indexing="ij")
-    node_fields, center_in = _post_fields(X, Y, posts, current, r_post, r_cav)
-    del X, Y
+    node_fields, node_r2 = post_fields(X, Y, posts)
+    center_in = _in_domain(X, Y, node_r2, r_post, r_cav)
+    del X, Y, node_r2
     full = counts == 4
     outside = ~center_in
     cut = ~full & ((counts != 0) | center_in)
@@ -280,27 +249,28 @@ def field_cells(xc, yc, posts, sign_rows, current, r_post, r_cav, subsample=SUBS
     not_full = ~full
 
     ci, cj = np.nonzero(cut)
-    ss = subsample
+    ss = SUBSAMPLE
     offs = (np.arange(ss) + 0.5) * dx / ss - 0.5 * dx
     sx = (xc[ci][:, None] + offs[None, :])[:, :, None]  # (m, ss, 1)
     sy = (yc[cj][:, None] + offs[None, :])[:, None, :]  # (m, 1, ss)
     px_ = np.broadcast_to(sx, (ci.size, ss, ss)).reshape(ci.size, ss * ss)
     py_ = np.broadcast_to(sy, (ci.size, ss, ss)).reshape(ci.size, ss * ss)
-    sub_fields, sub_in = _post_fields(px_, py_, posts, current, r_post, r_cav)
-    del px_, py_
+    sub_fields, sub_r2 = post_fields(px_, py_, posts)
+    sub_in = _in_domain(px_, py_, sub_r2, r_post, r_cav)
+    del px_, py_, sub_r2
     cnt = sub_in.sum(axis=1)
     coverage[ci, cj] = cnt / (ss * ss)
 
     cells = []
     for row in rows:
-        Hx, Hy = _signed_sum(row, node_fields)
+        Hx, Hy = signed_sum(row, node_fields)
         Hx[outside] = 0.0
         Hy[outside] = 0.0
         energy = Hx * Hx
         energy += Hy * Hy
         energy[not_full] = 0.0
 
-        e, ey = _signed_sum(row, sub_fields)
+        e, ey = signed_sum(row, sub_fields)
         e *= e
         ey *= ey
         e += ey

@@ -30,7 +30,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from ._gridcsv import write_grid_csv
 from .core import CONSTANTS, TWO_PI, DomainError, SphereSample
 
 __all__ = [
@@ -50,6 +49,12 @@ __all__ = [
 
 # Points per circle for the wall and post line integrals entering G.
 _N_THETA = 4096
+
+# Field-map cells across the cavity diameter: the default, and the range
+# within which the quadrature contracts downstream hold.
+RESOLUTION = 257
+MIN_RESOLUTION = 64
+MAX_RESOLUTION = 2049
 
 
 class GeometryError(DomainError):
@@ -132,8 +137,6 @@ def post_inductance(geometry: CavityGeometry) -> float:
 
 def mode_frequencies(geometry: CavityGeometry) -> tuple[float, float]:
     """(f_dark, f_bright) in Hz from the coupled-LC model."""
-    if geometry.coupling_k >= 1.0:  # unreachable through the type invariant
-        raise GeometryError("coupling_k >= 1 makes the circuit degenerate")
     f0 = 1.0 / (TWO_PI * math.sqrt(post_inductance(geometry) * post_capacitance(geometry)))
     return (
         f0 / math.sqrt(1.0 + geometry.coupling_k),
@@ -145,7 +148,9 @@ def mode_frequencies(geometry: CavityGeometry) -> tuple[float, float]:
 class FieldMap:
     """Midplane in-plane H field on a uniform cell-center grid.
 
-    ``Hx``/``Hy`` are node samples (A/m, zero on excluded nodes);
+    The posts carry 1 A each; every figure taken from a map is a ratio of
+    integrals of |H|^2, in which the current cancels.  ``Hx``/``Hy`` are
+    node samples (A/m, zero on excluded nodes);
     ``energy`` is the cell-mean |H|^2 over the covered fraction of each
     cell and ``coverage`` that fraction, which together define all
     integrals.  ``excluded`` marks node centers inside a post or outside
@@ -165,7 +170,6 @@ class FieldMap:
     coverage: np.ndarray
     excluded: np.ndarray
     mode: str
-    current: float
     geometry: CavityGeometry
 
     @property
@@ -187,11 +191,6 @@ class FieldMap:
         j = int(np.argmin(np.abs(self.ys)))
         return float(self.magnitude[i, j])
 
-    def to_csv(self, path) -> None:
-        """Write x_m, y_m, Hx, Hy, mask rows (mask 1 = excluded node)."""
-        write_grid_csv(path, "x_m,y_m,Hx,Hy,mask", self.xs, self.ys,
-                       (self.Hx, self.Hy, self.excluded), ("%.9e", "%.9e", "%d"))
-
 
 _MODE_SIGNS = {"dark": (1.0, 1.0), "bright": (1.0, -1.0)}
 
@@ -202,11 +201,10 @@ _MODE_SIGNS = {"dark": (1.0, 1.0), "bright": (1.0, -1.0)}
 _last_cells = None
 
 
-def _mode_cells(geometry: CavityGeometry, resolution: int, current: float):
+def _mode_cells(geometry: CavityGeometry, resolution: int):
     """Read-only field cells of both modes for the in-plane geometry."""
     global _last_cells
-    key = (geometry.cavity_radius, geometry.post_radius, geometry.post_spacing,
-           resolution, current)
+    key = (geometry.cavity_radius, geometry.post_radius, geometry.post_spacing, resolution)
     last = _last_cells
     if last is not None and last[0] == key:
         return last[1]
@@ -217,7 +215,7 @@ def _mode_cells(geometry: CavityGeometry, resolution: int, current: float):
     centers = -R + (np.arange(resolution) + 0.5) * dx
     posts = geometry.post_positions
     cells = _kernels.field_cells(
-        centers, centers, posts, list(_MODE_SIGNS.values()), current, geometry.post_radius, R
+        centers, centers, posts, list(_MODE_SIGNS.values()), geometry.post_radius, R
     )
     for arr in (centers, *(a for row in cells for a in row)):
         arr.flags.writeable = False
@@ -226,25 +224,21 @@ def _mode_cells(geometry: CavityGeometry, resolution: int, current: float):
     return found
 
 
-def field_map(
-    geometry: CavityGeometry,
-    mode: str,
-    resolution: int = 257,
-    current: float = 1.0,
-) -> FieldMap:
+def field_map(geometry: CavityGeometry, mode: str, resolution: int = RESOLUTION) -> FieldMap:
     """Two-line-current field map of the chosen cavity mode.
 
-    ``resolution`` counts grid cells across the cavity diameter; 64 is the
-    floor for the quadrature contracts downstream.  Odd values put a node
-    exactly on the inter-post midpoint.  Both modes of the last in-plane
-    geometry (cavity radius, post radius and spacing, resolution, current)
-    are kept, so repeated calls share read-only arrays.
+    ``resolution`` counts grid cells across the cavity diameter;
+    ``MIN_RESOLUTION`` is the floor for the quadrature contracts
+    downstream.  Odd values put a node exactly on the inter-post
+    midpoint.  Both modes of the last in-plane geometry (cavity radius,
+    post radius and spacing, resolution) are kept, so repeated calls
+    share read-only arrays.
     """
     if mode not in _MODE_SIGNS:
         raise DomainError("mode must be 'dark' or 'bright'")
-    if resolution < 64:
-        raise DomainError("resolution must be at least 64 cells across")
-    centers, cells = _mode_cells(geometry, resolution, current)
+    if resolution < MIN_RESOLUTION:
+        raise DomainError(f"resolution must be at least {MIN_RESOLUTION} cells across")
+    centers, cells = _mode_cells(geometry, resolution)
     Hx, Hy, energy, coverage, excluded = cells[mode]
     return FieldMap(
         xs=centers,
@@ -255,7 +249,6 @@ def field_map(
         coverage=coverage,
         excluded=excluded,
         mode=mode,
-        current=current,
         geometry=geometry,
     )
 
@@ -302,30 +295,26 @@ def filling_factor(
 def _circle_energy(fmap: FieldMap, center: tuple[float, float], radius: float) -> float:
     """Line integral of |H|^2 around a circle (A^2/m^2 * m)."""
     theta = (np.arange(_N_THETA) + 0.5) * (TWO_PI / _N_THETA)
-    pts = np.stack(
-        [center[0] + radius * np.cos(theta), center[1] + radius * np.sin(theta)],
-        axis=-1,
-    )
-    signs = np.array(_MODE_SIGNS[fmap.mode])
-    H = _kernels.line_current_H(
-        pts, fmap.geometry.post_positions, signs, fmap.current
-    )
-    e = H[:, 0] ** 2 + H[:, 1] ** 2
+    fields, _ = _kernels.post_fields(center[0] + radius * np.cos(theta),
+                                     center[1] + radius * np.sin(theta),
+                                     fmap.geometry.post_positions)
+    hx, hy = _kernels.signed_sum(_MODE_SIGNS[fmap.mode], fields)
+    e = hx * hx
+    e += hy * hy
     return float(e.sum() * radius * TWO_PI / _N_THETA)
 
 
-def geometric_factor(fmap: FieldMap, geometry: CavityGeometry, f0: float | None = None) -> float:
+def geometric_factor(fmap: FieldMap) -> float:
     """G = omega0 * mu0 * volume integral / surface integral, in ohm.
 
     The volume term is the height-weighted midplane energy; the surface
     collects the two end plates, the outer wall, and the post barrels,
-    all sampled from the same 2.5-D field.  ``f0`` overrides the lumped
-    mode frequency (useful for scaling studies); by default the
-    frequency matching the map's own mode is used.
+    all sampled from the same 2.5-D field.  omega0 is the lumped
+    frequency of the map's own mode.
     """
-    if f0 is None:
-        f_dark, f_bright = mode_frequencies(geometry)
-        f0 = f_dark if fmap.mode == "dark" else f_bright
+    geometry = fmap.geometry
+    f_dark, f_bright = mode_frequencies(geometry)
+    f0 = f_dark if fmap.mode == "dark" else f_bright
     area_integral = _midplane_energy_integral(fmap)
     volume = area_integral * geometry.height
     plates = 2.0 * area_integral
@@ -365,7 +354,7 @@ def geometry_scan(
     values,
     sphere: SphereSample,
     sphere_center: tuple[float, float] = (0.0, 0.0),
-    resolution: int = 257,
+    resolution: int = RESOLUTION,
 ) -> list[ScanRow]:
     """Re-evaluate frequencies and filling factors along one dimension.
 

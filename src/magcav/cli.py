@@ -31,7 +31,7 @@ from .cavity import (
     mode_frequencies,
     surface_resistance,
 )
-from .config import ConfigError, load_config
+from .config import _UNITS, ConfigError, load_config
 from .core import DomainError
 from .estimators import (
     UnidentifiableModelError,
@@ -55,7 +55,12 @@ EXIT_UNIDENTIFIABLE = 3
 EXIT_IO = 4
 
 # scan --start/--stop are given in the unit the config key uses
-_SCAN_UNIT = {"gap": ("um", 1e-6), "spacing": ("mm", 1e-3), "height": ("mm", 1e-3)}
+_SCAN_SCALE = {"gap": _UNITS["_um"], "spacing": _UNITS["_mm"], "height": _UNITS["_mm"]}
+
+# cavity's figures, in print order
+_CAVITY_FIGURES = (
+    "f_dark_Hz", "f_bright_Hz", "xi_dark", "xi_bright", "G_dark_ohm", "G_bright_ohm",
+)
 
 
 def _emit(name: str, value) -> None:
@@ -74,25 +79,38 @@ def _scan_csv_lines(rows):
         )
 
 
+def _write_map(dmap: DensityMap, prefix: str) -> None:
+    """Write ``prefix.csv`` and ``prefix.pgm``, then print both paths."""
+    paths = (prefix + ".csv", prefix + ".pgm")
+    dmap.write_csv(paths[0])
+    dmap.write_pgm(paths[1])
+    for path in paths:
+        print(f"wrote {path}")
+
+
 def cmd_cavity(args) -> int:
     cfg = load_config(args.config)
     geom = cfg.require("geometry")
     sphere = cfg.require("sphere")
 
     if args.scan is None:
-        f_dark, f_bright = mode_frequencies(geom)
-        _emit("f_dark_Hz", f_dark)
-        _emit("f_bright_Hz", f_bright)
-        results = {}
-        for mode in ("dark", "bright"):
-            fmap = field_map(geom, mode, resolution=cfg.resolution)
-            results[f"xi_{mode}"] = filling_factor(fmap, sphere)
-            results[f"G_{mode}_ohm"] = geometric_factor(fmap, geom)
-        for name in ("xi_dark", "xi_bright", "G_dark_ohm", "G_bright_ohm"):
-            _emit(name, results[name])
+        # every figure is computed before any is printed; an overflow shows
+        # up as a figure that is not finite, not as numpy warnings
+        with np.errstate(all="ignore"):
+            f_dark, f_bright = mode_frequencies(geom)
+            figures = {"f_dark_Hz": f_dark, "f_bright_Hz": f_bright}
+            for mode in ("dark", "bright"):
+                fmap = field_map(geom, mode, resolution=cfg.resolution)
+                figures[f"xi_{mode}"] = filling_factor(fmap, sphere)
+                figures[f"G_{mode}_ohm"] = geometric_factor(fmap)
+        for name in _CAVITY_FIGURES:
+            if not math.isfinite(figures[name]):
+                raise ConfigError(f"{name} = {figures[name]!r} is not finite")
+        for name in _CAVITY_FIGURES:
+            _emit(name, figures[name])
         return EXIT_OK
 
-    unit, scale = _SCAN_UNIT[args.scan]
+    scale = _SCAN_SCALE[args.scan]
     if args.start is None or args.stop is None:
         raise ConfigError("--scan needs --start and --stop")
     if args.steps < 1:
@@ -116,12 +134,7 @@ def cmd_spectrum(args) -> int:
     dmap = density_map(model, b_axis, f_axis, cfg.ports)
     if cfg.noise_sigma > 0.0:
         dmap = add_noise(dmap, cfg.noise_seed, cfg.noise_sigma)
-    csv_path = args.output + ".csv"
-    pgm_path = args.output + ".pgm"
-    dmap.write_csv(csv_path)
-    dmap.write_pgm(pgm_path)
-    print(f"wrote {csv_path}")
-    print(f"wrote {pgm_path}")
+    _write_map(dmap, args.output)
     return EXIT_OK
 
 
@@ -199,12 +212,7 @@ def cmd_predict(args) -> int:
         branches = bogoliubov_two_mode(f_b, slope * b_axis + offset, g_opt).frequencies
         values = lorentzian(f_axis, 1.0, branches[..., None], out["kappa_opt"]).sum(axis=1)
         dmap = DensityMap(b_axis, f_axis, values, {"kind": "bogoliubov-prediction"})
-        csv_path = args.map + ".csv"
-        pgm_path = args.map + ".pgm"
-        dmap.write_csv(csv_path)
-        dmap.write_pgm(pgm_path)
-        print(f"wrote {csv_path}")
-        print(f"wrote {pgm_path}")
+        _write_map(dmap, args.map)
     return EXIT_OK
 
 
@@ -217,7 +225,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("cavity", help="evaluate a cavity geometry, optionally scanning one parameter")
     p.add_argument("config")
-    p.add_argument("--scan", choices=sorted(_SCAN_UNIT), help="parameter to sweep")
+    p.add_argument("--scan", choices=sorted(_SCAN_SCALE), help="parameter to sweep")
     p.add_argument("--start", type=float, help="sweep start (um for gap, mm otherwise)")
     p.add_argument("--stop", type=float, help="sweep stop (um for gap, mm otherwise)")
     p.add_argument("--steps", type=int, default=11)

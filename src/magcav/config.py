@@ -36,7 +36,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cavity import CavityGeometry
+from ._gridcsv import FORMAT
+from .cavity import MAX_RESOLUTION, MIN_RESOLUTION, RESOLUTION, CavityGeometry
 from .core import DomainError, HybridModel, ModeKind, OscillatorMode, SphereSample
 from .spectra import PortCouplings
 
@@ -130,7 +131,7 @@ class RunConfig:
 
     path: str
     geometry: CavityGeometry | None = None
-    resolution: int = 257
+    resolution: int = RESOLUTION
     sphere: SphereSample | None = None
     model: HybridModel | None = None
     ports: PortCouplings = field(default_factory=PortCouplings)
@@ -168,7 +169,8 @@ def _geometry(sec: _Section) -> dict:
         L_correction=sec.pull("l_correction", default=1.0),
         coupling_k=sec.pull("coupling_k", default=0.0),
     )
-    return {"geometry": geom, "resolution": sec.count("resolution", 64, 2049, default=257)}
+    resolution = sec.count("resolution", MIN_RESOLUTION, MAX_RESOLUTION, default=RESOLUTION)
+    return {"geometry": geom, "resolution": resolution}
 
 
 def _sphere(sec: _Section) -> dict:
@@ -228,12 +230,30 @@ def _axis(sec: _Section, start_key: str, stop_key: str, steps_key: str) -> tuple
     return start, stop, steps
 
 
+def _written_axis(steps_key: str, start: float, stop: float, steps: int) -> np.ndarray:
+    """The axis, if it stays strictly increasing as map files write it."""
+    axis = np.linspace(start, stop, steps)
+    # FORMAT moves a value by at most half a unit u of its tenth significant
+    # digit, so neighbours more than u apart stay apart once written.  The
+    # screen allows 100 u, as log10 may misjudge the decade by one; only the
+    # neighbours it keeps are formatted.
+    with np.errstate(divide="ignore"):
+        decade = np.floor(np.log10(np.maximum(abs(axis[:-1]), abs(axis[1:]))))
+    close = np.flatnonzero(np.diff(axis) <= 100.0 * 10.0 ** (decade - 9))
+    if any(not float(FORMAT % axis[i]) < float(FORMAT % axis[i + 1]) for i in close.tolist()):
+        raise ConfigError(
+            f"[grid] {steps_key} = {steps} makes steps finer than the ten "
+            f"significant digits ({FORMAT}) of a map file"
+        )
+    return axis
+
+
 def _grid(sec: _Section) -> dict:
     b = _axis(sec, "b_start_t", "b_stop_t", "b_steps")
     f = _axis(sec, "f_start_ghz", "f_stop_ghz", "f_steps")
     if b[2] * f[2] > _MAX_CELLS:
         raise ConfigError(f"[grid] b_steps * f_steps = {b[2] * f[2]} exceeds {_MAX_CELLS} cells")
-    return {"b_axis": np.linspace(*b), "f_axis": np.linspace(*f)}
+    return {"b_axis": _written_axis("b_steps", *b), "f_axis": _written_axis("f_steps", *f)}
 
 
 def _noise(sec: _Section) -> dict:

@@ -124,8 +124,7 @@ class DensityMap:
 
     def write_csv(self, path) -> None:
         """Long-form rows B_T, f_Hz, s21_dB; B outer loop, f inner."""
-        write_grid_csv(path, _MAP_HEADER, self.B_axis, self.f_axis,
-                       (self.to_db(),), ("%.9e",))
+        write_grid_csv(path, _MAP_HEADER, self.B_axis, self.f_axis, self.to_db())
 
     @classmethod
     def read_csv(cls, path) -> "DensityMap":

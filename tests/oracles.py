@@ -302,15 +302,3 @@ def write_map_csv_fstring(path, dmap):
         for i, b in enumerate(dmap.B_axis):
             for j, fr in enumerate(dmap.f_axis):
                 fh.write(f"{b:.9e},{fr:.9e},{db[i, j]:.9e}\n")
-
-
-def write_field_csv_fstring(path, fmap):
-    """Reference field-map writer: one f-string and one write per cell."""
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write("x_m,y_m,Hx,Hy,mask\n")
-        for i, x in enumerate(fmap.xs):
-            for j, y in enumerate(fmap.ys):
-                fh.write(
-                    f"{x:.9e},{y:.9e},{fmap.Hx[i, j]:.9e},"
-                    f"{fmap.Hy[i, j]:.9e},{int(fmap.excluded[i, j])}\n"
-                )

@@ -143,7 +143,7 @@ def test_criterion_7_cavity_model():
     for mode in ("dark", "bright"):
         fmap = field_map(geom, mode)
         xi[mode] = filling_factor(fmap, sphere)
-        G[mode] = geometric_factor(fmap, geom)
+        G[mode] = geometric_factor(fmap)
 
     rows = geometry_scan(geom, "gap", np.linspace(10e-6, 150e-6, 6), sphere)
     fd = np.array([r.f_dark for r in rows])

@@ -133,18 +133,23 @@ def test_bright_mode_midpoint_strong():
 
 
 def test_far_field_closed_forms():
-    # on the perpendicular bisector the pair field is I*s/(2 pi (y^2+a^2)) x-hat-free
+    # on the perpendicular bisector the unit-current pair field is
+    # s/(2 pi (y^2+a^2)) x-hat-free
     a = 0.5 * BARE.post_spacing
     posts = BARE.post_positions
     y = 10.0 * BARE.post_spacing
-    pts = np.array([[0.0, y]])
-    H = _kernels.line_current_H(pts, posts, np.array([1.0, -1.0]), current=2.0)
-    expect = 2.0 * BARE.post_spacing / (2 * math.pi * (y * y + a * a))
-    assert H[0, 0] == pytest.approx(0.0, abs=1e-18)
-    assert H[0, 1] == pytest.approx(expect, rel=1e-12)
-    # and approaches the 2-D dipole asymptote I*s/(2 pi y^2)
-    dipole = 2.0 * BARE.post_spacing / (2 * math.pi * y * y)
-    assert H[0, 1] == pytest.approx(dipole, rel=5e-3)
+    fields, r2 = _kernels.post_fields(np.array([0.0]), np.array([y]), posts)
+    Hx, Hy = _kernels.signed_sum((1.0, -1.0), fields)
+    assert [d[0] for d in r2] == pytest.approx([y * y + a * a] * 2, rel=1e-15)
+    expect = BARE.post_spacing / (2 * math.pi * (y * y + a * a))
+    assert Hx[0] == pytest.approx(0.0, abs=1e-18)
+    assert Hy[0] == pytest.approx(expect, rel=1e-12)
+    # and approaches the 2-D dipole asymptote s/(2 pi y^2)
+    dipole = BARE.post_spacing / (2 * math.pi * y * y)
+    assert Hy[0] == pytest.approx(dipole, rel=5e-3)
+    # parallel currents cancel on the bisector's axis component instead
+    Hx, Hy = _kernels.signed_sum((1.0, 1.0), fields)
+    assert Hy[0] == 0.0 and Hx[0] == pytest.approx(-2 * y / (2 * math.pi * (y * y + a * a)))
 
 
 def test_mode_energy_complementarity():
@@ -157,7 +162,7 @@ def test_mode_energy_complementarity():
 
     cells = _kernels.field_cells(
         centers, centers, posts, [(1.0, 1.0), (1.0, -1.0), (1.0, 0.0), (0.0, 1.0)],
-        1.0, BARE.post_radius, R,
+        BARE.post_radius, R,
     )
     dark, bright, left, right = (c[2] for c in cells)
 
@@ -176,14 +181,6 @@ def test_filling_factor_reference_frozen():
     # coarse anchors from the measured device
     assert 3e-2 / 3 < xi_b < 3e-2 * 3
     assert 1e-2 / 3 < xi_d / xi_b < 1e-2 * 3
-
-
-def test_filling_factor_current_invariance():
-    ref = reference_cavity()
-    sph = reference_sphere()
-    xi_1 = filling_factor(field_map(ref, "bright", resolution=129), sph)
-    xi_3 = filling_factor(field_map(ref, "bright", resolution=129, current=3.7), sph)
-    assert xi_3 == pytest.approx(xi_1, rel=1e-13)
 
 
 def test_filling_factor_grid_doubling():
@@ -219,8 +216,8 @@ def test_filling_factor_geometry_errors():
 
 def test_geometric_factor_frozen():
     ref = reference_cavity()
-    G_d = geometric_factor(field_map(ref, "dark"), ref)
-    G_b = geometric_factor(field_map(ref, "bright"), ref)
+    G_d = geometric_factor(field_map(ref, "dark"))
+    G_b = geometric_factor(field_map(ref, "bright"))
     assert G_d == pytest.approx(46.47352434652992, rel=1e-9)
     assert G_b == pytest.approx(54.61320685469967, rel=1e-9)
     assert 51.0 / 2 < G_d < 51.0 * 2
@@ -228,19 +225,20 @@ def test_geometric_factor_frozen():
 
 
 def test_geometric_factor_length_scaling():
-    # at fixed frequency, G grows linearly with a uniform scale-up
+    # a uniform scale-up by lam multiplies volume/surface by lam and the
+    # lumped f0 by 1/lam (L and C each grow by lam), so G stays put
     lam = 2.0
-    big = CavityGeometry(
-        cavity_radius=lam * BARE.cavity_radius,
-        height=lam * BARE.height,
-        post_radius=lam * BARE.post_radius,
-        gap=lam * BARE.gap,
-        post_spacing=lam * BARE.post_spacing,
-    )
-    f0 = 1.4e10
-    G_1 = geometric_factor(field_map(BARE, "bright", resolution=129), BARE, f0=f0)
-    G_2 = geometric_factor(field_map(big, "bright", resolution=129), big, f0=f0)
-    assert G_2 == pytest.approx(lam * G_1, rel=1e-9)
+    ref = reference_cavity()
+    big = dataclasses.replace(ref, **{
+        name: lam * getattr(ref, name)
+        for name in ("cavity_radius", "height", "post_radius", "gap", "post_spacing")
+    })
+    for mode, f_ref, f_big in zip(("dark", "bright"), mode_frequencies(ref),
+                                  mode_frequencies(big)):
+        assert f_big == pytest.approx(f_ref / lam, rel=1e-12)
+        G_1 = geometric_factor(field_map(ref, mode, resolution=129))
+        G_2 = geometric_factor(field_map(big, mode, resolution=129))
+        assert G_2 == pytest.approx(G_1, rel=1e-9)
 
 
 def test_surface_resistance():
@@ -250,7 +248,7 @@ def test_surface_resistance():
         surface_resistance(51.0, 0.0)
     # field-model value against the measured milliohms
     ref = reference_cavity()
-    G_b = geometric_factor(field_map(ref, "bright"), ref)
+    G_b = geometric_factor(field_map(ref, "bright"))
     assert surface_resistance(G_b, 714.0) == pytest.approx(76e-3, rel=0.35)
 
 
@@ -285,20 +283,6 @@ def test_geometry_scan_error_rows():
         geometry_scan(ref, "tilt", [1.0], sph)
 
 
-def test_field_map_csv(tmp_path):
-    fmap = field_map(BARE, "dark", resolution=129)
-    path = tmp_path / "map.csv"
-    fmap.to_csv(path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "x_m,y_m,Hx,Hy,mask"
-    assert len(lines) == 1 + 129 * 129
-    first = lines[1].split(",")
-    assert float(first[0]) == pytest.approx(fmap.xs[0], rel=1e-9)
-    assert first[4] in ("0", "1")
-    masks = {line.rsplit(",", 1)[1] for line in lines[1:]}
-    assert masks == {"0", "1"}
-
-
 # ---------------------------------------------------------------------------
 # The one-entry field-cell memo behind field_map
 
@@ -308,9 +292,9 @@ _MAP_ARRAYS = ("xs", "ys", "Hx", "Hy", "energy", "coverage", "excluded")
 _IN_PLANE = [(5.0e-3, 0.4e-3, 2.3e-3), (5.0e-3, 0.4e-3, 1.8e-3), (4.0e-3, 0.3e-3, 2.6e-3)]
 
 
-def _fresh_field_map(geom, mode, resolution, current):
+def _fresh_field_map(geom, mode, resolution):
     cavity._last_cells = None
-    return field_map(geom, mode, resolution=resolution, current=current)
+    return field_map(geom, mode, resolution=resolution)
 
 
 @given(data=st.data())
@@ -321,23 +305,22 @@ def test_field_map_memo_is_invisible(data):
         st.sampled_from(_IN_PLANE),
         st.sampled_from([(1.4e-3, 73e-6), (2.0e-3, 30e-6)]),
         st.sampled_from(resolutions),
-        st.sampled_from([1.0, 0.37, 2.5]),
         st.sampled_from(["dark", "bright"]),
     )
     calls = data.draw(st.lists(call, min_size=2, max_size=8))
     want = {}
     for c in calls:
-        (R, rp, a), (h, gap), res, cur, mode = c
-        fm = _fresh_field_map(CavityGeometry(R, h, rp, gap, a), mode, res, cur)
+        (R, rp, a), (h, gap), res, mode = c
+        fm = _fresh_field_map(CavityGeometry(R, h, rp, gap, a), mode, res)
         want[c] = [getattr(fm, name).tobytes() for name in _MAP_ARRAYS]
     cavity._last_cells = None
     for c in calls:
-        (R, rp, a), (h, gap), res, cur, mode = c
+        (R, rp, a), (h, gap), res, mode = c
         geom = CavityGeometry(R, h, rp, gap, a)
-        fm = field_map(geom, mode, resolution=res, current=cur)
+        fm = field_map(geom, mode, resolution=res)
         # bytes compare signed zeros too
         assert [getattr(fm, name).tobytes() for name in _MAP_ARRAYS] == want[c]
-        assert fm.geometry is geom and fm.mode == mode and fm.current == cur
+        assert fm.geometry is geom and fm.mode == mode
         for name in _MAP_ARRAYS:
             with pytest.raises(ValueError):
                 getattr(fm, name)[0] = 0
@@ -350,7 +333,7 @@ def _scan_row_by_row(base, parameter, values, sphere, resolution):
         try:
             geom = dataclasses.replace(base, **{field: float(v)})
             f_dark, f_bright = mode_frequencies(geom)
-            xi = [filling_factor(_fresh_field_map(geom, mode, resolution, 1.0), sphere)
+            xi = [filling_factor(_fresh_field_map(geom, mode, resolution), sphere)
                   for mode in ("dark", "bright")]
             rows.append(ScanRow(float(v), f_dark, f_bright, *xi))
         except DomainError as exc:

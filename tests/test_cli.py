@@ -6,6 +6,7 @@ Commands run in-process through main(argv) with captured stdout.
 """
 
 import hashlib
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -88,6 +89,19 @@ def test_cavity_invalid_geometry_names_invariant(tmp_path, capsys):
     code, _, err = run_cli(capsys, "cavity", bad)
     assert code == 2
     assert "post_spacing" in err
+
+
+def test_cavity_prints_no_figure_before_an_overflow(tmp_path, capsys):
+    # a finite radius whose field grid overflows: every figure is computed
+    # first, so nothing is printed and no numpy warning escapes
+    bad = tmp_path / "huge.ini"
+    text = (FIXTURES / "reference_cavity.ini").read_text()
+    bad.write_text(text.replace("cavity_radius_mm = 5", "cavity_radius_mm = 1e300"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, out, err = run_cli(capsys, "cavity", bad)
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("config error: ")
 
 
 @pytest.mark.parametrize("steps", ["0", "-1"])
@@ -280,6 +294,23 @@ def test_spectrum_writes_both_files_and_is_deterministic(tmp_path, capsys):
     assert _sha(str(out1) + ".pgm") == _sha(str(out2) + ".pgm")
     with open(str(out1) + ".pgm", "rb") as fh:
         assert fh.readline() == b"P5\n"
+
+
+@pytest.mark.parametrize("f_steps, code", [("400", 2), ("2", 0)])
+def test_spectrum_rejects_an_axis_finer_than_the_written_digits(tmp_path, capsys, f_steps, code):
+    # 18.9 .. 18.9000001 GHz spans ten steps of the writer's tenth digit:
+    # 400 steps would write 11 distinct f strings, a map fit cannot read
+    fine = tmp_path / "fine.ini"
+    text = (FIXTURES / "bright_crossing.ini").read_text()
+    fine.write_text(text.replace("f_stop_ghz = 22.9", "f_stop_ghz = 18.9000001")
+                    .replace("f_steps = 400", f"f_steps = {f_steps}"))
+    got, out, err = run_cli(capsys, "spectrum", fine, "-o", tmp_path / "map")
+    assert got == code
+    if code == 2:
+        assert out == "" and "f_steps" in err and len(err.splitlines()) == 1
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["fine.ini"]
+    else:
+        assert DensityMap.read_csv(tmp_path / "map.csv").f_axis.size == 2
 
 
 def test_spectrum_unwritable_output_is_io_error(tmp_path, capsys):

@@ -9,9 +9,11 @@ import configparser
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from magcav.config import load_config
+from magcav.config import ConfigError, _written_axis, load_config
 from magcav.core import ModeKind
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -140,3 +142,23 @@ def test_defaults_are_scaled_like_typed_values(tmp_path):
     assert cfg.current["magnon_slope"] == 28.129 * 1e9
     assert cfg.current["magnon_offset"] == 0.0
     assert cfg.optimized["linewidth_factor"] == 1.0
+
+
+@given(
+    start=st.one_of(st.sampled_from([0.0, -0.6, 18.9e9, 1e-300]), st.floats(-1e12, 1e12)),
+    digits=st.integers(-16, 1),
+    mantissa=st.floats(1.0, 10.0),
+    steps=st.integers(2, 300),
+)
+@settings(max_examples=300, deadline=None)
+def test_axis_digit_check_matches_formatting_every_value(start, digits, mantissa, steps):
+    # the reference formats and parses back every value of the axis
+    stop = start + mantissa * 10.0**digits * max(abs(start), 1e-300)
+    assume(start < stop)
+    written = [float(f"{x:.9e}") for x in np.linspace(start, stop, steps)]
+    if all(a < b for a, b in zip(written, written[1:])):
+        assert _written_axis("f_steps", start, stop, steps).tobytes() == (
+            np.linspace(start, stop, steps).tobytes())
+    else:
+        with pytest.raises(ConfigError, match="f_steps"):
+            _written_axis("f_steps", start, stop, steps)

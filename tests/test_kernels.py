@@ -14,10 +14,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from magcav import _kernels, spectra
-from magcav._kernels import field_cells, line_current_H, s21_rows
+from magcav._kernels import field_cells, s21_rows
 from magcav.config import load_config
 
-from oracles import _in_cavity_domain, field_cells_scalar, s21_point_solve
+from oracles import _in_cavity_domain, _line_currents_H, field_cells_scalar, s21_point_solve
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -163,16 +163,16 @@ def _reference_cells(resolution):
     dx = 2.0 * r_cav / resolution
     centers = -r_cav + (np.arange(resolution) + 0.5) * dx
     posts = np.array([[-a, 0.0], [a, 0.0]])
-    return centers, centers, posts, 1.0, r_post, r_cav
+    return centers, centers, posts, r_post, r_cav
 
 
 @pytest.mark.parametrize("resolution", [65, 129])
 def test_field_cells_match_scalar_oracle(resolution):
-    xc, yc, posts, current, r_post, r_cav = _reference_cells(resolution)
-    cells = field_cells(xc, yc, posts, SIGN_ROWS, current, r_post, r_cav)
+    xc, yc, posts, r_post, r_cav = _reference_cells(resolution)
+    cells = field_cells(xc, yc, posts, SIGN_ROWS, r_post, r_cav)
     assert len(cells) == len(SIGN_ROWS)
     for signs, (Hx, Hy, e, cov, _) in zip(SIGN_ROWS, cells):
-        Hx_o, Hy_o, e_o, cov_o = field_cells_scalar(xc, yc, posts, signs, current, r_post, r_cav)
+        Hx_o, Hy_o, e_o, cov_o = field_cells_scalar(xc, yc, posts, signs, 1.0, r_post, r_cav)
         # coverage counts subsamples, an integer ratio: must match exactly
         np.testing.assert_array_equal(cov, cov_o)
         np.testing.assert_allclose(Hx, Hx_o, rtol=1e-12, atol=1e-9 * np.abs(Hx_o).max())
@@ -195,25 +195,38 @@ def test_field_cells_match_scalar_oracle(resolution):
 def test_field_cells_without_cut_cells_match_scalar_oracle():
     # a 9x9 patch of +-0.1 mm around the midpoint between the posts: every
     # cell lies wholly inside the domain, so none is cut
-    _, _, posts, current, r_post, r_cav = _reference_cells(65)
+    _, _, posts, r_post, r_cav = _reference_cells(65)
     xc = yc = np.linspace(-1e-4, 1e-4, 9)
-    cells = field_cells(xc, yc, posts, SIGN_ROWS, current, r_post, r_cav)
+    cells = field_cells(xc, yc, posts, SIGN_ROWS, r_post, r_cav)
     for signs, (Hx, Hy, e, cov, excluded) in zip(SIGN_ROWS, cells):
         assert cov.min() == 1.0 and not excluded.any()
-        oracle = field_cells_scalar(xc, yc, posts, signs, current, r_post, r_cav)
+        oracle = field_cells_scalar(xc, yc, posts, signs, 1.0, r_post, r_cav)
         for arr, arr_o in zip((Hx, Hy, e, cov), oracle):
             np.testing.assert_array_equal(arr, arr_o)
 
 
 def test_field_cells_rejects_bad_sign_rows():
-    xc, yc, posts, current, r_post, r_cav = _reference_cells(65)
+    xc, yc, posts, r_post, r_cav = _reference_cells(65)
     for rows in ([(1.0,)], [(1.0, 0.5)], [(1.0, -1.0, 1.0)]):
         with pytest.raises(ValueError):
-            field_cells(xc, yc, posts, rows, current, r_post, r_cav)
+            field_cells(xc, yc, posts, rows, r_post, r_cav)
 
 
-def test_line_current_H_masks_post_interior():
-    posts = np.array([[1e-3, 0.0]])
-    H = line_current_H(np.array([[1.05e-3, 0.0], [3e-3, 0.0]]), posts, [1.0], r_post=2e-4)
-    assert np.all(H[0] == 0.0)
-    assert np.any(H[1] != 0.0)
+@given(
+    half_spacing=st.floats(0.2e-3, 4e-3),
+    radius=st.floats(0.05e-3, 5e-3),
+    center=st.tuples(st.floats(-5e-3, 5e-3), st.floats(-5e-3, 5e-3)),
+    signs=st.sampled_from([(1.0, 1.0), (1.0, -1.0), (-1.0, 0.0), (0.0, 1.0)]),
+)
+@settings(max_examples=60, deadline=None)
+def test_signed_post_fields_match_scalar_oracle(half_spacing, radius, center, signs):
+    # the evaluator of the wall and post circle integrals behind G
+    posts = np.array([[-half_spacing, 0.0], [half_spacing, 0.0]])
+    theta = (np.arange(64) + 0.5) * (2.0 * np.pi / 64)
+    x = center[0] + radius * np.cos(theta)
+    y = center[1] + radius * np.sin(theta)
+    Hx, Hy = _kernels.signed_sum(signs, _kernels.post_fields(x, y, posts)[0])
+    want = np.array([_line_currents_H(a, b, posts, signs, 1.0) for a, b in zip(x, y)])
+    scale = np.abs(want).max()
+    np.testing.assert_allclose(Hx, want[:, 0], rtol=1e-12, atol=1e-14 * scale)
+    np.testing.assert_allclose(Hy, want[:, 1], rtol=1e-12, atol=1e-14 * scale)

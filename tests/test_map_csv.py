@@ -1,8 +1,9 @@
-"""Grid CSV files: byte-for-byte against the per-cell writers, and round trips.
+"""Map CSV files: byte-for-byte against the per-cell writer, and round trips.
 
-``oracles.write_map_csv_fstring`` and ``oracles.write_field_csv_fstring``
-are the one-f-string-per-cell writers the file format was defined by;
-the production writers must emit the same bytes for the same arrays.
+``oracles.write_map_csv_fstring`` is the one-f-string-per-cell writer
+the file format was defined by; the production writer must emit the
+same bytes for the same arrays.  Tests that need value cells of any
+sign stand in their own dB array for ``DensityMap.to_db``.
 """
 
 import functools
@@ -18,10 +19,9 @@ from hypothesis.extra.numpy import arrays
 
 import oracles
 from magcav import _gridcsv
-from magcav.cavity import FieldMap, field_map
 from magcav.cli import main
 from magcav.config import load_config
-from magcav.presets import bright_crossing_model, reference_cavity
+from magcav.presets import bright_crossing_model
 from magcav.spectra import DensityMap, PortCouplings, density_map
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -48,6 +48,11 @@ def _floats(draw, shape):
     return draw(arrays(np.float64, shape, elements=_FLOATS))
 
 
+def _with_db(monkeypatch, db):
+    """Make every DensityMap's dB cells exactly ``db``, whatever its sign."""
+    monkeypatch.setattr(DensityMap, "to_db", lambda self: db)
+
+
 @given(data=st.data())
 @_BYTES_SETTINGS
 def test_map_csv_matches_fstring_oracle(tmp_path, data):
@@ -61,16 +66,14 @@ def test_map_csv_matches_fstring_oracle(tmp_path, data):
 
 @given(data=st.data())
 @_BYTES_SETTINGS
-def test_field_csv_matches_fstring_oracle(tmp_path, data):
-    nx, ny = data.draw(_SHAPES)
-    fmap = FieldMap(
-        _floats(data.draw, nx), _floats(data.draw, ny),
-        _floats(data.draw, (nx, ny)), _floats(data.draw, (nx, ny)),
-        energy=None, coverage=None, excluded=data.draw(arrays(np.bool_, (nx, ny))),
-        mode="dark", current=1.0, geometry=None,
-    )
-    fmap.to_csv(tmp_path / "new.csv")
-    oracles.write_field_csv_fstring(tmp_path / "old.csv", fmap)
+def test_signed_db_csv_matches_fstring_oracle(tmp_path, data):
+    # value cells of either sign, zeros and subnormals, not only dB levels
+    nB, nf = data.draw(_SHAPES)
+    dmap = DensityMap(_floats(data.draw, nB), _floats(data.draw, nf), np.ones((nB, nf)))
+    with pytest.MonkeyPatch.context() as mp:
+        _with_db(mp, _floats(data.draw, (nB, nf)))
+        dmap.write_csv(tmp_path / "new.csv")
+        oracles.write_map_csv_fstring(tmp_path / "old.csv", dmap)
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
 
 
@@ -80,36 +83,14 @@ def test_blocks_that_split_rows_match_fstring_oracle(tmp_path, monkeypatch, bloc
     monkeypatch.setattr(_gridcsv, "_BLOCK_CELLS", block)
     rng = np.random.default_rng(block)
     shape = (5, 13)
-    cells = rng.choice(np.r_[_SPECIAL, rng.normal(0.0, 1e3, 40)], (3,) + shape)
+    cells = rng.choice(np.r_[_SPECIAL, rng.normal(0.0, 1e3, 40)], (2,) + shape)
     dmap = DensityMap(rng.normal(size=5), rng.normal(size=13), np.abs(cells[0]))
     dmap.write_csv(tmp_path / "new.csv")
     oracles.write_map_csv_fstring(tmp_path / "old.csv", dmap)
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
-    fmap = FieldMap(
-        rng.normal(size=5), rng.normal(size=13), cells[1], cells[2],
-        energy=None, coverage=None, excluded=rng.random(shape) < 0.5,
-        mode="dark", current=1.0, geometry=None,
-    )
-    fmap.to_csv(tmp_path / "new.csv")
-    oracles.write_field_csv_fstring(tmp_path / "old.csv", fmap)
-    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
-
-
-def test_integer_column_matches_percent_d(tmp_path):
-    ints = np.array([[0, -1, 7, 10, -10], [99, -100, 2**63 - 1, -(2**63), 120034]])
-    xs, ys = [0.5, -2.0], [1.0, 2.0, 3.0, 4.0, 5.0]
-    _gridcsv.write_grid_csv(tmp_path / "ints.csv", "x,y,n", xs, ys, (ints,), ("%d",))
-    want = "x,y,n\n" + "".join(
-        "%.9e,%.9e,%d\n" % (x, y, ints[i, j])
-        for i, x in enumerate(xs) for j, y in enumerate(ys)
-    )
-    assert (tmp_path / "ints.csv").read_text() == want
-
-
-def test_cavity_field_map_matches_fstring_oracle(tmp_path):
-    fmap = field_map(reference_cavity(), "bright", resolution=65)
-    fmap.to_csv(tmp_path / "new.csv")
-    oracles.write_field_csv_fstring(tmp_path / "old.csv", fmap)
+    _with_db(monkeypatch, cells[1])
+    dmap.write_csv(tmp_path / "new.csv")
+    oracles.write_map_csv_fstring(tmp_path / "old.csv", dmap)
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
 
 
@@ -163,26 +144,18 @@ def _near_ties(draw):
 @given(data=st.data())
 @_BYTES_SETTINGS
 def test_tie_band_cells_match_percent_formatter(tmp_path, data):
-    nx, ny = data.draw(_SHAPES)
-    cells = [data.draw(arrays(np.float64, (nx, ny), elements=_near_ties()))
-             for _ in range(3)]
-    fmap = FieldMap(
-        np.arange(nx) * 1e-3, np.arange(ny) * 1e-3, cells[0], cells[1],
-        energy=None, coverage=None, excluded=np.zeros((nx, ny), dtype=bool),
-        mode="dark", current=1.0, geometry=None,
-    )
-    fmap.to_csv(tmp_path / "field.csv")
-    # the map's dB cells are exactly the drawn values
-    dmap = DensityMap(np.arange(nx), np.arange(ny), np.ones((nx, ny)))
+    nB, nf = data.draw(_SHAPES)
+    # axes and dB cells alike within a few ulp of a tie or a power of ten
+    B, f = (data.draw(arrays(np.float64, n, elements=_near_ties())) for n in (nB, nf))
+    db = data.draw(arrays(np.float64, (nB, nf), elements=_near_ties()))
+    dmap = DensityMap(B, f, np.ones((nB, nf)))
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(DensityMap, "to_db", lambda self: cells[2])
-        dmap.write_csv(tmp_path / "map.csv")
-    field_rows = (tmp_path / "field.csv").read_text().splitlines()[1:]
-    map_rows = (tmp_path / "map.csv").read_text().splitlines()[1:]
-    for row, hx, hy in zip(field_rows, cells[0].ravel(), cells[1].ravel()):
-        assert row.split(",")[2:4] == ["%.9e" % hx, "%.9e" % hy]
-    for row, db in zip(map_rows, cells[2].ravel()):
-        assert row.split(",")[2] == "%.9e" % db
+        _with_db(mp, db)
+        dmap.write_csv(tmp_path / "new.csv")
+        oracles.write_map_csv_fstring(tmp_path / "old.csv", dmap)
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+    for row, cell in zip((tmp_path / "new.csv").read_text().splitlines()[1:], db.ravel()):
+        assert row.split(",")[2] == "%.9e" % cell
 
 
 def test_dark_fixture_map_rarely_falls_back(tmp_path, monkeypatch):
