@@ -1,10 +1,11 @@
-"""Long-form CSV writer for values sampled on a rectangular grid.
+"""Long-form CSV writer and reader for values sampled on a rectangular grid.
 
 Every grid file the package writes goes through ``write_grid_csv``: one
 header line, then one row per cell with the outer axis in the outer
 loop, the inner axis in the inner loop, and the cell's value after them.
 Every float is exactly ``FORMAT % x``, CPython's correctly rounded
-formatter.
+formatter.  ``read_grid_csv`` reads back the files of three-column grids
+laid out that way and declines every other file.
 
 Cell values are formatted a block of cells at a time, by array
 arithmetic.  For a float x with e = floor(log10 |x|) in the decades
@@ -29,6 +30,9 @@ value's 24-byte slot.  The padding is dropped from each block before one
 """
 
 from __future__ import annotations
+
+import os
+import re
 
 import numpy as np
 
@@ -141,3 +145,120 @@ def write_grid_csv(path, header: str, outer, inner, values) -> None:
                 _sci9(values[i0:i1, j0:j1].ravel(), words[:, at:])
                 flat = words.view(np.uint8).reshape(-1)
                 fh.write(flat[flat != 0])
+
+
+# One field as the writer prints a finite float with a two-digit exponent.
+_FIELD = re.compile(rb"-?[0-9]\.[0-9]{9}e[+-][0-9]{2}")
+# Bytes per read block, rounded down to whole outer rows (at least one).
+_BLOCK_BYTES = 3 << 19
+# Within a value field's unsigned part "d.ddddddddde+dd\n": the digits,
+# the fixed bytes and the exponent's sign.
+_DIGITS = np.array([0, 2, 3, 4, 5, 6, 7, 8, 9, 10, 13, 14])
+_FIXED = (1, 11, 15)
+_ESIGN = 12
+# Digit weights of the ten-digit mantissa, and the exact powers of ten
+# 10^k / 10^-k for |k| <= 22 (Clinger's fast path), indexed by k + 22.
+_WEIGHTS = np.array([float(10 ** (9 - i)) for i in range(10)])
+_UP = np.array([float(10 ** max(k, 0)) for k in range(-22, 23)])
+_DOWN = np.array([float(10 ** max(-k, 0)) for k in range(-22, 23)])
+
+
+def _axis(strings):
+    """The values of one axis's ``"x,"`` strings, or None.
+
+    None unless every string is a field followed by its comma and the
+    values strictly increase.
+    """
+    if not all(s[-1:] == b"," and _FIELD.fullmatch(s, 0, len(s) - 1) for s in strings):
+        return None
+    x = np.array([float(s[:-1]) for s in strings])
+    return x if np.all(np.diff(x) > 0.0) else None
+
+
+def read_grid_csv(path, header: str):
+    """``(outer, inner, values)`` of a three-column file in the writer's layout.
+
+    The first data row is the template: its length, its comma positions
+    and each field's ``[-]d.ddddddddde[+-]dd`` shape.  Every row must
+    follow it, every row of an outer block must carry that block's outer
+    string, every block the first block's inner strings, and both axes
+    must strictly increase.  Then the file is a complete grid in the
+    writer's order, and each value is its ten-digit mantissa times or
+    over one exact power of ten, the correctly rounded double.
+
+    Returns None for any other file (another header line or line end, a
+    row off the template, a value whose scale 10^(e - 9) is not an exact
+    double, a missing final newline); the caller then reads it with a
+    general parser.  The file is read in blocks of whole outer rows
+    into one reused buffer.
+    """
+    head = header.encode("ascii") + b"\n"
+    with open(path, "rb") as fh:
+        if fh.readline(len(head)) != head:
+            return None
+        start = len(head)
+        first = fh.readline(64)  # a template row has at most 3 * 17 bytes
+        fields = first[:-1].split(b",")
+        if (first[-1:] != b"\n" or len(fields) != 3
+                or not all(_FIELD.fullmatch(x) for x in fields)):
+            return None
+        width = len(first)
+        n_rows, rest = divmod(os.fstat(fh.fileno()).st_size - start, width)
+        if rest:
+            return None
+        c1 = len(fields[0]) + 1  # each axis string ends at its comma
+        c2 = c1 + len(fields[1]) + 1
+        neg = fields[2][:1] == b"-"
+        # the inner size: the first row whose outer string is not the first's
+        lo, hi = 1, n_rows
+        while lo < hi:
+            mid = (lo + hi) // 2
+            fh.seek(start + mid * width)
+            if fh.read(c1) == first[:c1]:
+                lo = mid + 1
+            else:
+                hi = mid
+        n_inner = lo
+        if n_rows % n_inner:
+            return None
+        rows = n_inner * max(1, _BLOCK_BYTES // (n_inner * width))
+        buf = np.empty(rows * width, dtype=np.uint8)
+        values = np.empty(n_rows)
+        outer_s = []
+        inner_b = None
+        fh.seek(start)
+        for r0 in range(0, n_rows, rows):
+            n = min(rows, n_rows - r0)
+            if fh.readinto(buf[: n * width]) != n * width:
+                return None
+            a = buf[: n * width].reshape(n, width)
+            g = a.reshape(-1, n_inner, width)
+            if inner_b is None:
+                inner_b = g[0, :, c1:c2].copy()
+            if not ((g[:, :, :c1] == g[:, :1, :c1]).all()
+                    and (g[:, :, c1:c2] == inner_b).all()):
+                return None
+            outer_s += [bytes(s) for s in g[:, 0, :c1]]
+            v = a[:, c2 + neg:]  # the value's unsigned part and the newline
+            d = v[:, _DIGITS] - np.uint8(48)
+            if not ((d < 10).all()
+                    and (v[:, _FIXED] == np.frombuffer(b".e\n", np.uint8)).all()
+                    and (((v[:, _ESIGN] - np.uint8(43)) & 0xFD) == 0).all()  # + or -
+                    and (not neg or (a[:, c2] == ord("-")).all())):
+                return None
+            e = d[:, 10].astype(np.intp) * 10 + d[:, 11]
+            k = np.where(v[:, _ESIGN] == ord("-"), -e, e) + (22 - 9)  # 10^(e - 9)
+            if not ((k >= 0) & (k < _UP.size)).all():
+                return None
+            q = values[r0:r0 + n]
+            # exact: the digits, their products and sums are integers below 2^53
+            np.matmul(d[:, :10].astype(np.float64), _WEIGHTS, out=q)
+            q *= _UP[k]
+            q /= _DOWN[k]
+            if neg:
+                np.negative(q, out=q)
+    outer = _axis(outer_s)
+    inner = _axis([bytes(s) for s in inner_b])
+    if outer is None or inner is None:
+        return None
+    return outer, inner, values.reshape(outer.size, inner.size)

@@ -116,7 +116,9 @@ def cmd_cavity(args) -> int:
     if args.steps < 1:
         raise ConfigError(f"--steps {args.steps} must be >= 1")
     values = np.linspace(args.start * scale, args.stop * scale, args.steps)
-    rows = geometry_scan(geom, args.scan, values, sphere, resolution=cfg.resolution)
+    # an overflow shows up in a row's error column, not as numpy warnings
+    with np.errstate(all="ignore"):
+        rows = geometry_scan(geom, args.scan, values, sphere, resolution=cfg.resolution)
     lines = list(_scan_csv_lines(rows))
     print("\n".join(lines))
     if args.csv is not None:

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import _kernels
-from ._gridcsv import write_grid_csv
+from ._gridcsv import read_grid_csv, write_grid_csv
 from .core import DomainError, HybridModel
 
 __all__ = [
@@ -134,12 +134,21 @@ class DensityMap:
         with an LF or CRLF end, no data rows, non-numeric cells, a
         non-finite field, frequency or amplitude, a wrong column count,
         missing or repeated cells) raises MapFormatError naming the file.
+
+        A file in the writer's own layout is read by ``read_grid_csv``;
+        any other goes through ``np.loadtxt``, with the same result.
         """
         head = _MAP_HEADER.encode()
         with open(path, "rb") as fh:
             line = fh.readline(len(head) + 2)
         if line not in (head + b"\n", head + b"\r\n"):
             raise MapFormatError(f"{path}: first line {line!r} is not the header {_MAP_HEADER}")
+        grid = read_grid_csv(path, _MAP_HEADER)
+        if grid is not None:
+            B_axis, f_axis, values = grid
+            values /= 20.0  # dB to linear amplitude in place, as below
+            np.power(10.0, values, out=values)
+            return cls._checked(path, B_axis, f_axis, values)
         try:
             with warnings.catch_warnings():
                 # an empty data section is reported below, not as a warning
@@ -173,9 +182,12 @@ class DensityMap:
         np.power(10.0, amp, out=amp)
         values = np.empty(seen.size)
         values[cell] = amp
+        return cls._checked(path, B_axis, f_axis, values.reshape(B_axis.size, f_axis.size))
+
+    @classmethod
+    def _checked(cls, path, B_axis, f_axis, values) -> "DensityMap":
         try:
-            return cls(B_axis, f_axis, values.reshape(B_axis.size, f_axis.size),
-                       {"source": str(path)})
+            return cls(B_axis, f_axis, values, {"source": str(path)})
         except DomainError as exc:
             raise MapFormatError(f"{path}: {exc}") from None
 

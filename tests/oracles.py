@@ -11,8 +11,12 @@ comparisons in the tests meaningful.
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
+
+from magcav.core import DomainError
+from magcav.spectra import DensityMap, MapFormatError
 
 TWO_PI = 2.0 * np.pi
 
@@ -302,3 +306,52 @@ def write_map_csv_fstring(path, dmap):
         for i, b in enumerate(dmap.B_axis):
             for j, fr in enumerate(dmap.f_axis):
                 fh.write(f"{b:.9e},{fr:.9e},{db[i, j]:.9e}\n")
+
+
+def read_map_loadtxt(path):
+    """Reference map reader: ``np.loadtxt`` and a one-byte-per-cell grid.
+
+    Any row order is accepted; the axes are the sorted distinct values of
+    the first two columns, and every (B, f) cell must appear exactly once.
+    Bad content raises MapFormatError naming the file.
+    """
+    header = "B_T,f_Hz,s21_dB"
+    head = header.encode()
+    with open(path, "rb") as fh:
+        line = fh.readline(len(head) + 2)
+    if line not in (head + b"\n", head + b"\r\n"):
+        raise MapFormatError(f"{path}: first line {line!r} is not the header {header}")
+    try:
+        with warnings.catch_warnings():
+            warnings.filterwarnings(
+                "ignore", "loadtxt: input contained no data", UserWarning
+            )
+            raw = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    except ValueError as exc:
+        raise MapFormatError(f"{path}: {exc}") from None
+    if raw.shape[0] == 0:
+        raise MapFormatError(f"{path}: no data rows")
+    if raw.shape[1] != 3:
+        raise MapFormatError(f"{path}: expected three columns: B_T, f_Hz, s21_dB")
+    B_axis = np.unique(raw[:, 0])
+    f_axis = np.unique(raw[:, 1])
+    if not (np.all(np.isfinite(B_axis)) and np.all(np.isfinite(f_axis))):
+        raise MapFormatError(f"{path}: B_T and f_Hz must be finite numbers")
+    cell = np.searchsorted(B_axis, raw[:, 0]) * f_axis.size
+    cell += np.searchsorted(f_axis, raw[:, 1])
+    seen = np.zeros(B_axis.size * f_axis.size, dtype=bool)
+    seen[cell] = True
+    if raw.shape[0] != seen.size or not seen.all():
+        raise MapFormatError(
+            f"{path}: CSV rows do not tile a complete (B, f) grid "
+            f"({int(seen.sum())} of {seen.size} cells in {raw.shape[0]} rows)"
+        )
+    amp = raw[:, 2]
+    amp /= 20.0
+    np.power(10.0, amp, out=amp)
+    values = np.empty(seen.size)
+    values[cell] = amp
+    try:
+        return DensityMap(B_axis, f_axis, values.reshape(B_axis.size, f_axis.size))
+    except DomainError as exc:
+        raise MapFormatError(f"{path}: {exc}") from None

@@ -104,6 +104,22 @@ def test_cavity_prints_no_figure_before_an_overflow(tmp_path, capsys):
     assert len(err.splitlines()) == 1 and err.startswith("config error: ")
 
 
+def test_cavity_scan_overflow_is_an_error_row_without_warnings(tmp_path, capsys):
+    # the same overflowing radius in a scan: each row reports it in its
+    # error column, the scan exits 0 and no numpy warning escapes
+    bad = tmp_path / "huge.ini"
+    text = (FIXTURES / "reference_cavity.ini").read_text()
+    bad.write_text(text.replace("cavity_radius_mm = 5", "cavity_radius_mm = 1e300"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, out, err = run_cli(capsys, "cavity", bad, "--scan", "gap",
+                                 "--start", "10", "--stop", "150", "--steps", "2")
+    assert code == 0 and err == ""
+    header, *rows = out.splitlines()
+    assert header.endswith(",error") and len(rows) == 2
+    assert all(row.endswith(",filling factor nan outside [0; 1]") for row in rows)
+
+
 @pytest.mark.parametrize("steps", ["0", "-1"])
 def test_cavity_scan_needs_a_step(tmp_path, capsys, steps):
     csv = tmp_path / "scan.csv"

@@ -1,13 +1,18 @@
-"""Map CSV files: byte-for-byte against the per-cell writer, and round trips.
+"""Map CSV files: byte-for-byte against the per-cell writer, bit-for-bit
+against the general reader, and round trips.
 
 ``oracles.write_map_csv_fstring`` is the one-f-string-per-cell writer
 the file format was defined by; the production writer must emit the
-same bytes for the same arrays.  Tests that need value cells of any
-sign stand in their own dB array for ``DensityMap.to_db``.
+same bytes for the same arrays.  ``oracles.read_map_loadtxt`` is the
+``np.loadtxt`` reader every map file was once read with; the production
+reader must return the same arrays bit for bit, or reject the same
+files.  Tests that need value cells of any sign stand in their own dB
+array for ``DensityMap.to_db``.
 """
 
 import functools
 import math
+import random
 import tempfile
 from fractions import Fraction
 from pathlib import Path
@@ -22,7 +27,7 @@ from magcav import _gridcsv
 from magcav.cli import main
 from magcav.config import load_config
 from magcav.presets import bright_crossing_model
-from magcav.spectra import DensityMap, PortCouplings, density_map
+from magcav.spectra import DensityMap, MapFormatError, PortCouplings, density_map
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -221,13 +226,15 @@ def _small_map():
         return path.read_bytes()
 
 
+_MUTATIONS = ["replace", "delete", "insert", "truncate", "duplicate", "swap", "crlf", "header"]
+
+
 @st.composite
-def _mutated_map(draw):
+def _mutated_map(draw, kinds=tuple(_MUTATIONS)):
     """The small map with one byte-level or row-level corruption."""
     data = _small_map()
     lines = data.splitlines(keepends=True)
-    kind = draw(st.sampled_from(
-        ["replace", "delete", "insert", "truncate", "duplicate", "swap", "crlf", "header"]))
+    kind = draw(st.sampled_from(kinds))
     at = draw(st.integers(0, len(data) - 1))
     row = draw(st.integers(1, len(lines) - 1))
     byte = bytes([draw(st.integers(0, 255) | st.sampled_from(b",.-+eE\n\r "))])
@@ -284,3 +291,130 @@ def test_malformed_map_ends_in_an_exit_code(tmp_path, capsys, content):
     # 3 unidentifiable, 4 bad map content
     assert main(["fit", str(path), "--kind", "two-mode"]) in (0, 1, 3, 4)
     capsys.readouterr()
+
+
+def _same_as_oracle(path):
+    """``DensityMap.read_csv`` returns the oracle's arrays, or both raise."""
+    try:
+        want = oracles.read_map_loadtxt(path)
+    except MapFormatError:
+        with pytest.raises(MapFormatError):
+            DensityMap.read_csv(path)
+        return None
+    got = DensityMap.read_csv(path)
+    for name in ("B_axis", "f_axis", "values"):
+        new, old = getattr(got, name), getattr(want, name)
+        assert new.shape == old.shape and new.tobytes() == old.tobytes(), name
+    return got
+
+
+# dB cells at the exponents where the exact scaling ends (10^-13 and 10^31
+# are the last decades with |k| <= 22) and beyond them
+_DB_EDGES = (1.5e-13, -1.5e-13, 9.5e-14, -9.5e-14, 2.5e31, -2.5e31, 1e32, -1e32, -200.0, 3.0)
+_DB = st.one_of(st.sampled_from(_SPECIAL + _DB_EDGES), st.floats(-300.0, 300.0))
+_AMPLITUDES = st.one_of(st.sampled_from((0.0, 5e-324, 1e-300, 1e-11, 1.0)), st.floats(0.0, 2.0))
+
+
+@given(data=st.data())
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_read_csv_matches_loadtxt_oracle(tmp_path, data):
+    nB, nf = data.draw(st.one_of(_SHAPES, st.tuples(st.integers(1, 12), st.integers(1, 12))))
+    if data.draw(st.booleans()):
+        # a grid in the writer's order; B may change sign (and field width)
+        B = data.draw(_increasing(nB, (-0.05, 1.0), (1e-4, 0.1)))
+        f = data.draw(_increasing(nf, (1e9, 3e10), (1e3, 1e8)))
+    else:
+        # any axes: repeated, unordered, of mixed widths or exponents
+        B, f = _floats(data.draw, nB), _floats(data.draw, nf)
+    path = tmp_path / "map.csv"
+    with pytest.MonkeyPatch.context() as mp:
+        # blocks of one outer row, of a few rows, and the default
+        block = data.draw(st.sampled_from([1, 200, _gridcsv._BLOCK_BYTES]))
+        mp.setattr(_gridcsv, "_BLOCK_BYTES", block)
+        if data.draw(st.booleans()):
+            amplitude = data.draw(arrays(np.float64, (nB, nf), elements=_AMPLITUDES))
+            DensityMap(B, f, amplitude).write_csv(path)
+        else:
+            _with_db(mp, data.draw(arrays(np.float64, (nB, nf), elements=_DB)))
+            DensityMap(B, f, np.ones((nB, nf))).write_csv(path)
+        _same_as_oracle(path)
+
+
+@pytest.mark.parametrize("kind", _MUTATIONS)
+@given(data=st.data())
+@settings(max_examples=25, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_mutated_map_reads_as_the_oracle(tmp_path, kind, data):
+    path = tmp_path / "map.csv"
+    path.write_bytes(data.draw(_mutated_map(kinds=(kind,))))
+    _same_as_oracle(path)
+
+
+@pytest.mark.parametrize("order", ["descending B", "descending f", "shuffled"])
+def test_reordered_rows_read_as_the_oracle(tmp_path, order):
+    # a complete grid in another row order is still a valid map
+    head, *rows = _small_map().splitlines(keepends=True)
+    nf = 60
+    blocks = [rows[i:i + nf] for i in range(0, len(rows), nf)]
+    if order == "descending B":
+        rows = [row for block in reversed(blocks) for row in block]
+    elif order == "descending f":
+        rows = [row for block in blocks for row in reversed(block)]
+    else:
+        random.Random(7).shuffle(rows)
+    (tmp_path / "sorted.csv").write_bytes(_small_map())
+    path = tmp_path / "map.csv"
+    path.write_bytes(head + b"".join(rows))
+    got = _same_as_oracle(path)
+    want = DensityMap.read_csv(tmp_path / "sorted.csv")
+    assert got.values.tobytes() == want.values.tobytes()
+
+
+def test_fixture_maps_take_the_template_path(tmp_path, monkeypatch, capsys):
+    for name in ("bright_crossing", "dark_doublet"):
+        assert main(["spectrum", str(FIXTURES / f"{name}.ini"), "-o", str(tmp_path / name)]) == 0
+    capsys.readouterr()
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the general parser read a map in the writer's layout")
+
+    monkeypatch.setattr(np, "loadtxt", forbidden)
+    assert DensityMap.read_csv(tmp_path / "bright_crossing.csv").values.shape == (200, 400)
+    assert DensityMap.read_csv(tmp_path / "dark_doublet.csv").values.shape == (220, 1500)
+
+
+def _mixed_sign_map(path):
+    with pytest.MonkeyPatch.context() as mp:
+        # dB of both signs: the value field's width changes from row to row
+        _with_db(mp, np.linspace(-3.0, 3.0, 42).reshape(6, 7))
+        DensityMap(np.arange(1.0, 7.0), np.arange(1.0, 8.0) * 1e9, np.ones((6, 7))).write_csv(path)
+
+
+@pytest.mark.parametrize("layout, fallbacks", [
+    ("writer", 0), ("crlf", 1), ("mixed sign", 1), ("plus sign", 1)])
+def test_other_layouts_fall_back_once(tmp_path, monkeypatch, layout, fallbacks):
+    path = tmp_path / "map.csv"
+    data = _small_map()
+    if layout == "mixed sign":
+        _mixed_sign_map(path)
+    elif layout == "plus sign":
+        # one negative dB after the template row written "+d.ddd...":
+        # as wide, but positive
+        lines = data.splitlines(keepends=True)
+        lines[5] = lines[5].replace(b",-", b",+")
+        path.write_bytes(b"".join(lines))
+    else:
+        path.write_bytes(data.replace(b"\n", b"\r\n") if layout == "crlf" else data)
+    calls = []
+    loadtxt = np.loadtxt
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return loadtxt(*args, **kwargs)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(np, "loadtxt", counting)
+        DensityMap.read_csv(path)
+    assert len(calls) == fallbacks
+    _same_as_oracle(path)
