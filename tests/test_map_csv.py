@@ -384,20 +384,17 @@ def test_fixture_maps_take_the_template_path(tmp_path, monkeypatch, capsys):
     assert DensityMap.read_csv(tmp_path / "dark_doublet.csv").values.shape == (220, 1500)
 
 
-def _mixed_sign_map(path):
-    with pytest.MonkeyPatch.context() as mp:
-        # dB of both signs: the value field's width changes from row to row
-        _with_db(mp, np.linspace(-3.0, 3.0, 42).reshape(6, 7))
-        DensityMap(np.arange(1.0, 7.0), np.arange(1.0, 8.0) * 1e9, np.ones((6, 7))).write_csv(path)
-
-
 @pytest.mark.parametrize("layout, fallbacks", [
     ("writer", 0), ("crlf", 1), ("mixed sign", 1), ("plus sign", 1)])
 def test_other_layouts_fall_back_once(tmp_path, monkeypatch, layout, fallbacks):
     path = tmp_path / "map.csv"
     data = _small_map()
     if layout == "mixed sign":
-        _mixed_sign_map(path)
+        with monkeypatch.context() as mp:
+            # dB of both signs: the value field's width changes from row to row
+            _with_db(mp, np.linspace(-3.0, 3.0, 42).reshape(6, 7))
+            DensityMap(np.arange(1.0, 7.0), np.arange(1.0, 8.0) * 1e9,
+                       np.ones((6, 7))).write_csv(path)
     elif layout == "plus sign":
         # one negative dB after the template row written "+d.ddd...":
         # as wide, but positive
