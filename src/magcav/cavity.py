@@ -280,8 +280,16 @@ def filling_factor(
         if math.hypot(cx - px, cy - py) < r + geom.post_radius:
             raise GeometryError("sphere overlaps a post")
 
-    rho2 = (fmap.xs[:, None] - cx) ** 2 + (fmap.ys[None, :] - cy) ** 2
-    chord = 2.0 * np.sqrt(np.maximum(r * r - rho2, 0.0))
+    # the chord is 0 off the sphere's index box; one cell of margin keeps
+    # every cell whose rounded distance can fall below r inside the box
+    xs, ys = fmap.xs, fmap.ys
+    i0 = max(int(np.searchsorted(xs, cx - r)) - 1, 0)
+    i1 = int(np.searchsorted(xs, cx + r, side="right")) + 1
+    j0 = max(int(np.searchsorted(ys, cy - r)) - 1, 0)
+    j1 = int(np.searchsorted(ys, cy + r, side="right")) + 1
+    rho2 = (xs[i0:i1, None] - cx) ** 2 + (ys[None, j0:j1] - cy) ** 2
+    chord = np.zeros(fmap.energy.shape)
+    chord[i0:i1, j0:j1] = 2.0 * np.sqrt(np.maximum(r * r - rho2, 0.0))
     sphere_integral = float(
         (fmap.energy * fmap.coverage * chord).sum() * fmap.cell_area
     )

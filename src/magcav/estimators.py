@@ -190,32 +190,97 @@ def _nearest(f_peak, branches):
 # peaks and ridges
 
 
-# cells of one (candidates, samples) block in the prominence test; bounds
-# its temporaries at a few hundred kB whatever the trace length
+# cells of one block: whole map rows in ``extract_ridge``, (peak, sample)
+# pairs in the valley-floor search; bounds every temporary at a few
+# hundred kB whatever the map size
 _PEAK_BLOCK_CELLS = 1 << 16
 
 
-def _valley_floors(y, peaks):
-    """Higher of the two valley floors around each peak index.
+def _check_axis(f, n):
+    """``f`` as a float array, checked as the abscissa of n-sample traces."""
+    f = np.asarray(f, dtype=float)
+    if f.size != n or f.size < 3:
+        raise DomainError("need at least three (f, y) samples")
+    if np.any(np.diff(f) <= 0):
+        raise DomainError("f samples must be strictly increasing")
+    return f
 
-    Each floor is the minimum of ``y`` from the peak out to the nearest
-    sample that is not <= the peak (strictly higher, or NaN), or to the
-    trace edge.  Candidates go in blocks so temporaries stay
-    O(len(y) * block), never O(len(y) * len(peaks)).
+
+def _valley_floors(Y, rows, peaks):
+    """Higher of the two valley floors around each peak (rows[k], peaks[k]).
+
+    Each floor is the minimum of the peak's row from the peak out to the
+    nearest sample that is not <= the peak (strictly higher, or NaN), or
+    to the row's edge.  Peaks go in blocks, each with a gathered copy of
+    its rows, so temporaries stay O(_PEAK_BLOCK_CELLS), never
+    O(len(peaks) * row length).
     """
-    n = y.size
+    n = Y.shape[1]
     idx = np.arange(n)
     floors = np.empty(peaks.size)
     step = max(1, _PEAK_BLOCK_CELLS // n)
     for s in range(0, peaks.size, step):
-        p = peaks[s : s + step, None]
-        wall = ~(y <= y[p])
-        left = np.where(wall & (idx < p), idx, -1).max(axis=1, keepdims=True)
-        right = np.where(wall & (idx > p), idx, n).min(axis=1, keepdims=True)
-        left_min = np.where((idx > left) & (idx <= p), y, np.inf).min(axis=1)
-        right_min = np.where((idx >= p) & (idx < right), y, np.inf).min(axis=1)
-        floors[s : s + step] = np.maximum(left_min, right_min)
+        Z = Y[rows[s : s + step]]
+        p = peaks[s : s + step]
+        k = np.arange(p.size)
+        wall = ~(Z <= Z[k, p][:, None])
+        # nearest wall on each side: the first True of the masked row,
+        # read forward on the right and backward on the left
+        right_wall = wall & (idx > p[:, None])
+        right = right_wall.argmax(axis=1)
+        right = np.where(right_wall[k, right], right, n)
+        left_wall = (wall & (idx < p[:, None]))[:, ::-1]
+        left = left_wall.argmax(axis=1)
+        left = np.where(left_wall[k, left], n - 1 - left, -1)
+        # minima of (left, p] and [p, right) in one reduceat over the
+        # flattened block; the appended +inf keeps an edge index in range
+        at = k * n
+        bounds = np.stack((at + left + 1, at + p + 1, at + p, at + right), axis=1)
+        minima = np.minimum.reduceat(np.append(Z.ravel(), np.inf), bounds.ravel())
+        floors[s : s + step] = np.maximum(minima[0::4], minima[2::4])
     return floors
+
+
+def _peaks(f, Y, prominence, live):
+    """Peaks of the ``live`` rows of a block Y (rows x len(f) samples).
+
+    ``prominence`` holds each row's floor.  Returns (row, f_peak, height)
+    arrays, in row order and sorted in f within a row; see ``find_peaks``.
+    """
+    mid = Y[:, 1:-1]
+    mask = (mid > Y[:, :-2]) & (mid >= Y[:, 2:])
+    mask &= live[:, None]
+    rows, cand = np.divmod(np.flatnonzero(mask), mask.shape[1])
+    cand += 1
+    # drop only where "< prominence" holds, so NaN comparisons keep a
+    # peak; no valley floor lies below the row minimum, so the first test
+    # only drops peaks the second would
+    floor = prominence[rows]
+    keep = ~(Y[rows, cand] - Y.min(axis=1)[rows] < floor)
+    rows, cand, floor = rows[keep], cand[keep], floor[keep]
+    keep = ~(Y[rows, cand] - _valley_floors(Y, rows, cand) < floor)
+    rows, cand = rows[keep], cand[keep]
+    xs = []
+    hs = []
+    for r, i in zip(rows.tolist(), cand.tolist()):
+        x0, x1, x2 = f[i - 1 : i + 2]
+        y0, y1, y2 = Y[r, i - 1 : i + 2]
+        num = (x1 - x0) ** 2 * (y1 - y2) - (x1 - x2) ** 2 * (y1 - y0)
+        den = (x1 - x0) * (y1 - y2) - (x1 - x2) * (y1 - y0)
+        if den == 0.0:
+            xs.append(float(x1))
+            hs.append(float(y1))
+            continue
+        xv = x1 - 0.5 * num / den
+        # vertex of the interpolating parabola, clamped to the bracket
+        xv = min(max(xv, x0), x2)
+        # its height, in Newton form about x1: exact to a few ulps even at
+        # GHz abscissae, where a monomial-basis fit is ill-conditioned
+        s01 = (y1 - y0) / (x1 - x0)
+        c = ((y2 - y1) / (x2 - x1) - s01) / (x2 - x0)
+        xs.append(float(xv))
+        hs.append(float(y1 + (xv - x1) * (s01 + c * (xv - x0))))
+    return rows, np.array(xs, dtype=float), np.array(hs, dtype=float)
 
 
 def find_peaks(f, y, min_prominence):
@@ -225,58 +290,41 @@ def find_peaks(f, y, min_prominence):
     floors separating it from taller terrain (or the trace edge).  Interior
     maxima only; returns (f_peak, height) pairs sorted in f.
     """
-    f = np.asarray(f, dtype=float)
     y = np.asarray(y, dtype=float)
-    if f.size != y.size or f.size < 3:
-        raise DomainError("need at least three (f, y) samples")
-    if np.any(np.diff(f) <= 0):
-        raise DomainError("f samples must be strictly increasing")
-    mid = y[1:-1]
-    cand = np.flatnonzero((mid > y[:-2]) & (mid >= y[2:])) + 1
-    # drop only where "< min_prominence" holds, so NaN comparisons keep a
-    # peak; no valley floor lies below the trace minimum, so the first
-    # test only drops peaks the second would
-    cand = cand[~(y[cand] - y.min() < min_prominence)]
-    cand = cand[~(y[cand] - _valley_floors(y, cand) < min_prominence)]
-    peaks = []
-    for i in cand.tolist():
-        x0, x1, x2 = f[i - 1 : i + 2]
-        y0, y1, y2 = y[i - 1 : i + 2]
-        num = (x1 - x0) ** 2 * (y1 - y2) - (x1 - x2) ** 2 * (y1 - y0)
-        den = (x1 - x0) * (y1 - y2) - (x1 - x2) * (y1 - y0)
-        if den == 0.0:
-            peaks.append((float(x1), float(y1)))
-            continue
-        xv = x1 - 0.5 * num / den
-        # vertex of the interpolating parabola, clamped to the bracket
-        xv = min(max(xv, x0), x2)
-        # its height, in Newton form about x1: exact to a few ulps even at
-        # GHz abscissae, where a monomial-basis fit is ill-conditioned
-        s01 = (y1 - y0) / (x1 - x0)
-        c = ((y2 - y1) / (x2 - x1) - s01) / (x2 - x0)
-        peaks.append((float(xv), float(y1 + (xv - x1) * (s01 + c * (xv - x0)))))
-    return peaks
+    f = _check_axis(f, y.size)
+    _, xs, hs = _peaks(f, y.reshape(1, -1), np.full(1, min_prominence), np.ones(1, bool))
+    return list(zip(xs.tolist(), hs.tolist()))
 
 
 def extract_ridge(dmap: DensityMap, min_prominence_rel: float = 0.25):
     """Per-column peak positions of a map: arrays (B, f_peak), unlabeled.
 
     The prominence floor is relative to each column's maximum, so faint
-    columns far from a crossing still contribute their ridge.
+    columns far from a crossing still contribute their ridge.  A column
+    whose maximum is <= 0 has none.  The map goes through ``find_peaks``'s
+    core in blocks of whole columns.
     """
     if not 0.0 < min_prominence_rel < 1.0:
         raise DomainError("min_prominence_rel must lie in (0, 1)")
+    values = dmap.values
+    if values.shape[0] == 0:
+        return np.array([]), np.array([])
+    top = values.max(axis=1)
+    # NaN maxima stay live, as "not <= 0"
+    live = ~(top <= 0.0)
+    if not live.any():
+        return np.array([]), np.array([])
+    f = _check_axis(dmap.f_axis, values.shape[1])
+    prominence = min_prominence_rel * top
+    step = max(1, _PEAK_BLOCK_CELLS // f.size)
     Bs = []
     fs = []
-    for i, b in enumerate(dmap.B_axis):
-        col = dmap.values[i]
-        top = float(col.max())
-        if top <= 0.0:
-            continue
-        for f_peak, _ in find_peaks(dmap.f_axis, col, min_prominence_rel * top):
-            Bs.append(float(b))
-            fs.append(f_peak)
-    return np.array(Bs), np.array(fs)
+    for s in range(0, values.shape[0], step):
+        block = slice(s, s + step)
+        rows, f_peak, _ = _peaks(f, values[block], prominence[block], live[block])
+        Bs.append(dmap.B_axis[s + rows])
+        fs.append(f_peak)
+    return np.concatenate(Bs), np.concatenate(fs)
 
 
 # ---------------------------------------------------------------------------

@@ -147,7 +147,8 @@ class DensityMap:
         if grid is not None:
             B_axis, f_axis, values = grid
             values /= 20.0  # dB to linear amplitude in place, as below
-            np.power(10.0, values, out=values)
+            with np.errstate(over="ignore"):  # inf is reported by _checked
+                np.power(10.0, values, out=values)
             return cls._checked(path, B_axis, f_axis, values)
         try:
             with warnings.catch_warnings():
@@ -179,7 +180,8 @@ class DensityMap:
             )
         amp = raw[:, 2]  # dB to linear amplitude in place, no full-size temporaries
         amp /= 20.0
-        np.power(10.0, amp, out=amp)
+        with np.errstate(over="ignore"):  # inf is reported by _checked
+            np.power(10.0, amp, out=amp)
         values = np.empty(seen.size)
         values[cell] = amp
         return cls._checked(path, B_axis, f_axis, values.reshape(B_axis.size, f_axis.size))

@@ -210,6 +210,33 @@ def find_peaks_scalar(f, y, min_prominence):
     return peaks
 
 
+
+def extract_ridge_columns(dmap, min_prominence_rel=0.25):
+    """Reference ridge: ``find_peaks_scalar`` on one map column at a time.
+
+    A column whose maximum is <= 0 is skipped; every other column checks
+    the f axis first, as ``find_peaks`` does, so the first such column
+    decides whether the ridge raises.  Returns arrays (B, f_peak).
+    """
+    if not 0.0 < min_prominence_rel < 1.0:
+        raise DomainError("min_prominence_rel must lie in (0, 1)")
+    Bs = []
+    fs = []
+    for i, b in enumerate(dmap.B_axis):
+        col = dmap.values[i]
+        top = float(col.max())
+        if top <= 0.0:
+            continue
+        f = np.asarray(dmap.f_axis, dtype=float)
+        if f.size != col.size or f.size < 3:
+            raise DomainError("need at least three (f, y) samples")
+        if np.any(np.diff(f) <= 0):
+            raise DomainError("f samples must be strictly increasing")
+        for f_peak, _ in find_peaks_scalar(f, col, min_prominence_rel * top):
+            Bs.append(float(b))
+            fs.append(f_peak)
+    return np.array(Bs), np.array(fs)
+
 def _line_currents_H(x, y, posts, signs, current):
     """(Hx, Hy) of signed line currents at one point, summed in post order."""
     hx = 0.0

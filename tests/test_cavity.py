@@ -201,6 +201,28 @@ def test_filling_factor_off_center():
     assert 0.0 < shifted < centered  # field fades away from the posts
 
 
+
+def _xi_full_grid(fmap, sphere, center):
+    """Filling factor with the chord weight evaluated on every map cell."""
+    rho2 = (fmap.xs[:, None] - center[0]) ** 2 + (fmap.ys[None, :] - center[1]) ** 2
+    chord = 2.0 * np.sqrt(np.maximum(sphere.radius ** 2 - rho2, 0.0))
+    sphere_integral = float((fmap.energy * fmap.coverage * chord).sum() * fmap.cell_area)
+    whole = float((fmap.energy * fmap.coverage).sum() * fmap.cell_area)
+    return sphere_integral / (whole * fmap.geometry.height)
+
+
+@pytest.mark.parametrize("resolution", [65, 257])
+@pytest.mark.parametrize("center", [
+    (0.0, 0.0), (0.0, 3.0e-3), (-2.05e-3, 1.3e-3),
+    # a cell or less from the wall, on the axes and off them
+    (4.59e-3, 0.0), (0.0, -4.599e-3), (-3.25e-3, -3.25e-3),
+])
+def test_filling_factor_sphere_box_matches_full_grid(resolution, center):
+    sph = reference_sphere()
+    for mode in ("dark", "bright"):
+        fmap = field_map(reference_cavity(), mode, resolution=resolution)
+        assert filling_factor(fmap, sph, center) == _xi_full_grid(fmap, sph, center)
+
 def test_filling_factor_geometry_errors():
     ref = reference_cavity()
     fmap = field_map(ref, "bright", resolution=129)

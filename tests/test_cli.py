@@ -450,6 +450,26 @@ def test_fit_header_only_map_is_io_error(tmp_path, capsys):
     assert err == f"i/o error: {path}: no data rows\n"
 
 
+
+# the all-positive map is in the writer's layout and read by the template
+# reader; the other mixes signs and goes through np.loadtxt
+@pytest.mark.parametrize("db", ["3.000000000e+01", "-3.000000000e+01"])
+def test_fit_overflowing_map_is_one_io_error(tmp_path, capsys, db):
+    path = tmp_path / "overflow.csv"
+    rows = ["B_T,f_Hz,s21_dB"]
+    for i in range(4):
+        for j in range(4):
+            cell = "1.000000000e+04" if (i, j) == (1, 2) else db
+            rows.append(f"{0.5 + 0.1 * i:.9e},{1e9 + 1e6 * j:.9e},{cell}")
+    path.write_text("\n".join(rows) + "\n")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run_cli(capsys, "fit", path)
+    assert code == 4
+    assert out == ""
+    assert err == f"i/o error: {path}: map values must be finite\n"
+    assert [str(w.message) for w in caught] == []
+
 # ---------------------------------------------------------------------------
 # report
 

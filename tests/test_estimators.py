@@ -1,6 +1,7 @@
 """Peak finding, damped least-squares fits, and figure-of-merit chains."""
 
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 import oracles
 from magcav import estimators
+from magcav.cli import main
 from magcav.core import DEFAULT_GYRO, DomainError
 from magcav.estimators import (
     FitReport,
@@ -28,7 +30,7 @@ from magcav.estimators import (
 )
 from magcav.modes import rwa_three_mode, rwa_two_mode
 from magcav.presets import bright_crossing_model, dark_doublet_model
-from magcav.spectra import PortCouplings, density_map, lorentzian, s21
+from magcav.spectra import DensityMap, PortCouplings, density_map, lorentzian, s21
 
 try:
     from scipy.signal import peak_prominences
@@ -36,6 +38,7 @@ except ImportError:  # scipy is a test-only cross-check, not a dependency
     peak_prominences = None
 
 PORTS = PortCouplings()
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 
 # ---------------------------------------------------------------------------
@@ -412,6 +415,94 @@ def test_extract_ridge_basics():
         extract_ridge(dmap, 0.0)
     with pytest.raises(DomainError):
         extract_ridge(dmap, 1.5)
+
+
+def _trace(draw, n):
+    """n samples from constant, monotone and free runs, NaN cells included."""
+    y = []
+    while len(y) < n:
+        kind, length, level = draw(_SEGMENT)
+        if kind == "flat":
+            y += [level] * length
+        elif kind == "up":
+            y += [level + k for k in range(length)]
+        elif kind == "down":
+            y += [level - k for k in range(length)]
+        else:
+            y += draw(st.lists(
+                st.one_of(_LEVELS, st.floats(-10.0, 10.0, allow_subnormal=False),
+                          st.just(np.nan)),
+                min_size=length, max_size=length,
+            ))
+    return y[:n]
+
+
+@st.composite
+def ridge_cases(draw):
+    """(map, min_prominence_rel): a few columns of any kind on a short f axis.
+
+    Columns are free traces with plateaus and NaN cells, all zero, all
+    negative or all NaN; the f axis may repeat a sample, which is a
+    DomainError exactly when some column's maximum is not <= 0.
+    """
+    n_f = draw(st.integers(1, 12))
+    n_b = draw(st.integers(0, 5))
+    rows = []
+    for _ in range(n_b):
+        kind = draw(st.sampled_from(("trace", "trace", "zero", "negative", "nan")))
+        if kind == "trace":
+            rows.append(_trace(draw, n_f))
+        elif kind == "zero":
+            rows.append([0.0] * n_f)
+        elif kind == "negative":
+            rows.append([-draw(_LEVELS) for _ in range(n_f)])
+        else:
+            rows.append([np.nan] * n_f)
+    steps = draw(st.lists(st.floats(0.1, 10.0), min_size=n_f, max_size=n_f))
+    if n_f > 1 and draw(st.integers(0, 9)) == 0:
+        steps[draw(st.integers(1, n_f - 1))] = 0.0
+    scale, offset = draw(st.sampled_from(((1.0, 0.0), (1e6, 1.4e10))))
+    dmap = DensityMap(0.5 + 0.01 * np.arange(n_b), offset + scale * np.cumsum(steps),
+                      np.zeros((n_b, n_f)))
+    # NaN and negative cells get past the constructor's checks this way
+    dmap.values[...] = np.array(rows).reshape(n_b, n_f)
+    rel = draw(st.one_of(st.sampled_from((0.02, 0.25, 0.5)),
+                         st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)))
+    return dmap, rel
+
+
+@given(ridge_cases(), st.integers(1, 40))
+@settings(max_examples=400, deadline=None)
+def test_extract_ridge_matches_column_oracle(case, block_cells):
+    # a few cells per block split both the row blocks and the floor blocks
+    dmap, rel = case
+    try:
+        want = oracles.extract_ridge_columns(dmap, rel)
+    except DomainError:
+        want = None
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(estimators, "_PEAK_BLOCK_CELLS", block_cells)
+        if want is None:
+            with pytest.raises(DomainError):
+                extract_ridge(dmap, rel)
+            return
+        got = extract_ridge(dmap, rel)
+    for g, w in zip(got, want):
+        assert (g.dtype, g.shape) == (w.dtype, w.shape)
+        assert g.tobytes() == w.tobytes()
+
+
+@pytest.mark.parametrize("fixture, rel", [("bright_crossing.ini", 0.25),
+                                          ("dark_doublet.ini", 0.02)])
+def test_extract_ridge_fixture_maps_match_column_oracle(tmp_path, capsys, fixture, rel):
+    assert main(["spectrum", str(FIXTURES / fixture), "-o", str(tmp_path / "map")]) == 0
+    capsys.readouterr()
+    dmap = DensityMap.read_csv(tmp_path / "map.csv")
+    got = extract_ridge(dmap, rel)
+    want = oracles.extract_ridge_columns(dmap, rel)
+    assert got[0].size >= dmap.B_axis.size
+    for g, w in zip(got, want):
+        assert g.tobytes() == w.tobytes()
 
 
 # ---------------------------------------------------------------------------
