@@ -94,24 +94,27 @@ _SEGMENT = st.tuples(
 )
 
 
+def _run(draw, kind, length, level):
+    """One constant, monotone or free run of ``length`` samples."""
+    if kind == "flat":
+        return [level] * length
+    if kind == "up":
+        return [level + k for k in range(length)]
+    if kind == "down":
+        return [level - k for k in range(length)]
+    return draw(st.lists(
+        # NaN ends a valley walk like strictly higher terrain
+        st.one_of(_LEVELS, st.floats(-10.0, 10.0, allow_subnormal=False), st.just(np.nan)),
+        min_size=length, max_size=length,
+    ))
+
+
 @st.composite
 def peak_cases(draw):
     """(f, y, min_prominence) built from constant, monotone and free runs."""
     y = []
-    for kind, length, level in draw(st.lists(_SEGMENT, min_size=1, max_size=10)):
-        if kind == "flat":
-            y += [level] * length
-        elif kind == "up":
-            y += [level + k for k in range(length)]
-        elif kind == "down":
-            y += [level - k for k in range(length)]
-        else:
-            y += draw(st.lists(
-                # NaN ends a valley walk like strictly higher terrain
-                st.one_of(_LEVELS, st.floats(-10.0, 10.0, allow_subnormal=False),
-                          st.just(np.nan)),
-                min_size=length, max_size=length,
-            ))
+    for segment in draw(st.lists(_SEGMENT, min_size=1, max_size=10)):
+        y += _run(draw, *segment)
     y = np.array(y + [0.0] * max(0, 3 - len(y)))
     steps = np.array(draw(st.lists(
         st.floats(0.1, 10.0), min_size=y.size, max_size=y.size
@@ -417,26 +420,6 @@ def test_extract_ridge_basics():
         extract_ridge(dmap, 1.5)
 
 
-def _trace(draw, n):
-    """n samples from constant, monotone and free runs, NaN cells included."""
-    y = []
-    while len(y) < n:
-        kind, length, level = draw(_SEGMENT)
-        if kind == "flat":
-            y += [level] * length
-        elif kind == "up":
-            y += [level + k for k in range(length)]
-        elif kind == "down":
-            y += [level - k for k in range(length)]
-        else:
-            y += draw(st.lists(
-                st.one_of(_LEVELS, st.floats(-10.0, 10.0, allow_subnormal=False),
-                          st.just(np.nan)),
-                min_size=length, max_size=length,
-            ))
-    return y[:n]
-
-
 @st.composite
 def ridge_cases(draw):
     """(map, min_prominence_rel): a few columns of any kind on a short f axis.
@@ -451,7 +434,10 @@ def ridge_cases(draw):
     for _ in range(n_b):
         kind = draw(st.sampled_from(("trace", "trace", "zero", "negative", "nan")))
         if kind == "trace":
-            rows.append(_trace(draw, n_f))
+            y = []
+            while len(y) < n_f:
+                y += _run(draw, *draw(_SEGMENT))
+            rows.append(y[:n_f])
         elif kind == "zero":
             rows.append([0.0] * n_f)
         elif kind == "negative":
