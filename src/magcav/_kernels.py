@@ -12,18 +12,29 @@ Midplane field-map construction (subsampled quadrature cells along the
 post and wall circles) has one numpy path, ``field_cells``.  It shares
 the masks, the subsample points and each post's field between all the
 current-sign rows it is given, so the dark and bright modes of one
-geometry cost one pass.  Its scalar reference lives in the test oracles.
-Every line-current field, on the grid or on a circle, is one post's
-unit-current field from ``post_fields`` summed by ``signed_sum``.
+geometry cost one pass.  It forms no meshgrid: every squared distance
+is an outer sum of 1-D axis terms, taken in blocks that reuse one set of
+scratch arrays.  The test oracles keep a scalar per-cell reference and
+the full-meshgrid formulation this replaced (``field_cells_meshgrid``),
+which it matches byte for byte.  Every line-current field is one post's
+unit-current field summed in post order from +0, on a circle by
+``post_fields`` and ``signed_sum``, on the grid inside ``field_cells``.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
 # Subsamples per axis for cells cut by a post or the outer wall; 8x8 keeps
 # the quadrature second-order despite the 1/rho field at the post surface.
 SUBSAMPLE = 8
+
+# Points per block of the field-cell passes: each block's temporaries are
+# small enough to be reused from block to block instead of being paged in
+# afresh for the whole grid.
+_BLOCK_POINTS = 1 << 15
 
 __all__ = [
     "SUBSAMPLE",
@@ -145,33 +156,43 @@ def s21_rows(freqs, half_widths, half_couplings, drive, f_axis, amplitude):
 # |H|^2 over the covered fraction.
 
 
-def _line_term(x, y, px, py):
-    """In-plane H (A/m) at points (x, y) of a unit line current at (px, py).
+def _unit_field(dx, dy, pref, hx):
+    """In-plane H (A/m) of a unit line current at offsets (dx, dy) from it.
 
     The line carries 1 A along +z; its azimuthal field is 1/(2*pi*rho).
-    Returns new arrays (Hx, Hy, r2), r2 being the squared distance to the
-    line; H is 0 where r2 == 0.
+    ``pref`` holds 2*pi*r2, r2 being the squared distance, on the shape
+    that dx and dy broadcast to; it is overwritten and returned as Hy,
+    and Hx is written to ``hx``.  H is 0 where r2 == 0.
     """
-    dx = x - px
-    dy = y - py
-    r2 = dx * dx
-    r2 += dy * dy
-    pref = (2.0 * np.pi) * r2
-    np.divide(1.0, pref, out=pref, where=r2 > 0.0)
-    hx = np.multiply(pref, dy, out=dy)
-    np.negative(hx, out=hx)
-    hy = np.multiply(pref, dx, out=dx)
-    return hx, hy, r2
+    np.divide(1.0, pref, out=pref, where=pref > 0.0)
+    np.multiply(pref, -dy, out=hx)  # bitwise -(pref * dy), signed zeros included
+    return hx, np.multiply(pref, dx, out=pref)
 
 
 def post_fields(x, y, posts):
     """Each post's unit-current (Hx, Hy) at (x, y), and the squared distances."""
     fields, r2s = [], []
     for px, py in posts:
-        hx, hy, r2 = _line_term(x, y, px, py)
-        fields.append((hx, hy))
+        dx = x - px
+        dy = y - py
+        r2 = dx * dx + dy * dy
+        pref = (2.0 * np.pi) * r2
+        fields.append(_unit_field(dx, dy, pref, np.empty_like(pref)))
         r2s.append(r2)
     return fields, r2s
+
+
+def _add_signed(acc, s, h, first):
+    """acc = +0 + s*h when ``first``, else acc + s*h, in place; s is -1 or 1.
+
+    Starting from +0 turns a first term of -0.0 into +0.0.
+    """
+    if first:
+        (np.add if s > 0.0 else np.subtract)(0.0, h, out=acc)
+    elif s > 0.0:
+        acc += h
+    else:
+        acc -= h
 
 
 def signed_sum(signs, fields):
@@ -180,27 +201,64 @@ def signed_sum(signs, fields):
     Sums start from +0, so a field that is zero comes out as +0.0
     whatever the signs of the zero terms.
     """
-    Hx = np.zeros_like(fields[0][0])
-    Hy = np.zeros_like(fields[0][1])
-    for s, (hx, hy) in zip(signs, fields):
-        if s > 0.0:
-            Hx += hx
-            Hy += hy
-        elif s < 0.0:
-            Hx -= hx
-            Hy -= hy
+    terms = [(s, h) for s, h in zip(signs, fields) if s > 0.0 or s < 0.0]
+    if not terms:
+        return np.zeros_like(fields[0][0]), np.zeros_like(fields[0][1])
+    Hx, Hy = np.empty_like(fields[0][0]), np.empty_like(fields[0][1])
+    for k, (s, (hx, hy)) in enumerate(terms):
+        _add_signed(Hx, s, hx, k == 0)
+        _add_signed(Hy, s, hy, k == 0)
     return Hx, Hy
 
 
-def _in_domain(x, y, post_r2, r_post, r_cav):
-    """True where (x, y) lies inside the wall and outside every post.
+def _row_fields(x, y, posts, rows, r_post, r_cav, out, work):
+    """Domain mask of the points (x, y), and each sign row's field written to ``out``.
 
-    ``post_r2`` yields the squared distances of the points to each post.
+    The points are the broadcast of the axes ``x`` and ``y``: an (n, 1)
+    column and a (1, m) row span a grid, so every squared distance is an
+    outer sum of 1-D terms and no coordinate grid is formed.  The mask
+    is True inside the wall and outside every post.  Each post's field
+    is formed once, in the two ``work`` arrays, and added to the
+    ``out[k] = (Hx, Hy)`` of every row ``k`` that drives it; as in
+    ``signed_sum``, row sums start from +0 and add the posts in order.
+    With no rows only the mask is formed.
     """
-    ok = x * x + y * y <= r_cav * r_cav
-    for r2 in post_r2:
-        ok &= r2 >= r_post * r_post
-    return ok
+    r2, hx = work
+    inside = np.add(x * x, y * y, out=r2) <= r_cav * r_cav
+    r_post2 = r_post * r_post
+    started = [False] * len(rows)
+    for p, (px, py) in enumerate(posts):
+        dx = x - px
+        dy = y - py
+        np.add(dx * dx, dy * dy, out=r2)
+        inside &= r2 >= r_post2
+        driven = [k for k, row in enumerate(rows) if row[p] != 0.0]
+        if not driven:
+            continue
+        fields = _unit_field(dx, dy, np.multiply(r2, 2.0 * np.pi, out=r2), hx)
+        for k in driven:
+            for acc, h in zip(out[k], fields):
+                _add_signed(acc, rows[k][p], h, not started[k])
+            started[k] = True
+    for k, (Hx, Hy) in enumerate(out):
+        if not started[k]:
+            Hx.fill(0.0)
+            Hy.fill(0.0)
+    return inside
+
+
+def _blocks(n, per_item):
+    """Slices of range(n) holding at most ``_BLOCK_POINTS`` points each.
+
+    One item always makes a block, whatever its size.
+    """
+    step = max(1, _BLOCK_POINTS // per_item)
+    return [slice(i, min(i + step, n)) for i in range(0, n, step)]
+
+
+def _view(buf, shape):
+    """The leading elements of the flat scratch ``buf`` as an array of ``shape``."""
+    return buf[: math.prod(shape)].reshape(shape)
 
 
 def field_cells(xc, yc, posts, sign_rows, r_post, r_cav):
@@ -208,12 +266,16 @@ def field_cells(xc, yc, posts, sign_rows, r_post, r_cav):
 
     In row ``k`` post ``p`` carries ``sign_rows[k][p]`` A along +z; each
     sign is -1, 0 or 1.  The cell masks, the subsample points and each
-    post's field are computed once and shared by all rows.  Returns one
-    ``(Hx, Hy, energy, coverage, excluded)`` tuple per row: node-center
-    field (0 on nodes outside the domain), cell-mean |H|^2 over the
-    covered fraction, that fraction, and the mask of nodes outside the
-    domain; the last two depend on the geometry only and are the same
-    arrays in every tuple.
+    post's field are computed once and shared by all rows.  The corner
+    lattice, the node grid and the subsamples of the cut cells are each
+    the broadcast of two 1-D axes, taken in blocks of whole rows or
+    cells that reuse one set of scratch arrays; no meshgrid is formed.
+    Returns one ``(Hx, Hy, energy, coverage, excluded)`` tuple per row:
+    node-center field (0 on nodes outside the domain), cell-mean |H|^2
+    over the covered fraction, that fraction, and the mask of nodes
+    outside the domain; the last two depend on the geometry only and are
+    the same arrays in every tuple.  ``tests/oracles.py`` keeps the
+    meshgrid version, which this matches byte for byte.
     """
     xc = np.asarray(xc, dtype=float)
     yc = np.asarray(yc, dtype=float)
@@ -222,60 +284,81 @@ def field_cells(xc, yc, posts, sign_rows, r_post, r_cav):
     if any(len(row) != len(posts) or not set(row) <= {-1.0, 0.0, 1.0} for row in rows):
         raise ValueError("each sign row needs one sign in {-1, 0, 1} per post")
     dx = xc[1] - xc[0]
+    nx, ny = xc.size, yc.size
+    ss = SUBSAMPLE
+    # room for one block of any pass: one post's (Hx, Hy), then each
+    # row's (Hx, Hy) sums over the subsamples of the cut cells
+    n_work = max(_BLOCK_POINTS, ny + 1, ss * ss)
+    scratch = np.empty((2 + 2 * len(rows), n_work))
 
     # corner lattice: one row/column more than cells
     cx = np.concatenate([xc - 0.5 * dx, [xc[-1] + 0.5 * dx]])
     cy = np.concatenate([yc - 0.5 * dx, [yc[-1] + 0.5 * dx]])
-    CX, CY = np.meshgrid(cx, cy, indexing="ij")
-    corner_in = _in_domain(
-        CX, CY, ((CX - px) ** 2 + (CY - py) ** 2 for px, py in posts), r_post, r_cav
-    )
-    del CX, CY
-    counts = (
-        corner_in[:-1, :-1].astype(int)
-        + corner_in[1:, :-1]
-        + corner_in[:-1, 1:]
-        + corner_in[1:, 1:]
-    )
-
-    X, Y = np.meshgrid(xc, yc, indexing="ij")
-    node_fields, node_r2 = post_fields(X, Y, posts)
-    center_in = _in_domain(X, Y, node_r2, r_post, r_cav)
-    del X, Y, node_r2
+    corner_in = np.empty((nx + 1, ny + 1), dtype=np.int8)
+    for b in _blocks(nx + 1, ny + 1):
+        shape = (b.stop - b.start, ny + 1)
+        work = [_view(w, shape) for w in scratch[:2]]
+        corner_in[b] = _row_fields(cx[b, None], cy[None, :], posts, (), r_post, r_cav, (), work)
+    counts = corner_in[:-1, :-1] + corner_in[1:, :-1]
+    counts += corner_in[:-1, 1:]
+    counts += corner_in[1:, 1:]
+    del corner_in
     full = counts == 4
-    outside = ~center_in
-    cut = ~full & ((counts != 0) | center_in)
-    coverage = full.astype(float)
     not_full = ~full
 
-    ci, cj = np.nonzero(cut)
-    ss = SUBSAMPLE
+    # node centers: each row's field, 0 outside the domain, and |H|^2 on
+    # the full cells
+    nodes = [(np.empty((nx, ny)), np.empty((nx, ny)), np.empty((nx, ny))) for _ in rows]
+    outside = np.empty((nx, ny), dtype=bool)
+    for b in _blocks(nx, ny):
+        shape = (b.stop - b.start, ny)
+        work = [_view(w, shape) for w in scratch[:2]]
+        out = [(Hx[b], Hy[b]) for Hx, Hy, _ in nodes]
+        inside = _row_fields(xc[b, None], yc[None, :], posts, rows, r_post, r_cav, out, work)
+        off = np.logical_not(inside, out=outside[b])
+        hy_sq = work[0]
+        for Hx, Hy, energy in nodes:
+            Hx, Hy, energy = Hx[b], Hy[b], energy[b]
+            Hx[off] = 0.0
+            Hy[off] = 0.0
+            np.multiply(Hx, Hx, out=energy)
+            energy += np.multiply(Hy, Hy, out=hy_sq)
+            energy[not_full[b]] = 0.0
+    cut = (counts != 0) | ~outside
+    cut &= not_full
+    del counts, not_full
+    coverage = full.astype(float)
+
+    # cut cells: |H|^2 averaged over the subsamples in the domain
+    flat = np.flatnonzero(cut)
+    ci, cj = np.divmod(flat, ny)
     offs = (np.arange(ss) + 0.5) * dx / ss - 0.5 * dx
-    sx = (xc[ci][:, None] + offs[None, :])[:, :, None]  # (m, ss, 1)
-    sy = (yc[cj][:, None] + offs[None, :])[:, None, :]  # (m, 1, ss)
-    px_ = np.broadcast_to(sx, (ci.size, ss, ss)).reshape(ci.size, ss * ss)
-    py_ = np.broadcast_to(sy, (ci.size, ss, ss)).reshape(ci.size, ss * ss)
-    sub_fields, sub_r2 = post_fields(px_, py_, posts)
-    sub_in = _in_domain(px_, py_, sub_r2, r_post, r_cav)
-    del px_, py_, sub_r2
-    cnt = sub_in.sum(axis=1)
-    coverage[ci, cj] = cnt / (ss * ss)
+    # cells on the last axis, so every broadcast runs along the cells
+    sx = (xc[ci] + offs[:, None])[:, None, :]  # (ss, 1, m)
+    sy = (yc[cj] + offs[:, None])[None, :, :]  # (1, ss, m)
+    cut_energy = [np.empty(flat.size) for _ in rows]
+    cnt = np.empty(flat.size, dtype=np.intp)
+    for b in _blocks(flat.size, ss * ss):
+        m = b.stop - b.start
+        views = [_view(w, (ss, ss, m)) for w in scratch]
+        work, out = views[:2], list(zip(views[2::2], views[3::2]))
+        sub_in = _row_fields(sx[..., b], sy[..., b], posts, rows, r_post, r_cav, out, work)
+        n_in = cnt[b] = sub_in.sum(axis=(0, 1))
+        # each cell's ss*ss terms are copied to one row in x-major order,
+        # so every cell sums like a row of the (cells, ss*ss) layout
+        by_cell = _view(scratch[0], (m, ss, ss))
+        for (e, ey), ce in zip(out, cut_energy):
+            e *= e
+            ey *= ey
+            e += ey
+            e *= sub_in
+            np.copyto(by_cell, e.transpose(2, 0, 1))
+            total = by_cell.reshape(m, -1).sum(axis=1)
+            ce[b] = np.where(n_in > 0, total / np.maximum(n_in, 1), 0.0)
+    coverage.reshape(-1)[flat] = cnt / (ss * ss)
 
     cells = []
-    for row in rows:
-        Hx, Hy = signed_sum(row, node_fields)
-        Hx[outside] = 0.0
-        Hy[outside] = 0.0
-        energy = Hx * Hx
-        energy += Hy * Hy
-        energy[not_full] = 0.0
-
-        e, ey = signed_sum(row, sub_fields)
-        e *= e
-        ey *= ey
-        e += ey
-        del ey
-        e *= sub_in
-        energy[ci, cj] = np.where(cnt > 0, e.sum(axis=1) / np.maximum(cnt, 1), 0.0)
+    for (Hx, Hy, energy), ce in zip(nodes, cut_energy):
+        energy.reshape(-1)[flat] = ce
         cells.append((Hx, Hy, energy, coverage, outside))
     return cells

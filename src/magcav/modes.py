@@ -226,13 +226,24 @@ class MinimumSplitting:
     unimodal: bool
 
 
-def _golden(fun, lo: float, hi: float, tol: float) -> float:
+_EPS = float(np.finfo(float).eps)
+
+
+def _golden(fun, lo: float, hi: float, tol: float, flat_tol: float, noise: float) -> float:
+    """Golden-section minimum of a unimodal ``fun`` on [lo, hi].
+
+    Stops once the bracket is below ``tol``, or below ``flat_tol`` with
+    the two inner values within ``noise`` of each other.  At a smooth
+    minimum the function is flat to rounding on a bracket of about
+    sqrt(eps), so later steps would only chase rounding; at a kink it
+    is not, and the search goes on to ``tol``.
+    """
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = lo, hi
     c = b - invphi * (b - a)
     d = a + invphi * (b - a)
     fc_, fd_ = fun(c), fun(d)
-    while b - a > tol:
+    while b - a > tol and not (b - a <= flat_tol and abs(fc_ - fd_) <= noise):
         if fc_ < fd_:
             b, d, fd_ = d, c, fc_
             c = b - invphi * (b - a)
@@ -242,6 +253,7 @@ def _golden(fun, lo: float, hi: float, tol: float) -> float:
             d = a + invphi * (b - a)
             fd_ = fun(d)
     return 0.5 * (a + b)
+
 
 def minimum_splitting(
     model: HybridModel,
@@ -256,7 +268,10 @@ def minimum_splitting(
     near degeneracy) falls back to the global minimum of a dense 10^4-point
     scan, flagged with ``unimodal=False``.  Each scan is one batched
     evaluation over its field grid; the refinement evaluates one B at a
-    time.
+    time.  It stops at a bracket of sqrt(eps) * max(|B_hi|, 1), about as
+    finely as the gap's rounding fixes a smooth minimum, unless the gap
+    still changes there (a kink, as for zero coupling); then it goes on to
+    1e-12 * max(|B_hi|, 1).
     """
     lo, hi = float(B_range[0]), float(B_range[1])
     if not hi > lo:
@@ -268,7 +283,8 @@ def minimum_splitting(
         return f[..., j] - f[..., i]
 
     Bs = np.linspace(lo, hi, coarse)
-    gaps = gap(Bs)
+    f = eigenbranches(model.matrix_at(Bs))
+    gaps = f[:, j] - f[:, i]
     interior_min = np.nonzero(
         (gaps[1:-1] < gaps[:-2]) & (gaps[1:-1] <= gaps[2:])
     )[0]
@@ -280,5 +296,11 @@ def minimum_splitting(
     # one interior minimum, or a monotone gap whose minimum is an endpoint
     k = int(interior_min[0]) + 1 if interior_min.size == 1 else int(np.argmin(gaps))
     a, b = Bs[max(k - 1, 0)], Bs[min(k + 1, coarse - 1)]
-    B_min = _golden(gap, float(a), float(b), tol=1e-12 * max(abs(hi), 1.0))
+    # a gap is a difference of two branches, each rounded to about eps of
+    # its size; near a smooth minimum it moves by curvature * dB^2, so B
+    # is fixed only to about sqrt(eps) relative
+    scale = max(abs(hi), 1.0)
+    noise = 4.0 * _EPS * float(np.abs(f[k, [i, j]]).max())
+    B_min = _golden(gap, float(a), float(b), tol=1e-12 * scale,
+                    flat_tol=math.sqrt(_EPS) * scale, noise=noise)
     return MinimumSplitting(B_min, float(gap(B_min)), unimodal=True)

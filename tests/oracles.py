@@ -325,6 +325,118 @@ def field_cells_scalar(xc, yc, posts, signs, current, r_post, r_cav, subsample=8
     return Hx, Hy, energy, coverage
 
 
+def _mesh_line_term(x, y, px, py):
+    """(Hx, Hy, r2) of a unit line current at (px, py), on full coordinate grids."""
+    dx = x - px
+    dy = y - py
+    r2 = dx * dx
+    r2 += dy * dy
+    pref = (2.0 * np.pi) * r2
+    np.divide(1.0, pref, out=pref, where=r2 > 0.0)
+    hx = np.multiply(pref, dy, out=dy)
+    np.negative(hx, out=hx)
+    hy = np.multiply(pref, dx, out=dx)
+    return hx, hy, r2
+
+
+def _mesh_post_fields(x, y, posts):
+    fields, r2s = [], []
+    for px, py in posts:
+        hx, hy, r2 = _mesh_line_term(x, y, px, py)
+        fields.append((hx, hy))
+        r2s.append(r2)
+    return fields, r2s
+
+
+def _mesh_signed_sum(signs, fields):
+    Hx = np.zeros_like(fields[0][0])
+    Hy = np.zeros_like(fields[0][1])
+    for s, (hx, hy) in zip(signs, fields):
+        if s > 0.0:
+            Hx += hx
+            Hy += hy
+        elif s < 0.0:
+            Hx -= hx
+            Hy -= hy
+    return Hx, Hy
+
+
+def _mesh_in_domain(x, y, post_r2, r_post, r_cav):
+    ok = x * x + y * y <= r_cav * r_cav
+    for r2 in post_r2:
+        ok &= r2 >= r_post * r_post
+    return ok
+
+
+def field_cells_meshgrid(xc, yc, posts, sign_rows, r_post, r_cav, subsample=8):
+    """Field cells as the library computed them on full coordinate grids.
+
+    The byte-level reference for ``magcav._kernels.field_cells``: the
+    corner lattice, the node grid and the cut-cell subsamples are
+    materialised as meshgrids and broadcast copies, each post's field is
+    formed on them, and the signed sums start from ``zeros_like``.
+    Returns one ``(Hx, Hy, energy, coverage, excluded)`` tuple per sign
+    row.
+    """
+    xc = np.asarray(xc, dtype=float)
+    yc = np.asarray(yc, dtype=float)
+    posts = np.asarray(posts, dtype=float)
+    rows = [tuple(float(s) for s in row) for row in sign_rows]
+    dx = xc[1] - xc[0]
+
+    cx = np.concatenate([xc - 0.5 * dx, [xc[-1] + 0.5 * dx]])
+    cy = np.concatenate([yc - 0.5 * dx, [yc[-1] + 0.5 * dx]])
+    CX, CY = np.meshgrid(cx, cy, indexing="ij")
+    corner_in = _mesh_in_domain(
+        CX, CY, ((CX - px) ** 2 + (CY - py) ** 2 for px, py in posts), r_post, r_cav
+    )
+    counts = (
+        corner_in[:-1, :-1].astype(int)
+        + corner_in[1:, :-1]
+        + corner_in[:-1, 1:]
+        + corner_in[1:, 1:]
+    )
+
+    X, Y = np.meshgrid(xc, yc, indexing="ij")
+    node_fields, node_r2 = _mesh_post_fields(X, Y, posts)
+    center_in = _mesh_in_domain(X, Y, node_r2, r_post, r_cav)
+    full = counts == 4
+    outside = ~center_in
+    cut = ~full & ((counts != 0) | center_in)
+    coverage = full.astype(float)
+    not_full = ~full
+
+    ci, cj = np.nonzero(cut)
+    ss = subsample
+    offs = (np.arange(ss) + 0.5) * dx / ss - 0.5 * dx
+    sx = (xc[ci][:, None] + offs[None, :])[:, :, None]
+    sy = (yc[cj][:, None] + offs[None, :])[:, None, :]
+    px_ = np.broadcast_to(sx, (ci.size, ss, ss)).reshape(ci.size, ss * ss)
+    py_ = np.broadcast_to(sy, (ci.size, ss, ss)).reshape(ci.size, ss * ss)
+    sub_fields, sub_r2 = _mesh_post_fields(px_, py_, posts)
+    sub_in = _mesh_in_domain(px_, py_, sub_r2, r_post, r_cav)
+    cnt = sub_in.sum(axis=1)
+    coverage[ci, cj] = cnt / (ss * ss)
+
+    cells = []
+    for row in rows:
+        Hx, Hy = _mesh_signed_sum(row, node_fields)
+        Hx[outside] = 0.0
+        Hy[outside] = 0.0
+        energy = Hx * Hx
+        energy += Hy * Hy
+        energy[not_full] = 0.0
+
+        e, ey = _mesh_signed_sum(row, sub_fields)
+        e *= e
+        ey *= ey
+        e += ey
+        e *= sub_in
+        energy[ci, cj] = np.where(cnt > 0, e.sum(axis=1) / np.maximum(cnt, 1), 0.0)
+        cells.append((Hx, Hy, energy, coverage, outside))
+    return cells
+
+
 def write_map_csv_fstring(path, dmap):
     """Reference map writer: one f-string and one write per cell."""
     db = dmap.to_db()

@@ -4,10 +4,13 @@ The transmission kernel is checked against a per-cell dense LAPACK solve
 (``oracles.s21_point_solve``) and the field cells against the scalar
 per-cell quadrature in ``oracles.py``.  Neither oracle shares code with
 the implementation under test, so agreement on random inputs is a real
-check, not a tautology.
+check, not a tautology.  The field cells are also held byte for byte to
+``oracles.field_cells_meshgrid``, the full-grid numpy formulation they
+replaced.
 """
 
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -17,7 +20,13 @@ from magcav import _kernels, spectra
 from magcav._kernels import field_cells, s21_rows
 from magcav.config import load_config
 
-from oracles import _in_cavity_domain, _line_currents_H, field_cells_scalar, s21_point_solve
+from oracles import (
+    _in_cavity_domain,
+    _line_currents_H,
+    field_cells_meshgrid,
+    field_cells_scalar,
+    s21_point_solve,
+)
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -210,6 +219,71 @@ def test_field_cells_rejects_bad_sign_rows():
     for rows in ([(1.0,)], [(1.0, 0.5)], [(1.0, -1.0, 1.0)]):
         with pytest.raises(ValueError):
             field_cells(xc, yc, posts, rows, r_post, r_cav)
+
+
+def _assert_cells_bytes_equal(got, want):
+    assert len(got) == len(want)
+    for row_got, row_want in zip(got, want):
+        for a, b in zip(row_got, row_want):
+            # bytes compare signed zeros too
+            assert a.dtype == b.dtype and a.shape == b.shape
+            assert a.tobytes() == b.tobytes()
+
+
+@st.composite
+def cell_cases(draw):
+    """Wall, posts, sign rows and grid for the field-cell quadrature."""
+    r_cav = draw(st.floats(1e-3, 1e-2))
+    # a post of radius 0 is a bare line current, whose own node is in the
+    # domain and takes the r2 == 0 rule
+    r_post = draw(st.one_of(st.just(0.0), st.floats(0.02, 0.3))) * r_cav
+    resolution = draw(st.integers(64, 300))
+    n_posts = draw(st.integers(1, 3))
+    coord = st.floats(-0.8, 0.8)
+    posts = [
+        (draw(coord) * r_cav, draw(st.one_of(st.just(0.0), coord)) * r_cav)
+        for _ in range(n_posts)
+    ]
+    centers = -r_cav + (np.arange(resolution) + 0.5) * (2.0 * r_cav / resolution)
+    if draw(st.booleans()):
+        # a node exactly on a post centre, where r2 == 0
+        i, j = draw(st.tuples(*[st.integers(0, resolution - 1)] * 2))
+        posts[0] = (centers[i], centers[j])
+    sign = st.sampled_from([-1.0, 0.0, 1.0])
+    rows = draw(st.lists(st.lists(sign, min_size=n_posts, max_size=n_posts),
+                         min_size=1, max_size=3))
+    block = draw(st.sampled_from([200, 4096, _kernels._BLOCK_POINTS]))
+    return centers, np.array(posts), rows, r_post, r_cav, block
+
+
+@given(case=cell_cases())
+@settings(max_examples=60, deadline=None)
+def test_field_cells_match_meshgrid_oracle_bytes(case):
+    centers, posts, rows, r_post, r_cav, block = case
+    with mock.patch.object(_kernels, "_BLOCK_POINTS", block):
+        got = field_cells(centers, centers, posts, rows, r_post, r_cav)
+    want = field_cells_meshgrid(centers, centers, posts, rows, r_post, r_cav)
+    _assert_cells_bytes_equal(got, want)
+
+
+@pytest.mark.parametrize("bare", [False, True])
+@pytest.mark.parametrize("resolution", [129, 130])
+def test_field_cells_node_on_post_centre_match_meshgrid_oracle(resolution, bare):
+    xc, yc, _, r_post, r_cav = _reference_cells(resolution)
+    if bare:
+        r_post = 0.0
+    # the first post sits on a node of the grid, the second on the axis
+    i, j = 40, resolution // 2
+    posts = np.array([[xc[i], yc[j]], [1.15e-3, 0.0]])
+    rows = SIGN_ROWS + [(-1.0, -1.0), (0.0, 0.0)]
+    got = field_cells(xc, yc, posts, rows, r_post, r_cav)
+    _assert_cells_bytes_equal(got, field_cells_meshgrid(xc, yc, posts, rows, r_post, r_cav))
+    # a bare line current's own node is in the domain and gets no field
+    # from it; inside a post the node is excluded; either way +0.0
+    Hx, Hy, *_, excluded = got[SIGN_ROWS.index((1.0, 0.0))]
+    assert excluded[i, j] != bare
+    for H in (Hx, Hy):
+        assert H[i, j] == 0.0 and not np.signbit(H[i, j])
 
 
 @given(

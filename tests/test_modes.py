@@ -20,6 +20,7 @@ from magcav.modes import (
 )
 
 import oracles
+from magcav import modes
 
 
 def test_rwa_two_mode_resonant():
@@ -205,6 +206,28 @@ def test_minimum_splitting_two_mode():
     assert res.unimodal
     assert res.B == pytest.approx(20.9e9 / 28.129e9, abs=1e-4)
     assert res.splitting == pytest.approx(2.05e9, rel=1e-9)
+
+
+def test_minimum_splitting_refines_to_the_gap_resolution(monkeypatch):
+    # the gap fixes B only to ~1e-8 T, so the golden section stops there
+    # instead of chasing rounding noise down to 1e-12 T
+    single_B = []
+    evaluate = modes.eigenbranches
+
+    def counting(m, weights=False):
+        if m.ndim == 2:
+            single_B.append(m)
+        return evaluate(m, weights)
+
+    monkeypatch.setattr(modes, "eigenbranches", counting)
+    m = HybridModel.two_mode(20.9e9, 27e6, 1.1e6, 2.05e9, gyro=28.129e9, magnon_offset=0.3e9)
+    res = minimum_splitting(m, (0.6, 0.9))
+    # closed form: the bare lines cross where gyro * B + offset = f_cavity
+    assert abs(res.B - (20.9e9 - 0.3e9) / 28.129e9) < 1e-7
+    assert res.splitting == pytest.approx(2.05e9, rel=1e-12)
+    # 2 + 24 golden-section steps and the final gap, not the ~47 of a
+    # 1e-12 T stop
+    assert len(single_B) <= 28
 
 
 def test_minimum_splitting_zero_coupling():
