@@ -244,26 +244,29 @@ def cell_cases(draw):
         (draw(coord) * r_cav, draw(st.one_of(st.just(0.0), coord)) * r_cav)
         for _ in range(n_posts)
     ]
-    centers = -r_cav + (np.arange(resolution) + 0.5) * (2.0 * r_cav / resolution)
+    dx = 2.0 * r_cav / resolution
+    xc = -r_cav + (np.arange(resolution) + 0.5) * dx
+    yc = xc
+    if draw(st.booleans()):
+        # a grid of another height, not centred on the axis
+        yc = draw(st.floats(-1.0, 0.0)) * r_cav + np.arange(draw(st.integers(3, 300))) * dx
     if draw(st.booleans()):
         # a node exactly on a post centre, where r2 == 0
-        i, j = draw(st.tuples(*[st.integers(0, resolution - 1)] * 2))
-        posts[0] = (centers[i], centers[j])
+        posts[0] = (xc[draw(st.integers(0, xc.size - 1))], yc[draw(st.integers(0, yc.size - 1))])
     sign = st.sampled_from([-1.0, 0.0, 1.0])
     rows = draw(st.lists(st.lists(sign, min_size=n_posts, max_size=n_posts),
                          min_size=1, max_size=3))
     block = draw(st.sampled_from([200, 4096, _kernels._BLOCK_POINTS]))
-    return centers, np.array(posts), rows, r_post, r_cav, block
+    return xc, yc, np.array(posts), rows, r_post, r_cav, block
 
 
 @given(case=cell_cases())
 @settings(max_examples=60, deadline=None)
 def test_field_cells_match_meshgrid_oracle_bytes(case):
-    centers, posts, rows, r_post, r_cav, block = case
+    xc, yc, posts, rows, r_post, r_cav, block = case
     with mock.patch.object(_kernels, "_BLOCK_POINTS", block):
-        got = field_cells(centers, centers, posts, rows, r_post, r_cav)
-    want = field_cells_meshgrid(centers, centers, posts, rows, r_post, r_cav)
-    _assert_cells_bytes_equal(got, want)
+        got = field_cells(xc, yc, posts, rows, r_post, r_cav)
+    _assert_cells_bytes_equal(got, field_cells_meshgrid(xc, yc, posts, rows, r_post, r_cav))
 
 
 @pytest.mark.parametrize("bare", [False, True])
