@@ -156,6 +156,53 @@ def s21_rows(freqs, half_widths, half_couplings, drive, f_axis, amplitude):
 # |H|^2 over the covered fraction.
 
 
+def _line_term(x, y, px, py):
+    """In-plane H (A/m) at points (x, y) of a unit line current at (px, py).
+
+    The line carries 1 A along +z; its azimuthal field is 1/(2*pi*rho).
+    Returns new arrays (Hx, Hy, r2), r2 being the squared distance to the
+    line; H is 0 where r2 == 0.
+    """
+    dx = x - px
+    dy = y - py
+    r2 = dx * dx
+    r2 += dy * dy
+    pref = (2.0 * np.pi) * r2
+    np.divide(1.0, pref, out=pref, where=r2 > 0.0)
+    hx = np.multiply(pref, dy, out=dy)
+    np.negative(hx, out=hx)
+    hy = np.multiply(pref, dx, out=dx)
+    return hx, hy, r2
+
+
+def post_fields(x, y, posts):
+    """Each post's unit-current (Hx, Hy) at (x, y), and the squared distances."""
+    fields, r2s = [], []
+    for px, py in posts:
+        hx, hy, r2 = _line_term(x, y, px, py)
+        fields.append((hx, hy))
+        r2s.append(r2)
+    return fields, r2s
+
+
+def signed_sum(signs, fields):
+    """(Hx, Hy) of the posts with the given current signs, summed in post order.
+
+    Sums start from +0, so a field that is zero comes out as +0.0
+    whatever the signs of the zero terms.
+    """
+    Hx = np.zeros_like(fields[0][0])
+    Hy = np.zeros_like(fields[0][1])
+    for s, (hx, hy) in zip(signs, fields):
+        if s > 0.0:
+            Hx += hx
+            Hy += hy
+        elif s < 0.0:
+            Hx -= hx
+            Hy -= hy
+    return Hx, Hy
+
+
 def _unit_field(dx, dy, pref, hx):
     """In-plane H (A/m) of a unit line current at offsets (dx, dy) from it.
 
@@ -169,19 +216,6 @@ def _unit_field(dx, dy, pref, hx):
     return hx, np.multiply(pref, dx, out=pref)
 
 
-def post_fields(x, y, posts):
-    """Each post's unit-current (Hx, Hy) at (x, y), and the squared distances."""
-    fields, r2s = [], []
-    for px, py in posts:
-        dx = x - px
-        dy = y - py
-        r2 = dx * dx + dy * dy
-        pref = (2.0 * np.pi) * r2
-        fields.append(_unit_field(dx, dy, pref, np.empty_like(pref)))
-        r2s.append(r2)
-    return fields, r2s
-
-
 def _add_signed(acc, s, h, first):
     """acc = +0 + s*h when ``first``, else acc + s*h, in place; s is -1 or 1.
 
@@ -193,22 +227,6 @@ def _add_signed(acc, s, h, first):
         acc += h
     else:
         acc -= h
-
-
-def signed_sum(signs, fields):
-    """(Hx, Hy) of the posts with the given current signs, summed in post order.
-
-    Sums start from +0, so a field that is zero comes out as +0.0
-    whatever the signs of the zero terms.
-    """
-    terms = [(s, h) for s, h in zip(signs, fields) if s > 0.0 or s < 0.0]
-    if not terms:
-        return np.zeros_like(fields[0][0]), np.zeros_like(fields[0][1])
-    Hx, Hy = np.empty_like(fields[0][0]), np.empty_like(fields[0][1])
-    for k, (s, (hx, hy)) in enumerate(terms):
-        _add_signed(Hx, s, hx, k == 0)
-        _add_signed(Hy, s, hy, k == 0)
-    return Hx, Hy
 
 
 def _row_fields(x, y, posts, rows, r_post, r_cav, out, work):

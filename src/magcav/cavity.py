@@ -158,9 +158,8 @@ class FieldMap:
 
     Maps from ``field_map`` share their arrays: the maps of one in-plane
     geometry hold the same grid, ``excluded`` and ``coverage`` arrays, and
-    repeated calls return the same field arrays.  ``geometry_scan`` builds
-    its maps from the same memo, so a scan and a ``field_map`` call share
-    arrays too.  The arrays are read-only; copy one before changing it.
+    repeated calls return the same field arrays.  The arrays are
+    read-only; copy one before changing it.
     """
 
     xs: np.ndarray
@@ -225,8 +224,16 @@ def _mode_cells(geometry: CavityGeometry, resolution: int):
     return found
 
 
-def _field_map(geometry: CavityGeometry, mode: str, resolution: int) -> FieldMap:
-    """``field_map``'s body; scans call it directly, sharing the same memo."""
+def field_map(geometry: CavityGeometry, mode: str, resolution: int = RESOLUTION) -> FieldMap:
+    """Two-line-current field map of the chosen cavity mode.
+
+    ``resolution`` counts grid cells across the cavity diameter;
+    ``MIN_RESOLUTION`` is the floor for the quadrature contracts
+    downstream.  Odd values put a node exactly on the inter-post
+    midpoint.  Both modes of the last in-plane geometry (cavity radius,
+    post radius and spacing, resolution) are kept, so repeated calls
+    share read-only arrays.
+    """
     if mode not in _MODE_SIGNS:
         raise DomainError("mode must be 'dark' or 'bright'")
     if resolution < MIN_RESOLUTION:
@@ -244,19 +251,6 @@ def _field_map(geometry: CavityGeometry, mode: str, resolution: int) -> FieldMap
         mode=mode,
         geometry=geometry,
     )
-
-
-def field_map(geometry: CavityGeometry, mode: str, resolution: int = RESOLUTION) -> FieldMap:
-    """Two-line-current field map of the chosen cavity mode.
-
-    ``resolution`` counts grid cells across the cavity diameter;
-    ``MIN_RESOLUTION`` is the floor for the quadrature contracts
-    downstream.  Odd values put a node exactly on the inter-post
-    midpoint.  Both modes of the last in-plane geometry (cavity radius,
-    post radius and spacing, resolution) are kept, so repeated calls
-    share read-only arrays.
-    """
-    return _field_map(geometry, mode, resolution)
 
 
 def _midplane_energy_integral(fmap: FieldMap) -> float:
@@ -374,10 +368,6 @@ def geometry_scan(
 
     Invalid rows (geometry invariant violations, sphere collisions) are
     reported in-row and the scan continues; row order follows ``values``.
-    Each row's maps come from ``field_map``'s private builder and the
-    same one-geometry memo, so rows that keep the in-plane geometry
-    (``gap``, ``height``) share one quadrature pass, and the scan makes
-    no public ``field_map`` call.
     """
     if parameter not in _SCAN_FIELDS:
         raise DomainError(f"parameter must be one of {sorted(_SCAN_FIELDS)}")
@@ -388,7 +378,8 @@ def geometry_scan(
             f_dark, f_bright = mode_frequencies(geom)
             # no map outlives its row: the next row may need new cells
             xi = {
-                mode: filling_factor(_field_map(geom, mode, resolution), sphere, sphere_center)
+                mode: filling_factor(field_map(geom, mode, resolution=resolution),
+                                     sphere, sphere_center)
                 for mode in ("dark", "bright")
             }
             rows.append(ScanRow(float(v), f_dark, f_bright, xi["dark"], xi["bright"]))

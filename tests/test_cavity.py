@@ -406,26 +406,3 @@ def test_scans_share_one_pass_per_in_plane_geometry(monkeypatch):
     assert len(passes) == 1
     geometry_scan(ref, "spacing", [1.8e-3, 2.3e-3, 3.6e-3], sph, resolution=65)
     assert len(passes) == 4
-
-
-def test_geometry_scan_builds_no_public_field_map(monkeypatch):
-    ref, sph = reference_cavity(), reference_sphere()
-    spacings = [1.8e-3, 2.3e-3]
-    want = [
-        [filling_factor(field_map(dataclasses.replace(ref, post_spacing=a), mode,
-                                  resolution=65), sph)
-         for mode in ("dark", "bright")]
-        for a in spacings
-    ]
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("geometry_scan called the public field_map")
-
-    # scans take their maps from the private builder, so a public call
-    # would raise out of the scan rather than become an error row
-    monkeypatch.setattr(cavity, "field_map", refuse)
-    cavity._last_cells = None
-    rows = geometry_scan(ref, "spacing", spacings, sph, resolution=65)
-    assert [[r.xi_dark, r.xi_bright] for r in rows] == want
-    rows = geometry_scan(ref, "gap", [30e-6, 73e-6], sph, resolution=65)
-    assert all(r.error is None for r in rows)
