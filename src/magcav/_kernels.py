@@ -203,19 +203,6 @@ def signed_sum(signs, fields):
     return Hx, Hy
 
 
-def _unit_field(dx, dy, pref, hx):
-    """In-plane H (A/m) of a unit line current at offsets (dx, dy) from it.
-
-    The line carries 1 A along +z; its azimuthal field is 1/(2*pi*rho).
-    ``pref`` holds 2*pi*r2, r2 being the squared distance, on the shape
-    that dx and dy broadcast to; it is overwritten and returned as Hy,
-    and Hx is written to ``hx``.  H is 0 where r2 == 0.
-    """
-    np.divide(1.0, pref, out=pref, where=pref > 0.0)
-    np.multiply(pref, -dy, out=hx)  # bitwise -(pref * dy), signed zeros included
-    return hx, np.multiply(pref, dx, out=pref)
-
-
 def _add_signed(acc, s, h, first):
     """acc = +0 + s*h when ``first``, else acc + s*h, in place; s is -1 or 1.
 
@@ -253,7 +240,11 @@ def _row_fields(x, y, posts, rows, r_post, r_cav, out, work):
         driven = [k for k, row in enumerate(rows) if row[p] != 0.0]
         if not driven:
             continue
-        fields = _unit_field(dx, dy, np.multiply(r2, 2.0 * np.pi, out=r2), hx)
+        # the unit-current field 1/(2*pi*rho), 0 where r2 == 0; r2 becomes Hy
+        pref = np.multiply(r2, 2.0 * np.pi, out=r2)
+        np.divide(1.0, pref, out=pref, where=pref > 0.0)
+        np.multiply(pref, -dy, out=hx)  # bitwise -(pref * dy), signed zeros included
+        fields = hx, np.multiply(pref, dx, out=pref)
         for k in driven:
             for acc, h in zip(out[k], fields):
                 _add_signed(acc, rows[k][p], h, not started[k])
