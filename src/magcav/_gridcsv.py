@@ -22,11 +22,26 @@ Adams, "Ryu: fast float-to-string conversion" (PLDI 2018): a digit
 string is exact once its rounding is certain, and only the cells near a
 tie need the slow path.  On the fixture maps 92 of 470 000 cells do.
 
-Each cell's row is laid out in 8-byte-aligned fields padded with NUL
-bytes: the outer-axis string and its comma (formatted once per outer
-row), the inner axis's string and comma (once per file), then the
-value's 24-byte slot.  The padding is dropped from each block before one
-``write`` call, so temporaries stay at one block of cells.
+The axis strings and their commas are formatted once per file; each
+value's text goes into a 24-byte slot, NUL-padded, starting at byte 0
+when it has a sign and at byte 1 when it has none.  A block's rows are
+then assembled in one of two ways and written with one ``write`` call,
+so temporaries stay at one block of cells:
+
+- fixed layout, when every row of the block has the same byte layout:
+  the block's outer strings are of one length, its inner strings of
+  another, and every value slot has the same sign byte (NUL or "-") and
+  ends its text at the same byte (a value from CPython's formatter
+  starts at byte 0 even without a sign, so a block that holds one
+  unsigned takes the other way).  The rows are exact-length, and three
+  strided copies of whole strings fill them: outer string, inner string,
+  value text.  Every block of the fixture maps is of this kind.
+- NUL compaction, for any other block (values of both signs, a
+  three-digit exponent beside two-digit ones, axis strings of mixed
+  lengths): each row is laid out in 8-byte-aligned NUL-padded words
+  (outer string, inner string, value slot) and the NUL bytes are dropped.
+
+Both give the same bytes.
 """
 
 from __future__ import annotations
@@ -111,6 +126,74 @@ def _round8(n):
     return -(-n // 8) * 8
 
 
+def _items(a):
+    """The last axis of a byte array as one ``V<n>`` item, so that a copy
+    moves whole strings."""
+    return a.view(f"V{a.shape[-1]}")[..., 0]
+
+
+def _uniform(lengths):
+    """The one length in ``lengths``, or None."""
+    n = lengths[0]
+    return int(n) if (lengths == n).all() else None
+
+
+def _value_span(slots):
+    """``(start, stop)`` of the value text that every slot holds at the same
+    bytes, or None.
+
+    A slot whose text has a sign starts it at byte 0, the array path's
+    unsigned text at byte 1 (after a NUL).  A text ends at its one
+    newline, which the first slot puts at byte 16 or later; every slot
+    must have it at that byte.
+    """
+    head = slots.view(np.uint8)[:, 0]
+    sign = int(head[0])
+    tail = slots[:, 2]  # bytes 16..23
+    past = (int(tail[0]).bit_length() + 7) // 8  # the first text's bytes past 16
+    if sign not in (0, ord("-")) or past == 0:
+        return None
+    newline = tail >> _U(8 * past - 8) == _U(ord("\n"))
+    if not ((head == sign).all() and newline.all()):
+        return None
+    return int(sign == 0), 16 + past
+
+
+def _fixed_rows(buf, cells, outer, outer_n, inner, inner_n):
+    """A block's rows assembled in ``buf`` by fixed-width copies, or None
+    when its rows differ in byte layout.
+
+    ``outer`` and ``inner`` hold the block's NUL-padded axis strings and
+    ``outer_n`` and ``inner_n`` their lengths; ``cells`` is the block's
+    (n, 3) value slots.
+    """
+    lo, li, text = _uniform(outer_n), _uniform(inner_n), _value_span(cells)
+    if lo is None or li is None or text is None:
+        return None
+    v0, v1 = text
+    shape = (outer.shape[0], inner.shape[0])
+    rows = buf.view(np.uint8)[: cells.shape[0] * (lo + li + v1 - v0)].reshape(shape + (-1,))
+    _items(rows[..., :lo])[...] = _items(outer[:, None, :lo])
+    _items(rows[..., lo:lo + li])[...] = _items(inner[:, :li])
+    _items(rows[..., lo + li:])[...] = _items(cells.view(np.uint8)[:, v0:v1]).reshape(shape)
+    return rows
+
+
+def _masked(buf, cells, outer_w, inner_w):
+    """A block's rows laid out in NUL-padded words in ``buf``, with every
+    NUL byte dropped."""
+    n_o, n_i = outer_w.shape[1], inner_w.shape[1]
+    shape = (outer_w.shape[0], inner_w.shape[0])
+    words = buf[: cells.shape[0] * (n_o + n_i + 3)].reshape(shape + (-1,))
+    for w in range(n_o):
+        words[..., w] = outer_w[:, w, None]
+    for w in range(n_i):
+        words[..., n_o + w] = inner_w[:, w]
+    words[..., n_o + n_i:] = cells.reshape(shape + (3,))
+    flat = words.view(np.uint8).reshape(-1)
+    return flat[flat != 0]
+
+
 def write_grid_csv(path, header: str, outer, inner, values) -> None:
     """Write ``outer[i], inner[j], values[i, j]`` rows.
 
@@ -122,29 +205,30 @@ def write_grid_csv(path, header: str, outer, inner, values) -> None:
     outer_s = [FORMAT % x + "," for x in np.asarray(outer).tolist()]
     inner_s = [FORMAT % x + "," for x in np.asarray(inner).tolist()]
     n_outer, n_inner = len(outer_s), len(inner_s)
-    # the (r, c) words of each axis's NUL-padded "x," strings
-    outer_w = _text(outer_s, _round8(max(map(len, outer_s), default=0))).view(_WORD)
-    inner_w = _text(inner_s, _round8(max(map(len, inner_s), default=0))).view(_WORD)
-    n_o = outer_w.shape[1]
-    at = n_o + inner_w.shape[1]  # the value's first word
+    outer_n = np.array([len(s) for s in outer_s], dtype=np.intp)
+    inner_n = np.array([len(s) for s in inner_s], dtype=np.intp)
+    # each axis's NUL-padded "x," strings, as bytes and as (r, c) words
+    outer_t = _text(outer_s, _round8(max(outer_n, default=0)))
+    inner_t = _text(inner_s, _round8(max(inner_n, default=0)))
+    outer_w, inner_w = outer_t.view(_WORD), inner_t.view(_WORD)
     rows = max(1, _BLOCK_CELLS // max(n_inner, 1))
     span = min(max(n_inner, 1), _BLOCK_CELLS)
-    buf = np.empty((rows, span, at + 3), dtype=_WORD)
+    slots = np.empty((rows * span, 3), dtype=_WORD)
+    # one block's rows, or its row words: a row never outgrows its words
+    buf = np.empty(rows * span * (outer_w.shape[1] + inner_w.shape[1] + 3), dtype=_WORD)
     with open(path, "wb") as fh:
         fh.write(header.encode("ascii") + b"\n")
         for i0 in range(0, n_outer, rows):
             i1 = min(i0 + rows, n_outer)
             for j0 in range(0, n_inner, span):
                 j1 = min(j0 + span, n_inner)
-                block = buf[: i1 - i0, : j1 - j0]
-                for w in range(n_o):
-                    block[..., w] = outer_w[i0:i1, w, None]
-                for w in range(inner_w.shape[1]):
-                    block[..., n_o + w] = inner_w[j0:j1, w]
-                words = block.reshape(-1, at + 3)
-                _sci9(values[i0:i1, j0:j1].ravel(), words[:, at:])
-                flat = words.view(np.uint8).reshape(-1)
-                fh.write(flat[flat != 0])
+                cells = slots[: (i1 - i0) * (j1 - j0)]
+                _sci9(values[i0:i1, j0:j1].ravel(), cells)
+                block = _fixed_rows(buf, cells, outer_t[i0:i1], outer_n[i0:i1],
+                                    inner_t[j0:j1], inner_n[j0:j1])
+                if block is None:
+                    block = _masked(buf, cells, outer_w[i0:i1], inner_w[j0:j1])
+                fh.write(block)
 
 
 # One field as the writer prints a finite float with a two-digit exponent.

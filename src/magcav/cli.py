@@ -56,6 +56,8 @@ EXIT_IO = 4
 
 # scan --start/--stop are given in the unit the config key uses
 _SCAN_SCALE = {"gap": _UNITS["_um"], "spacing": _UNITS["_mm"], "height": _UNITS["_mm"]}
+# a scan's rows, at most: each may build a field map
+_MAX_SCAN_STEPS = 10_000
 
 # cavity's figures, in print order
 _CAVITY_FIGURES = (
@@ -88,12 +90,27 @@ def _write_map(dmap: DensityMap, prefix: str) -> None:
         print(f"wrote {path}")
 
 
+def _scan_values(args) -> np.ndarray:
+    """The swept values in SI, once --start, --stop and --steps are checked."""
+    if args.start is None or args.stop is None:
+        raise ConfigError("--scan needs --start and --stop")
+    for option, value in (("--start", args.start), ("--stop", args.stop)):
+        if not math.isfinite(value):
+            raise ConfigError(f"{option} {value!r} is not finite")
+    if not 1 <= args.steps <= _MAX_SCAN_STEPS:
+        raise ConfigError(f"--steps {args.steps} must lie in [1, {_MAX_SCAN_STEPS}]")
+    scale = _SCAN_SCALE[args.scan]
+    return np.linspace(args.start * scale, args.stop * scale, args.steps)
+
+
 def cmd_cavity(args) -> int:
+    # the scan's arguments are checked before the config is read
+    values = None if args.scan is None else _scan_values(args)
     cfg = load_config(args.config)
     geom = cfg.require("geometry")
     sphere = cfg.require("sphere")
 
-    if args.scan is None:
+    if values is None:
         # every figure is computed before any is printed; an overflow shows
         # up as a figure that is not finite, not as numpy warnings
         with np.errstate(all="ignore"):
@@ -110,12 +127,6 @@ def cmd_cavity(args) -> int:
             _emit(name, figures[name])
         return EXIT_OK
 
-    scale = _SCAN_SCALE[args.scan]
-    if args.start is None or args.stop is None:
-        raise ConfigError("--scan needs --start and --stop")
-    if args.steps < 1:
-        raise ConfigError(f"--steps {args.steps} must be >= 1")
-    values = np.linspace(args.start * scale, args.stop * scale, args.steps)
     # an overflow shows up in a row's error column, not as numpy warnings
     with np.errstate(all="ignore"):
         rows = geometry_scan(geom, args.scan, values, sphere, resolution=cfg.resolution)
@@ -230,7 +241,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scan", choices=sorted(_SCAN_SCALE), help="parameter to sweep")
     p.add_argument("--start", type=float, help="sweep start (um for gap, mm otherwise)")
     p.add_argument("--stop", type=float, help="sweep stop (um for gap, mm otherwise)")
-    p.add_argument("--steps", type=int, default=11)
+    p.add_argument("--steps", type=int, default=11,
+                   help=f"sweep points, 1 to {_MAX_SCAN_STEPS}")
     p.add_argument("--csv", help="also write the scan table to this file")
     p.set_defaults(func=cmd_cavity)
 

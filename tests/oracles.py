@@ -487,7 +487,8 @@ def read_map_loadtxt(path):
         )
     amp = raw[:, 2]
     amp /= 20.0
-    np.power(10.0, amp, out=amp)
+    with np.errstate(over="ignore"):  # a cell above ~6165 dB: inf, which DensityMap rejects
+        np.power(10.0, amp, out=amp)
     values = np.empty(seen.size)
     values[cell] = amp
     try:

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from magcav import cli
 from magcav.cli import main
 from magcav.config import ConfigError, RunConfig, load_config
 from magcav.spectra import DensityMap, lorentzian
@@ -130,6 +131,40 @@ def test_cavity_scan_needs_a_step(tmp_path, capsys, steps):
     assert code == 2 and out == ""
     assert err.startswith("config error: ") and "--steps" in err
     assert not csv.exists()
+
+
+@pytest.mark.parametrize("option", ["--start", "--stop"])
+@pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+def test_cavity_scan_needs_finite_ends(tmp_path, capsys, option, value):
+    # "--start=-inf": argparse reads a lone "-inf" as an option
+    ends = {"--start": "10", "--stop": "150", option: value}
+    csv = tmp_path / "scan.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(
+            capsys, "cavity", FIXTURES / "reference_cavity.ini", "--scan", "gap",
+            *(f"{name}={end}" for name, end in ends.items()), "--steps", "2", "--csv", csv,
+        )
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("config error: ") and option in err
+    assert not csv.exists()
+
+
+def test_cavity_scan_steps_are_bounded(tmp_path, capsys, monkeypatch):
+    # one step past the bound is refused before the sweep is allocated
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the sweep was allocated")
+
+    monkeypatch.setattr(np, "linspace", forbidden)
+    steps = cli._MAX_SCAN_STEPS + 1
+    code, out, err = run_cli(
+        capsys, "cavity", FIXTURES / "reference_cavity.ini",
+        "--scan", "gap", "--start", "10", "--stop", "150", "--steps", steps,
+    )
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("config error: ") and f"--steps {steps}" in err
 
 
 def test_unknown_key_rejected(tmp_path, capsys):

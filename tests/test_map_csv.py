@@ -99,6 +99,84 @@ def test_blocks_that_split_rows_match_fstring_oracle(tmp_path, monkeypatch, bloc
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
 
 
+def _block_paths(monkeypatch):
+    """The way each block the writer assembles goes: "fixed" or "masked"."""
+    paths = []
+    fixed_rows = _gridcsv._fixed_rows
+
+    def recording(*args):
+        rows = fixed_rows(*args)
+        paths.append("masked" if rows is None else "fixed")
+        return rows
+
+    monkeypatch.setattr(_gridcsv, "_fixed_rows", recording)
+    return paths
+
+
+# a positive dB near a rounding tie, which CPython's formatter writes
+_TIE_DB = 1.2345678905
+
+
+def _block_kinds_map():
+    """B, f and dB of six 8 x 8 groups of rows, one kind of block each.
+
+    All negative; all positive with one cell near a tie; both signs; one
+    three-digit exponent among two-digit ones; three-digit exponents
+    throughout; and one negative B row among positive ones.
+    """
+    rng = np.random.default_rng(16)
+    group = (8, 8)
+    negative = -rng.uniform(1.0, 99.0, group)
+    positive = rng.uniform(1.0, 99.0, group)
+    positive[3, 5] = _TIE_DB
+    mixed = negative * np.where(rng.random(group) < 0.5, -1.0, 1.0)
+    wide = negative.copy()
+    wide[2, 6] = -1e-300
+    db = np.concatenate([negative, positive, mixed, wide, negative * 1e-200, negative])
+    B = np.linspace(0.1, 0.9, db.shape[0])
+    B[-3] = -0.5
+    return B, np.linspace(18.9e9, 22.9e9, group[1]), db
+
+
+@pytest.mark.parametrize("block", [1, 7, 64])
+def test_block_kinds_match_fstring_oracle(tmp_path, monkeypatch, block):
+    # both ways of assembling a block, on blocks of one cell, of parts of a
+    # row, and of eight whole rows
+    tie = np.array([_TIE_DB])
+    assert _gridcsv._sci9(tie, np.empty((1, 3), dtype=_gridcsv._WORD)) == 1
+    monkeypatch.setattr(_gridcsv, "_BLOCK_CELLS", block)
+    B, f, db = _block_kinds_map()
+    _with_db(monkeypatch, db)
+    paths = _block_paths(monkeypatch)
+    dmap = DensityMap(B, f, np.ones(db.shape))
+    dmap.write_csv(tmp_path / "new.csv")
+    oracles.write_map_csv_fstring(tmp_path / "old.csv", dmap)
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+    if block == 64:
+        assert paths == ["fixed", "masked", "masked", "masked", "fixed", "masked"]
+    else:
+        assert "fixed" in paths and "masked" in paths
+
+
+def test_fixture_maps_take_the_fixed_layout_path(tmp_path, monkeypatch, capsys):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a fixture map block was assembled by NUL compaction")
+
+    monkeypatch.setattr(_gridcsv, "_masked", forbidden)
+    paths = _block_paths(monkeypatch)
+    runs = [
+        ["spectrum", FIXTURES / "bright_crossing.ini", "-o", tmp_path / "bright"],
+        ["spectrum", FIXTURES / "dark_doublet.ini", "-o", tmp_path / "dark"],
+        ["predict", FIXTURES / "optimized_prediction.ini", "--map", tmp_path / "pred"],
+    ]
+    for argv in runs:
+        assert main([str(a) for a in argv]) == 0
+    capsys.readouterr()
+    # 200 x 400 cells in blocks of 40 rows, 220 x 1500 in blocks of 10, and
+    # the prediction's map
+    assert len(paths) > 5 + 22 and set(paths) == {"fixed"}
+
+
 def test_fixture_maps_match_fstring_oracle(tmp_path, monkeypatch, capsys):
     runs = [
         ["spectrum", FIXTURES / "bright_crossing.ini", "-o"],
