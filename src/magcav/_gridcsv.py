@@ -159,9 +159,9 @@ def _value_span(slots):
     return int(sign == 0), 16 + past
 
 
-def _fixed_rows(buf, cells, outer, outer_n, inner, inner_n):
-    """A block's rows assembled in ``buf`` by fixed-width copies, or None
-    when its rows differ in byte layout.
+def _fixed_rows(cells, outer, outer_n, inner, inner_n):
+    """A block's rows assembled by fixed-width copies, or None when its
+    rows differ in byte layout.
 
     ``outer`` and ``inner`` hold the block's NUL-padded axis strings and
     ``outer_n`` and ``inner_n`` their lengths; ``cells`` is the block's
@@ -172,19 +172,19 @@ def _fixed_rows(buf, cells, outer, outer_n, inner, inner_n):
         return None
     v0, v1 = text
     shape = (outer.shape[0], inner.shape[0])
-    rows = buf.view(np.uint8)[: cells.shape[0] * (lo + li + v1 - v0)].reshape(shape + (-1,))
+    rows = np.empty(shape + (lo + li + v1 - v0,), dtype=np.uint8)
     _items(rows[..., :lo])[...] = _items(outer[:, None, :lo])
     _items(rows[..., lo:lo + li])[...] = _items(inner[:, :li])
     _items(rows[..., lo + li:])[...] = _items(cells.view(np.uint8)[:, v0:v1]).reshape(shape)
     return rows
 
 
-def _masked(buf, cells, outer_w, inner_w):
-    """A block's rows laid out in NUL-padded words in ``buf``, with every
-    NUL byte dropped."""
+def _masked(cells, outer_w, inner_w):
+    """A block's rows laid out in NUL-padded words, with every NUL byte
+    dropped."""
     n_o, n_i = outer_w.shape[1], inner_w.shape[1]
     shape = (outer_w.shape[0], inner_w.shape[0])
-    words = buf[: cells.shape[0] * (n_o + n_i + 3)].reshape(shape + (-1,))
+    words = np.empty(shape + (n_o + n_i + 3,), dtype=_WORD)
     for w in range(n_o):
         words[..., w] = outer_w[:, w, None]
     for w in range(n_i):
@@ -213,9 +213,9 @@ def write_grid_csv(path, header: str, outer, inner, values) -> None:
     outer_w, inner_w = outer_t.view(_WORD), inner_t.view(_WORD)
     rows = max(1, _BLOCK_CELLS // max(n_inner, 1))
     span = min(max(n_inner, 1), _BLOCK_CELLS)
+    # the value slots are the one buffer kept across blocks; a block's rows
+    # are allocated once _sci9's temporaries are freed
     slots = np.empty((rows * span, 3), dtype=_WORD)
-    # one block's rows, or its row words: a row never outgrows its words
-    buf = np.empty(rows * span * (outer_w.shape[1] + inner_w.shape[1] + 3), dtype=_WORD)
     with open(path, "wb") as fh:
         fh.write(header.encode("ascii") + b"\n")
         for i0 in range(0, n_outer, rows):
@@ -224,11 +224,12 @@ def write_grid_csv(path, header: str, outer, inner, values) -> None:
                 j1 = min(j0 + span, n_inner)
                 cells = slots[: (i1 - i0) * (j1 - j0)]
                 _sci9(values[i0:i1, j0:j1].ravel(), cells)
-                block = _fixed_rows(buf, cells, outer_t[i0:i1], outer_n[i0:i1],
+                block = _fixed_rows(cells, outer_t[i0:i1], outer_n[i0:i1],
                                     inner_t[j0:j1], inner_n[j0:j1])
                 if block is None:
-                    block = _masked(buf, cells, outer_w[i0:i1], inner_w[j0:j1])
+                    block = _masked(cells, outer_w[i0:i1], inner_w[j0:j1])
                 fh.write(block)
+                del block  # freed before the next block's _sci9 temporaries
 
 
 # One field as the writer prints a finite float with a two-digit exponent.
