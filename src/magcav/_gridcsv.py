@@ -23,19 +23,20 @@ string is exact once its rounding is certain, and only the cells near a
 tie need the slow path.  On the fixture maps 92 of 470 000 cells do.
 
 The axis strings and their commas are formatted once per file; each
-value's text goes into a 24-byte slot, NUL-padded, starting at byte 0
-when it has a sign and at byte 1 when it has none.  A block's rows are
-then assembled in one of two ways and written with one ``write`` call,
-so temporaries stay at one block of cells:
+value's text goes into a 24-byte slot, NUL-padded: the array path starts
+it at byte 0 when it has a sign and at byte 1 when it has none, CPython's
+formatter always at byte 0.  A block's rows are then assembled in one of
+two ways and written with one ``write`` call, so temporaries stay at one
+block of cells:
 
 - fixed layout, when every row of the block has the same byte layout:
   the block's outer strings are of one length, its inner strings of
   another, and every value slot has the same sign byte (NUL or "-") and
-  ends its text at the same byte (a value from CPython's formatter
-  starts at byte 0 even without a sign, so a block that holds one
-  unsigned takes the other way).  The rows are exact-length, and three
-  strided copies of whole strings fill them: outer string, inner string,
-  value text.  Every block of the fixture maps is of this kind.
+  ends its text at the same byte (so a block holding an unsigned value
+  from CPython's formatter takes the other way).  The rows are
+  exact-length, and three strided copies of whole strings fill them:
+  outer string, inner string, value text.  Every block of the fixture
+  maps is of this kind.
 - NUL compaction, for any other block (values of both signs, a
   three-digit exponent beside two-digit ones, axis strings of mixed
   lengths): each row is laid out in 8-byte-aligned NUL-padded words
