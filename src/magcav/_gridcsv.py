@@ -43,6 +43,23 @@ block of cells:
   (outer string, inner string, value slot) and the NUL bytes are dropped.
 
 Both give the same bytes.
+
+The reader takes the first data row as the template of every row and
+checks each row through 8-byte words, a block of whole outer rows at a
+time: each window of a row that a check needs is copied into a column
+of words, one word per row.  The outer string is covered by windows at
+bytes 0, 8, ..., the last one ending at its comma and overlapping the
+one before it; each must be the same in every row of an outer row.  The
+inner string and the value's sign byte are covered the same way, and
+must repeat the first outer row's.  Every axis string is at least 16
+bytes, so no window needs a mask.  The value's unsigned text
+"d.ddddddddde+dd\n" is two words: XORed with a template word, each
+digit byte must hold 0..9 and each fixed byte 0, which one add and one
+mask test for all eight bytes of a word at once.  The ten-digit
+mantissa comes from the same words by multiply-shift-mask steps, and
+the exponent indexes a table of exact powers of ten, so each value is
+the correctly rounded double of its text.  A row off the template
+sends the file to a general parser.
 """
 
 from __future__ import annotations
@@ -237,16 +254,34 @@ def write_grid_csv(path, header: str, outer, inner, values) -> None:
 _FIELD = re.compile(rb"-?[0-9]\.[0-9]{9}e[+-][0-9]{2}")
 # Bytes per read block, rounded down to whole outer rows (at least one).
 _BLOCK_BYTES = 3 << 19
-# Within a value field's unsigned part "d.ddddddddde+dd\n": the digits,
-# the fixed bytes and the exponent's sign.
-_DIGITS = np.array([0, 2, 3, 4, 5, 6, 7, 8, 9, 10, 13, 14])
-_FIXED = (1, 11, 15)
-_ESIGN = 12
-# Digit weights of the ten-digit mantissa, and the exact powers of ten
-# 10^k / 10^-k for |k| <= 22 (Clinger's fast path), indexed by k + 22.
-_WEIGHTS = np.array([float(10 ** (9 - i)) for i in range(10)])
+# A value field's unsigned text "d.ddddddddde+dd\n" is two words.  XOR
+# with the template words leaves 0..9 in each digit byte and 0 in each
+# fixed byte (".", "e", the newline); the exponent sign "+" leaves 0 and
+# "-" leaves 6, which _values folds to 4.
+_TEMPLATE = tuple(_U(int.from_bytes(t, "little")) for t in (b"0.000000", b"000e+00\n"))
+# Added to each byte x of an XORed word: 6 to a digit (x + 6 <= 15 iff
+# x <= 9, given x <= 15), 15 to a fixed byte (x + 15 <= 15 iff x == 0), 0
+# to the folded exponent sign.  The text is off the template when x or
+# x + add has a bit of _HIGH set: the high nibble everywhere, and for the
+# exponent sign every bit but bit 2.  No carry crosses a byte unless that
+# byte already has a high-nibble bit set.
+_ADD = tuple(_U(int.from_bytes(bytes(b), "little"))
+             for b in ([6, 15, 6, 6, 6, 6, 6, 6], [6, 6, 6, 15, 0, 6, 6, 15]))
+_HIGH = tuple(_U(int.from_bytes(bytes(b), "little"))
+              for b in ([0xF0] * 8, [0xF0] * 4 + [0xFB] + [0xF0] * 3))
+# Exact powers of ten 10^k / 10^-k for |k| <= 22 (Clinger's fast path),
+# indexed by k + 22.
 _UP = np.array([float(10 ** max(k, 0)) for k in range(-22, 23)])
 _DOWN = np.array([float(10 ** max(-k, 0)) for k in range(-22, 23)])
+# k + 22 for the scale 10^(+-e - 9), indexed by 128 * (sign is "-") + e;
+# _UP.size where that scale is not an exact double.
+_K = np.array([k if 0 <= k < _UP.size else _UP.size
+               for k in [13 + e for e in range(128)] + [13 - e for e in range(128)]],
+              dtype=np.intp)
+# Of a checked second word w, w >> 34 is minus + 64 e1 + 16384 e0 (the
+# exponent's sign bit and digits); times this, its bits 14..21 are
+# 128 * minus + 10 e1 + e0, which no other product term reaches.
+_EXP_INDEX = _U(1 + (10 << 8) + (128 << 14))
 
 
 def _axis(strings):
@@ -259,6 +294,92 @@ def _axis(strings):
         return None
     x = np.array([float(s[:-1]) for s in strings])
     return x if np.all(np.diff(x) > 0.0) else None
+
+
+def _strings(rows):
+    """The rows of a byte matrix as bytes objects."""
+    blob, n = rows.tobytes(), rows.shape[1]
+    return [blob[i:i + n] for i in range(0, len(blob), n)]
+
+
+def _word(rows, at, out):
+    """Bytes at..at+7 of each row of the byte matrix ``rows`` as one
+    little-endian word each, copied into ``out``."""
+    out.view("V8")[...] = _items(rows[:, at:at + 8])
+    return out
+
+
+def _windows(lo, hi):
+    """Starts of the 8-byte windows that cover bytes [lo, hi), hi - lo >= 8:
+    lo, lo + 8, ..., and hi - 8, which may overlap the one before it."""
+    return list(range(lo, hi - 8, 8)) + [hi - 8]
+
+
+def _same_strings(rows, lo, hi, n_inner, col, first=None):
+    """Whether in each group of ``n_inner`` rows every row has bytes [lo, hi)
+    of the group's first row, or, given ``first``, the words ``first`` holds
+    for them (one (n_inner,) column per window)."""
+    for w, at in enumerate(_windows(lo, hi)):
+        g = _word(rows, at, col).reshape(-1, n_inner)
+        if not (g == (g[:, :1] if first is None else first[w])).all():
+            return False
+    return True
+
+
+def _values(w0, w1, scratch, out):
+    """Write to ``out`` the values of the unsigned texts whose two words are
+    ``w0`` and ``w1``; False if a text is off the template or its scale is
+    not an exact double.
+
+    ``scratch`` is three (n,) word columns; the words are overwritten.
+    """
+    t, u, k = scratch[0], scratch[1], scratch[2].view(np.intp)
+    w0 ^= _TEMPLATE[0]
+    w1 ^= _TEMPLATE[1]
+    np.bitwise_and(w1, _U(4 << 32), out=t)  # the exponent sign's bit 2
+    t >>= _U(1)
+    w1 ^= t  # "-": 6 -> 4; "/" (4) -> 6, which fails
+    np.add(w0, _ADD[0], out=t)
+    t |= w0
+    t &= _HIGH[0]
+    np.add(w1, _ADD[1], out=u)
+    u |= w1
+    u &= _HIGH[1]
+    t |= u
+    if t.any():
+        return False
+    np.right_shift(w1, _U(34), out=t)
+    t *= _EXP_INDEX
+    t >>= _U(14)
+    t &= _U(0xFF)
+    np.take(_K, t.view(np.intp), out=k, mode="clip")  # clip: out is not buffered
+    if k.max() >= _UP.size:
+        return False
+    # the ten-digit mantissa: d1..d8 combined in one word by multiply-shift-
+    # mask steps (digit pairs, 4-digit lanes, 8 digits), then d0 and d9
+    np.right_shift(w0, _U(16), out=t)  # d1..d6
+    np.left_shift(w1, _U(48), out=u)  # d7, d8
+    t |= u
+    t *= _U(10 << 8 | 1)
+    t >>= _U(8)
+    t &= _U(0x00FF00FF00FF00FF)
+    t *= _U(100 << 16 | 1)
+    t >>= _U(16)
+    t &= _U(0x0000FFFF0000FFFF)
+    t *= _U(10000 << 32 | 1)
+    t >>= _U(32)
+    t *= _U(10)
+    w0 &= _U(0xFF)  # d0
+    w0 *= _U(10**9)
+    w0 += t
+    w1 >>= _U(16)
+    w1 &= _U(0xFF)  # d9
+    w0 += w1
+    # exact: the mantissa is an integer below 2^53, then one rounding each
+    scale = t.view(np.float64)
+    np.multiply(w0, np.take(_UP, k, out=scale, mode="clip"), out=out)
+    out /= np.take(_DOWN, k, out=scale, mode="clip")
+    return True
 
 
 def read_grid_csv(path, header: str):
@@ -276,7 +397,8 @@ def read_grid_csv(path, header: str):
     row off the template, a value whose scale 10^(e - 9) is not an exact
     double, a missing final newline); the caller then reads it with a
     general parser.  The file is read in blocks of whole outer rows
-    into one reused buffer.
+    into one reused buffer; each 8-byte window of a row that a check
+    needs is copied into a column of words, one per row.
     """
     head = header.encode("ascii") + b"\n"
     with open(path, "rb") as fh:
@@ -295,6 +417,7 @@ def read_grid_csv(path, header: str):
         c1 = len(fields[0]) + 1  # each axis string ends at its comma
         c2 = c1 + len(fields[1]) + 1
         neg = fields[2][:1] == b"-"
+        v0 = c2 + neg  # the value's unsigned text: two words
         # the inner size: the first row whose outer string is not the first's
         lo, hi = 1, n_rows
         while lo < hi:
@@ -309,42 +432,38 @@ def read_grid_csv(path, header: str):
             return None
         rows = n_inner * max(1, _BLOCK_BYTES // (n_inner * width))
         buf = np.empty(rows * width, dtype=np.uint8)
+        w0, w1 = np.empty((2, rows), dtype=_U)
         values = np.empty(n_rows)
         outer_s = []
-        inner_b = None
+        inner = inner_s = None
         fh.seek(start)
         for r0 in range(0, n_rows, rows):
             n = min(rows, n_rows - r0)
             if fh.readinto(buf[: n * width]) != n * width:
                 return None
             a = buf[: n * width].reshape(n, width)
-            g = a.reshape(-1, n_inner, width)
-            if inner_b is None:
-                inner_b = g[0, :, c1:c2].copy()
-            if not ((g[:, :, :c1] == g[:, :1, :c1]).all()
-                    and (g[:, :, c1:c2] == inner_b).all()):
+            if inner is None:
+                # the first block's inner strings; as words with the
+                # value's sign byte, which every row must repeat
+                inner_s = _strings(a[:n_inner, c1:c2])
+                inner = [_word(a[:n_inner], at, w0[:n_inner]).copy()
+                         for at in _windows(c1, v0)]
+            # every axis string is a field and its comma, at least 16 bytes
+            if not (_same_strings(a, 0, c1, n_inner, w0[:n])
+                    and _same_strings(a, c1, v0, n_inner, w0[:n], inner)):
                 return None
-            outer_s += [bytes(s) for s in g[:, 0, :c1]]
-            v = a[:, c2 + neg:]  # the value's unsigned part and the newline
-            d = v[:, _DIGITS] - np.uint8(48)
-            if not ((d < 10).all()
-                    and (v[:, _FIXED] == np.frombuffer(b".e\n", np.uint8)).all()
-                    and (((v[:, _ESIGN] - np.uint8(43)) & 0xFD) == 0).all()  # + or -
-                    and (not neg or (a[:, c2] == ord("-")).all())):
-                return None
-            e = d[:, 10].astype(np.intp) * 10 + d[:, 11]
-            k = np.where(v[:, _ESIGN] == ord("-"), -e, e) + (22 - 9)  # 10^(e - 9)
-            if not ((k >= 0) & (k < _UP.size)).all():
-                return None
+            outer_s += _strings(a[::n_inner, :c1])
+            _word(a, v0, w0[:n])
+            _word(a, v0 + 8, w1[:n])
+            # the block's bytes are copied out: its buffer is scratch now
+            scratch = buf[: 24 * n].view(_U).reshape(3, n)
             q = values[r0:r0 + n]
-            # exact: the digits, their products and sums are integers below 2^53
-            np.matmul(d[:, :10].astype(np.float64), _WEIGHTS, out=q)
-            q *= _UP[k]
-            q /= _DOWN[k]
+            if not _values(w0[:n], w1[:n], scratch, q):
+                return None
             if neg:
                 np.negative(q, out=q)
     outer = _axis(outer_s)
-    inner = _axis([bytes(s) for s in inner_b])
+    inner = _axis(inner_s)
     if outer is None or inner is None:
         return None
     return outer, inner, values.reshape(outer.size, inner.size)

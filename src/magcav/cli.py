@@ -58,6 +58,8 @@ EXIT_IO = 4
 _SCAN_SCALE = {"gap": _UNITS["_um"], "spacing": _UNITS["_mm"], "height": _UNITS["_mm"]}
 # a scan's rows, at most: each may build a field map
 _MAX_SCAN_STEPS = 10_000
+# numeric options whose value may begin with "-"; the program checks them
+_SIGNED_OPTIONS = ("--start", "--stop", "--steps", "--prominence")
 
 # cavity's figures, in print order
 _CAVITY_FIGURES = (
@@ -269,8 +271,37 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _join_signed_values(argv):
+    """argv with each ``--start -1e-3`` written ``--start=-1e-3``.
+
+    argparse reads a separate token that begins with "-" as an option
+    unless it looks like a plain negative number, and which numbers look
+    plain depends on the Python version ("-inf" and "-1e-3" do not on
+    3.12).  Joined, every value of a signed option reaches the program's
+    own check.  An option may be abbreviated as argparse allows; a value
+    beginning with "--" and every token after a bare "--" are left alone.
+    """
+    argv = list(argv)
+    out = []
+    i = 0
+    while i < len(argv):
+        token = argv[i]
+        if token == "--":
+            return out + argv[i:]
+        value = argv[i + 1] if i + 1 < len(argv) else ""
+        if (len(token) > 2 and any(o.startswith(token) for o in _SIGNED_OPTIONS)
+                and value.startswith("-") and not value.startswith("--")):
+            out.append(f"{token}={value}")
+            i += 2
+        else:
+            out.append(token)
+            i += 1
+    return out
+
+
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = _build_parser().parse_args(_join_signed_values(argv))
     try:
         return args.func(args)
     except ConfigError as exc:

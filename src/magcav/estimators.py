@@ -476,7 +476,8 @@ def fit_three_mode(B, f_peak, initial=None) -> FitReport:
         initial = (fc0, float(gyro0), float(o0), float(o0), 0.95 * gap, 0.3 * gap)
 
     def resid(p):
-        return _nearest(f_peak, _three_mode_branches(p, B))[0]
+        # one eigenproblem per field column, the same bits as per point
+        return _nearest(f_peak, _three_mode_branches(p, uniq)[inv])[0]
 
     p0 = np.asarray(initial, dtype=float)
     p0[4:] **= 2

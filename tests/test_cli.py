@@ -167,6 +167,36 @@ def test_cavity_scan_steps_are_bounded(tmp_path, capsys, monkeypatch):
     assert err.startswith("config error: ") and f"--steps {steps}" in err
 
 
+@pytest.mark.parametrize("start", ["-1e-3", "-2.5E+1", "-inf"])
+def test_cavity_scan_takes_a_separate_negative_start(tmp_path, capsys, start):
+    # a separate token that begins with "-" is --start's value, as after "="
+    scan = ("cavity", FIXTURES / "reference_cavity.ini", "--scan", "gap")
+    joined = run_cli(capsys, *scan, f"--start={start}", "--stop", "150", "--steps", "3")
+    separate = run_cli(capsys, *scan, "--start", start, "--stop", "150", "--steps", "3")
+    assert separate == joined
+    code, out, err = separate
+    if start == "-inf":
+        assert code == 2 and out == "" and err == "config error: --start -inf is not finite\n"
+    else:
+        assert code == 0 and "gap must be > 0" in out.splitlines()[1]
+
+
+@pytest.mark.parametrize("option, value, code", [
+    ("--stop", "-1e-3", 0), ("--stop", "-nan", 2), ("--steps", "-3", 2), ("--sta", "-inf", 2),
+])
+def test_cavity_scan_options_take_separate_signed_values(capsys, option, value, code):
+    # "--sta" is --start abbreviated, as argparse allows
+    scan = ("cavity", FIXTURES / "reference_cavity.ini", "--scan", "gap", "--steps", "2")
+    ends = ("--start", "10", "--stop", "150")
+    separate = run_cli(capsys, *scan, *ends, option, value)
+    assert separate == run_cli(capsys, *scan, *ends, f"{option}={value}")
+    assert separate[0] == code
+    if code == 2:
+        name = "--start" if option == "--sta" else option
+        assert separate[1] == "" and separate[2].startswith(f"config error: {name} ")
+        assert len(separate[2].splitlines()) == 1
+
+
 def test_unknown_key_rejected(tmp_path, capsys):
     bad = tmp_path / "bad.ini"
     bad.write_text((FIXTURES / "reference_cavity.ini").read_text() + "\nwindage = 3\n")
@@ -414,6 +444,27 @@ def test_fit_sparse_ridge_exits_3(tmp_path, capsys):
     code, _, err = run_cli(capsys, "fit", path)
     assert code == 3
     assert "at least 10" in err
+
+
+@pytest.mark.parametrize("prominence", ["-1e-3", "-0.5"])
+def test_fit_takes_a_separate_negative_prominence(tmp_path, capsys, prominence):
+    path = tmp_path / "one_branch.csv"
+    _single_ridge_csv(path)
+    separate = run_cli(capsys, "fit", path, "--prominence", prominence)
+    assert separate == run_cli(capsys, "fit", path, f"--prominence={prominence}")
+    code, out, err = separate
+    assert code == 2 and out == ""
+    assert err == "config error: min_prominence_rel must lie in (0, 1)\n"
+
+
+def test_signed_values_join_only_their_options():
+    join = cli._join_signed_values
+    assert join(["fit", "m.csv", "--prominence", "-1e-3"]) == ["fit", "m.csv", "--prominence=-1e-3"]
+    assert join(["--start", "-1", "--stop", "-2"]) == ["--start=-1", "--stop=-2"]
+    # other options, values that are long options, and all after "--" stay
+    for argv in (["-o", "-x"], ["--csv", "-a.csv"], ["--start", "--stop", "3"],
+                 ["--start", "5"], ["--", "--start", "-1"], ["--start"]):
+        assert join(argv) == argv
 
 
 def test_fit_missing_map_is_io_error(capsys):

@@ -373,6 +373,27 @@ def test_fit_three_mode_exact_roundtrip():
     assert rep["f_c"] == pytest.approx(13.9e9, rel=1e-6)
 
 
+@given(data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_three_mode_branches_per_column_match_per_point(data):
+    # fit_three_mode solves one eigenproblem per distinct B and expands it
+    # to the ridge points; that must give the per-point branches bit for bit
+    n_cols = data.draw(st.integers(1, 12))
+    cols = np.linspace(0.45, 0.49, n_cols) + data.draw(st.floats(-0.01, 0.01))
+    B = cols[data.draw(st.lists(st.integers(0, n_cols - 1), min_size=1, max_size=40))]
+    p = (
+        data.draw(st.floats(13.0e9, 15.0e9)),
+        data.draw(st.floats(2.0e10, 3.0e10)),
+        data.draw(st.floats(-1.0e9, 1.0e9)),
+        data.draw(st.floats(-1.0e9, 1.0e9)),
+        data.draw(st.floats(-1e18, 1e18)),  # squared couplings, either sign
+        data.draw(st.floats(-1e16, 1e16)),
+    )
+    uniq, inv = np.unique(B, return_inverse=True)
+    per_point = estimators._three_mode_branches(p, B)
+    assert estimators._three_mode_branches(p, uniq)[inv].tobytes() == per_point.tobytes()
+
+
 def test_fit_three_mode_asymptote_gap():
     B, f = synthetic_three_mode_ridge(143e6, 12.5e6)
     rep = fit_three_mode(B, f)

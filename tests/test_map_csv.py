@@ -14,6 +14,7 @@ import functools
 import math
 import random
 import tempfile
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -460,6 +461,71 @@ def test_fixture_maps_take_the_template_path(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(np, "loadtxt", forbidden)
     assert DensityMap.read_csv(tmp_path / "bright_crossing.csv").values.shape == (200, 400)
     assert DensityMap.read_csv(tmp_path / "dark_doublet.csv").values.shape == (220, 1500)
+
+
+def test_reader_memory_stays_at_one_block(tmp_path, capsys):
+    # the reader's own allocations on the dark map (220 x 1500 cells): one
+    # block's bytes (1.5 MiB) and two word columns, not (cells, digits)
+    # matrices; the bound is the peak above the arrays it returns
+    assert main(["spectrum", str(FIXTURES / "dark_doublet.ini"), "-o", str(tmp_path / "dark")]) == 0
+    capsys.readouterr()
+    path = tmp_path / "dark.csv"
+    _gridcsv.read_grid_csv(path, "B_T,f_Hz,s21_dB")  # imports and caches warm
+    tracemalloc.start()
+    try:
+        grid = _gridcsv.read_grid_csv(path, "B_T,f_Hz,s21_dB")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert grid[2].shape == (220, 1500)
+    assert peak - sum(a.nbytes for a in grid) < 2.5 * 2**20
+
+
+@pytest.mark.parametrize("row", [1, 4])
+def test_single_byte_edits_meet_the_word_checks(tmp_path, monkeypatch, row):
+    # blocks of one B row: row 1 is in the first block, row 4 in the second
+    monkeypatch.setattr(_gridcsv, "_BLOCK_BYTES", 1)
+    path = tmp_path / "map.csv"
+    amplitude = np.array([[0.0123, 0.0456, 0.0789], [0.0321, 0.0654, 0.0987]])
+    DensityMap(np.array([0.45, 0.46]), np.array([1.3e10, 1.31e10, 1.32e10]),
+               amplitude).write_csv(path)
+    head, *rows = path.read_bytes().splitlines(keepends=True)
+    text = rows[row]
+    c1 = text.index(b",") + 1
+    c2 = text.index(b",", c1) + 1
+    assert text[c2:c2 + 1] == b"-" and text.endswith(b"e+01\n")
+    # the value text with its sign byte, and the first and last byte of
+    # each 8-byte window of the axis strings and the sign byte
+    edited_bytes = set(range(c2, len(text)))
+    for lo, hi in ((0, c1), (c1, c2 + 1)):
+        for start in _gridcsv._windows(lo, hi):
+            edited_bytes |= {start, start + 7}
+    offset = len(head) + sum(map(len, rows[:row]))
+    accepted = 0
+    with open(path, "r+b", buffering=0) as fh:
+        for i in sorted(edited_bytes):
+            for byte in range(256):
+                rows[row] = text[:i] + bytes([byte]) + text[i + 1:]
+                fh.seek(offset + i)
+                fh.write(bytes([byte]))
+                got = _gridcsv.read_grid_csv(path, "B_T,f_Hz,s21_dB")
+                # the template: a negative value with a two-digit exponent
+                # whose scale 10^(e - 9) is exact, and the row's axis strings
+                value = rows[row][c2:-1]
+                keeps = rows[row] == text or (
+                    i >= c2 and rows[row][-1:] == b"\n" and value[:1] == b"-"
+                    and _gridcsv._FIELD.fullmatch(value) and -13 <= int(value[-3:]) <= 31)
+                assert (got is not None) == bool(keeps), (i, byte)
+                if got is not None:
+                    want = np.array([float(r.split(b",")[2]) for r in rows])
+                    assert got[2].tobytes() == want.tobytes(), (i, byte)
+                    accepted += 1
+            fh.seek(offset + i)
+            fh.write(text[i:i + 1])
+    # besides each unchanged byte: 9 other digits in each of the ten
+    # mantissa digits, "-" for "+" in the exponent, e+11, e+21, e+31, and
+    # e+00, e+02 ... e+09
+    assert accepted == len(edited_bytes) + 10 * 9 + 1 + 3 + 9
 
 
 @pytest.mark.parametrize("layout, fallbacks", [
