@@ -54,8 +54,8 @@ inner string and the value's sign byte are covered the same way, and
 must repeat the first outer row's.  Every axis string is at least 16
 bytes, so no window needs a mask.  The value's unsigned text
 "d.ddddddddde+dd\n" is two words: XORed with a template word, each
-digit byte must hold 0..9 and each fixed byte 0, which one add and one
-mask test for all eight bytes of a word at once.  The ten-digit
+digit byte must hold 0..9 and each fixed byte 0, and one add and one
+mask test check all eight bytes of a word at once.  The ten-digit
 mantissa comes from the same words by multiply-shift-mask steps, and
 the exponent indexes a table of exact powers of ten, so each value is
 the correctly rounded double of its text.  A row off the template

@@ -136,7 +136,7 @@ def test_cavity_scan_needs_a_step(tmp_path, capsys, steps):
 @pytest.mark.parametrize("option", ["--start", "--stop"])
 @pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
 def test_cavity_scan_needs_finite_ends(tmp_path, capsys, option, value):
-    # "--start=-inf": argparse reads a lone "-inf" as an option
+    # the "--start=-inf" form; separate values are tested below
     ends = {"--start": "10", "--stop": "150", option: value}
     csv = tmp_path / "scan.csv"
     with warnings.catch_warnings():
