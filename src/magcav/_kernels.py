@@ -14,11 +14,16 @@ the masks, the subsample points and each post's field between all the
 current-sign rows it is given, so the dark and bright modes of one
 geometry cost one pass.  It forms no meshgrid: every squared distance
 is an outer sum of 1-D axis terms, taken in blocks that reuse one set of
-scratch arrays.  The test oracles keep a scalar per-cell reference and
-the full-meshgrid formulation this replaced (``field_cells_meshgrid``),
-which it matches byte for byte.  Every line-current field is one post's
-unit-current field summed in post order from +0, on a circle by
-``post_fields`` and ``signed_sum``, on the grid inside ``field_cells``.
+scratch arrays.  It keeps only what the filling and geometric factors
+read: each row's cell energy, the coverage and the node mask.  A
+block's node fields are reduced to |H|^2 in the scratch, and
+``node_fields`` forms the grid's node fields on request.  The test
+oracles keep a scalar per-cell reference and the full-meshgrid
+formulation this replaced (``field_cells_meshgrid``), which both match
+byte for byte.  Every line-current field is one post's unit-current
+field summed in post order from +0: by ``post_fields`` and
+``signed_sum`` on a circle and on the node grid (``node_fields``), and
+inside ``field_cells`` on the quadrature's blocks.
 """
 
 from __future__ import annotations
@@ -42,6 +47,7 @@ __all__ = [
     "signed_sum",
     "s21_rows",
     "field_cells",
+    "node_fields",
 ]
 
 
@@ -216,6 +222,17 @@ def _add_signed(acc, s, h, first):
         acc -= h
 
 
+def _outer_sum(a, b, out):
+    """a + b broadcast into ``out``, as a copy of b and an in-place add.
+
+    The same bits as ``np.add(a, b, out=out)``, which buffers both
+    broadcast inputs in arrays of its own.
+    """
+    np.copyto(out, b)
+    out += a
+    return out
+
+
 def _row_fields(x, y, posts, rows, r_post, r_cav, out, work):
     """Domain mask of the points (x, y), and each sign row's field written to ``out``.
 
@@ -229,13 +246,13 @@ def _row_fields(x, y, posts, rows, r_post, r_cav, out, work):
     With no rows only the mask is formed.
     """
     r2, hx = work
-    inside = np.add(x * x, y * y, out=r2) <= r_cav * r_cav
+    inside = _outer_sum(x * x, y * y, r2) <= r_cav * r_cav
     r_post2 = r_post * r_post
     started = [False] * len(rows)
     for p, (px, py) in enumerate(posts):
         dx = x - px
         dy = y - py
-        np.add(dx * dx, dy * dy, out=r2)
+        _outer_sum(dx * dx, dy * dy, r2)
         inside &= r2 >= r_post2
         driven = [k for k, row in enumerate(rows) if row[p] != 0.0]
         if not driven:
@@ -279,12 +296,14 @@ def field_cells(xc, yc, posts, sign_rows, r_post, r_cav):
     lattice, the node grid and the subsamples of the cut cells are each
     the broadcast of two 1-D axes, taken in blocks of whole rows or
     cells that reuse one set of scratch arrays; no meshgrid is formed.
-    Returns one ``(Hx, Hy, energy, coverage, excluded)`` tuple per row:
-    node-center field (0 on nodes outside the domain), cell-mean |H|^2
-    over the covered fraction, that fraction, and the mask of nodes
+    Returns one ``(energy, coverage, excluded)`` tuple per row: cell-mean
+    |H|^2 over the covered fraction, that fraction, and the mask of nodes
     outside the domain; the last two depend on the geometry only and are
-    the same arrays in every tuple.  ``tests/oracles.py`` keeps the
-    meshgrid version, which this matches byte for byte.
+    the same arrays in every tuple.  Node fields are not kept: each
+    block's are reduced to |H|^2 in the scratch, and ``node_fields``
+    forms them on request.  Overflow on extreme axes gives inf or nan
+    without a warning.  ``tests/oracles.py`` keeps the meshgrid version,
+    which this matches byte for byte.
     """
     xc = np.asarray(xc, dtype=float)
     yc = np.asarray(yc, dtype=float)
@@ -292,14 +311,42 @@ def field_cells(xc, yc, posts, sign_rows, r_post, r_cav):
     rows = [tuple(float(s) for s in row) for row in sign_rows]
     if any(len(row) != len(posts) or not set(row) <= {-1.0, 0.0, 1.0} for row in rows):
         raise ValueError("each sign row needs one sign in {-1, 0, 1} per post")
-    dx = xc[1] - xc[0]
-    nx, ny = xc.size, yc.size
-    ss = SUBSAMPLE
+    with np.errstate(all="ignore"):
+        return _field_cells(xc, yc, posts, rows, r_post, r_cav)
+
+
+def _field_cells(xc, yc, posts, rows, r_post, r_cav):
     # room for one block of any pass: one post's (Hx, Hy), then each
-    # row's (Hx, Hy) sums over the subsamples of the cut cells
-    n_work = max(_BLOCK_POINTS, ny + 1, ss * ss)
+    # row's (Hx, Hy) on the nodes or on the subsamples of the cut cells
+    n_work = max(_BLOCK_POINTS, yc.size + 1, SUBSAMPLE * SUBSAMPLE)
     scratch = np.empty((2 + 2 * len(rows), n_work))
 
+    counts = _corner_counts(xc, yc, posts, r_post, r_cav, scratch)
+    full = counts == 4
+    not_full = ~full
+    energies, outside = _node_energies(xc, yc, posts, rows, r_post, r_cav, not_full, scratch)
+    cut = (counts != 0) | ~outside
+    cut &= not_full
+    del counts, not_full
+    flat = np.flatnonzero(cut)
+    del cut
+    cut_energies, cnt = _cut_cells(xc, yc, flat, posts, rows, r_post, r_cav, scratch)
+    # the scratch goes before the last kept array is made
+    del scratch
+    coverage = full.astype(float)
+    coverage.reshape(-1)[flat] = cnt / (SUBSAMPLE * SUBSAMPLE)
+
+    cells = []
+    for energy, ce in zip(energies, cut_energies):
+        energy.reshape(-1)[flat] = ce
+        cells.append((energy, coverage, outside))
+    return cells
+
+
+def _corner_counts(xc, yc, posts, r_post, r_cav, scratch):
+    """Corners of each cell in the domain, 0 to 4, as int8."""
+    dx = xc[1] - xc[0]
+    nx, ny = xc.size, yc.size
     # corner lattice: one row/column more than cells
     cx = np.concatenate([xc - 0.5 * dx, [xc[-1] + 0.5 * dx]])
     cy = np.concatenate([yc - 0.5 * dx, [yc[-1] + 0.5 * dx]])
@@ -311,52 +358,53 @@ def field_cells(xc, yc, posts, sign_rows, r_post, r_cav):
     counts = corner_in[:-1, :-1] + corner_in[1:, :-1]
     counts += corner_in[:-1, 1:]
     counts += corner_in[1:, 1:]
-    del corner_in
-    full = counts == 4
-    not_full = ~full
+    return counts
 
-    # node centers: each row's field, 0 outside the domain, and |H|^2 on
-    # the full cells
-    nodes = [(np.empty((nx, ny)), np.empty((nx, ny)), np.empty((nx, ny))) for _ in rows]
+
+def _node_energies(xc, yc, posts, rows, r_post, r_cav, not_full, scratch):
+    """Each row's node |H|^2 and the mask of nodes outside the domain.
+
+    A block's node fields are formed in the scratch and reduced to |H|^2
+    there; nodes outside the domain and on cells that are not full get 0.
+    """
+    nx, ny = xc.size, yc.size
+    energies = [np.empty((nx, ny)) for _ in rows]
     outside = np.empty((nx, ny), dtype=bool)
     for b in _blocks(nx, ny):
-        shape = (b.stop - b.start, ny)
-        work = [_view(w, shape) for w in scratch[:2]]
-        out = [(Hx[b], Hy[b]) for Hx, Hy, _ in nodes]
-        inside = _row_fields(xc[b, None], yc[None, :], posts, rows, r_post, r_cav, out, work)
-        off = np.logical_not(inside, out=outside[b])
-        hy_sq = work[0]
-        for Hx, Hy, energy in nodes:
-            Hx, Hy, energy = Hx[b], Hy[b], energy[b]
-            Hx[off] = 0.0
-            Hy[off] = 0.0
-            np.multiply(Hx, Hx, out=energy)
-            energy += np.multiply(Hy, Hy, out=hy_sq)
-            energy[not_full[b]] = 0.0
-    cut = (counts != 0) | ~outside
-    cut &= not_full
-    del counts, not_full
-    coverage = full.astype(float)
+        views = [_view(w, (b.stop - b.start, ny)) for w in scratch]
+        out = list(zip(views[2::2], views[3::2]))
+        inside = _row_fields(xc[b, None], yc[None, :], posts, rows, r_post, r_cav, out, views[:2])
+        np.logical_not(inside, out=outside[b])
+        zero = np.logical_or(outside[b], not_full[b], out=inside)
+        for (Hx, Hy), energy in zip(out, energies):
+            e = np.multiply(Hx, Hx, out=energy[b])
+            e += np.multiply(Hy, Hy, out=Hy)
+            np.copyto(e, 0.0, where=zero)
+    return energies, outside
 
-    # cut cells: |H|^2 averaged over the subsamples in the domain
-    flat = np.flatnonzero(cut)
-    ci, cj = np.divmod(flat, ny)
+
+def _cut_cells(xc, yc, flat, posts, rows, r_post, r_cav, scratch):
+    """Each row's |H|^2 averaged over the subsamples in the domain of the
+    cut cells at the flat indices ``flat``, and their subsample counts."""
+    ss = SUBSAMPLE
+    dx = xc[1] - xc[0]
     offs = (np.arange(ss) + 0.5) * dx / ss - 0.5 * dx
-    # cells on the last axis, so every broadcast runs along the cells
-    sx = (xc[ci] + offs[:, None])[:, None, :]  # (ss, 1, m)
-    sy = (yc[cj] + offs[:, None])[None, :, :]  # (1, ss, m)
-    cut_energy = [np.empty(flat.size) for _ in rows]
+    energies = [np.empty(flat.size) for _ in rows]
     cnt = np.empty(flat.size, dtype=np.intp)
     for b in _blocks(flat.size, ss * ss):
         m = b.stop - b.start
+        ci, cj = np.divmod(flat[b], yc.size)
+        # cells on the last axis, so every broadcast runs along the cells
+        sx = (xc[ci] + offs[:, None])[:, None, :]  # (ss, 1, m)
+        sy = (yc[cj] + offs[:, None])[None, :, :]  # (1, ss, m)
         views = [_view(w, (ss, ss, m)) for w in scratch]
-        work, out = views[:2], list(zip(views[2::2], views[3::2]))
-        sub_in = _row_fields(sx[..., b], sy[..., b], posts, rows, r_post, r_cav, out, work)
+        out = list(zip(views[2::2], views[3::2]))
+        sub_in = _row_fields(sx, sy, posts, rows, r_post, r_cav, out, views[:2])
         n_in = cnt[b] = sub_in.sum(axis=(0, 1))
         # each cell's ss*ss terms are copied to one row in x-major order,
         # so every cell sums like a row of the (cells, ss*ss) layout
         by_cell = _view(scratch[0], (m, ss, ss))
-        for (e, ey), ce in zip(out, cut_energy):
+        for (e, ey), ce in zip(out, energies):
             e *= e
             ey *= ey
             e += ey
@@ -364,10 +412,23 @@ def field_cells(xc, yc, posts, sign_rows, r_post, r_cav):
             np.copyto(by_cell, e.transpose(2, 0, 1))
             total = by_cell.reshape(m, -1).sum(axis=1)
             ce[b] = np.where(n_in > 0, total / np.maximum(n_in, 1), 0.0)
-    coverage.reshape(-1)[flat] = cnt / (ss * ss)
+    return energies, cnt
 
-    cells = []
-    for (Hx, Hy, energy), ce in zip(nodes, cut_energy):
-        energy.reshape(-1)[flat] = ce
-        cells.append((Hx, Hy, energy, coverage, outside))
-    return cells
+
+def node_fields(xc, yc, posts, signs, excluded):
+    """Node-centre (Hx, Hy) of the posts with the given current signs.
+
+    The nodes are the grid of the axes ``xc`` and ``yc``; the field is
+    ``signed_sum`` of ``post_fields``, set to 0 on the ``excluded``
+    nodes.  These are the node fields ``field_cells`` does not keep, with
+    the bytes of ``tests/oracles.py::field_cells_meshgrid``.
+    """
+    shape = (np.size(xc), np.size(yc))
+    x = np.broadcast_to(np.asarray(xc, dtype=float)[:, None], shape)
+    y = np.broadcast_to(np.asarray(yc, dtype=float)[None, :], shape)
+    with np.errstate(all="ignore"):
+        fields, _ = post_fields(x, y, np.asarray(posts, dtype=float))
+        Hx, Hy = signed_sum(signs, fields)
+    Hx[excluded] = 0.0
+    Hy[excluded] = 0.0
+    return Hx, Hy

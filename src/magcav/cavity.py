@@ -18,14 +18,19 @@ geometric factor at the documented factor-level tolerances.
 Quadrature note: every map cell stores the mean of |H|^2 over its covered
 fraction (subsampled along post and wall circles), so integrals over the
 midplane are plain coverage-weighted sums and converge despite the 1/rho
-field blowup at the post surface.
+field blowup at the post surface.  A quadrature pass keeps only what
+those sums read: each mode's cell energies, the coverage, the mask of
+excluded nodes and the coverage-weighted sum over the whole grid.  The
+node field samples of a map enter no figure and are computed on request.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import inspect
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -150,32 +155,51 @@ class FieldMap:
     """Midplane in-plane H field on a uniform cell-center grid.
 
     The posts carry 1 A each; every figure taken from a map is a ratio of
-    integrals of |H|^2, in which the current cancels.  ``Hx``/``Hy`` are
-    node samples (A/m, zero on excluded nodes);
-    ``energy`` is the cell-mean |H|^2 over the covered fraction of each
-    cell and ``coverage`` that fraction, which together define all
-    integrals.  ``excluded`` marks node centers inside a post or outside
-    the cavity wall.
+    integrals of |H|^2, in which the current cancels.  ``energy`` is the
+    cell-mean |H|^2 over the covered fraction of each cell and
+    ``coverage`` that fraction, which together define all integrals;
+    ``energy_sum`` is the sum of their product over the grid.
+    ``excluded`` marks node centers inside a post or outside the cavity
+    wall.  The node samples ``Hx``/``Hy`` (A/m, zero on excluded nodes)
+    enter no figure: the quadrature does not keep them, and a map
+    computes them on their first request.
 
     Maps from ``field_map`` share their arrays: the maps of one in-plane
     geometry hold the same grid, ``excluded`` and ``coverage`` arrays, and
-    repeated calls return the same field arrays.  The arrays are
+    repeated calls return the same ``energy`` arrays.  The arrays are
     read-only; copy one before changing it.
     """
 
     xs: np.ndarray
     ys: np.ndarray
-    Hx: np.ndarray
-    Hy: np.ndarray
     energy: np.ndarray
     coverage: np.ndarray
     excluded: np.ndarray
+    energy_sum: float
     mode: str
     geometry: CavityGeometry
 
     @property
     def cell_area(self) -> float:
         return (self.xs[1] - self.xs[0]) ** 2
+
+    @functools.cached_property
+    def _node_fields(self) -> tuple[np.ndarray, np.ndarray]:
+        fields = _kernels.node_fields(self.xs, self.ys, self.geometry.post_positions,
+                                      _MODE_SIGNS[self.mode], self.excluded)
+        for H in fields:
+            H.flags.writeable = False
+        return fields
+
+    @property
+    def Hx(self) -> np.ndarray:
+        """x component of H at the nodes (A/m), 0 on excluded nodes."""
+        return self._node_fields[0]
+
+    @property
+    def Hy(self) -> np.ndarray:
+        """y component of H at the nodes (A/m), 0 on excluded nodes."""
+        return self._node_fields[1]
 
     @property
     def magnitude(self) -> np.ndarray:
@@ -195,11 +219,21 @@ class FieldMap:
 
 _MODE_SIGNS = {"dark": (1.0, 1.0), "bright": (1.0, -1.0)}
 
-# (key, (centers, {mode: (Hx, Hy, energy, coverage, excluded)})) of the
-# last in-plane geometry, or None.  One entry, so scans over gap or height
-# reuse one quadrature pass while the arrays of two geometries are never
-# held at once.
+# (key, (centers, {mode: (energy, coverage, excluded, energy_sum)})) of
+# the last in-plane geometry, or None.  One entry, so scans over gap or
+# height reuse one quadrature pass while the arrays of two geometries are
+# never held at once.
 _last_cells = None
+
+
+def _check_resolution(resolution) -> int:
+    """``resolution`` as an int; DomainError unless an integer in range."""
+    if (isinstance(resolution, bool) or not isinstance(resolution, numbers.Integral)
+            or not MIN_RESOLUTION <= resolution <= MAX_RESOLUTION):
+        raise DomainError(
+            f"resolution must be an integer in [{MIN_RESOLUTION}, {MAX_RESOLUTION}]"
+        )
+    return int(resolution)
 
 
 def _mode_cells(geometry: CavityGeometry, resolution: int):
@@ -220,7 +254,10 @@ def _mode_cells(geometry: CavityGeometry, resolution: int):
     )
     for arr in (centers, *(a for row in cells for a in row)):
         arr.flags.writeable = False
-    found = (centers, dict(zip(_MODE_SIGNS, cells)))
+    # the midplane integral's sum, formed once instead of in every call
+    # of filling_factor and geometric_factor
+    found = (centers, {mode: (*row, (row[0] * row[1]).sum())
+                       for mode, row in zip(_MODE_SIGNS, cells)})
     _last_cells = (key, found)
     return found
 
@@ -228,27 +265,24 @@ def _mode_cells(geometry: CavityGeometry, resolution: int):
 def field_map(geometry: CavityGeometry, mode: str, resolution: int = RESOLUTION) -> FieldMap:
     """Two-line-current field map of the chosen cavity mode.
 
-    ``resolution`` counts grid cells across the cavity diameter;
-    ``MIN_RESOLUTION`` is the floor for the quadrature contracts
-    downstream.  Odd values put a node exactly on the inter-post
-    midpoint.  Both modes of the last in-plane geometry (cavity radius,
-    post radius and spacing, resolution) are kept, so repeated calls
-    share read-only arrays.
+    ``resolution`` counts grid cells across the cavity diameter, an
+    integer in [``MIN_RESOLUTION``, ``MAX_RESOLUTION``], the range of the
+    quadrature contracts downstream.  Odd values put a node exactly on
+    the inter-post midpoint.  Both modes of the last in-plane geometry
+    (cavity radius, post radius and spacing, resolution) are kept, so
+    repeated calls share read-only arrays.
     """
     if mode not in _MODE_SIGNS:
         raise DomainError("mode must be 'dark' or 'bright'")
-    if resolution < MIN_RESOLUTION:
-        raise DomainError(f"resolution must be at least {MIN_RESOLUTION} cells across")
-    centers, cells = _mode_cells(geometry, resolution)
-    Hx, Hy, energy, coverage, excluded = cells[mode]
+    centers, cells = _mode_cells(geometry, _check_resolution(resolution))
+    energy, coverage, excluded, energy_sum = cells[mode]
     return FieldMap(
         xs=centers,
         ys=centers,
-        Hx=Hx,
-        Hy=Hy,
         energy=energy,
         coverage=coverage,
         excluded=excluded,
+        energy_sum=energy_sum,
         mode=mode,
         geometry=geometry,
     )
@@ -263,7 +297,7 @@ field_map.__signature__ = inspect.signature(field_map)
 
 def _midplane_energy_integral(fmap: FieldMap) -> float:
     """Integral of |H|^2 over the midplane domain (A^2/m^2 * m^2)."""
-    return float((fmap.energy * fmap.coverage).sum() * fmap.cell_area)
+    return float(fmap.energy_sum * fmap.cell_area)
 
 
 def filling_factor(
@@ -295,12 +329,14 @@ def filling_factor(
     i1 = int(np.searchsorted(xs, cx + r, side="right")) + 1
     j0 = max(int(np.searchsorted(ys, cy - r)) - 1, 0)
     j1 = int(np.searchsorted(ys, cy + r, side="right")) + 1
+    # energy * coverage * chord is +0 off the box; the sum runs over the
+    # whole grid so that its rounding is the full grid's
     rho2 = (xs[i0:i1, None] - cx) ** 2 + (ys[None, j0:j1] - cy) ** 2
-    chord = np.zeros(fmap.energy.shape)
-    chord[i0:i1, j0:j1] = 2.0 * np.sqrt(np.maximum(r * r - rho2, 0.0))
-    sphere_integral = float(
-        (fmap.energy * fmap.coverage * chord).sum() * fmap.cell_area
-    )
+    box = np.s_[i0:i1, j0:j1]
+    weighted = np.zeros(fmap.energy.shape)
+    inner = np.multiply(fmap.energy[box], fmap.coverage[box], out=weighted[box])
+    inner *= 2.0 * np.sqrt(np.maximum(r * r - rho2, 0.0))
+    sphere_integral = float(weighted.sum() * fmap.cell_area)
     cavity_integral = _midplane_energy_integral(fmap) * geom.height
     xi = sphere_integral / cavity_integral
     if not 0.0 <= xi <= 1.0:
@@ -379,6 +415,7 @@ def geometry_scan(
     """
     if parameter not in _SCAN_FIELDS:
         raise DomainError(f"parameter must be one of {sorted(_SCAN_FIELDS)}")
+    resolution = _check_resolution(resolution)
     rows = []
     for v in values:
         try:

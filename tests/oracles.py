@@ -368,6 +368,7 @@ def _mesh_in_domain(x, y, post_r2, r_post, r_cav):
     return ok
 
 
+@np.errstate(all="ignore")
 def field_cells_meshgrid(xc, yc, posts, sign_rows, r_post, r_cav, subsample=8):
     """Field cells as the library computed them on full coordinate grids.
 
@@ -376,7 +377,9 @@ def field_cells_meshgrid(xc, yc, posts, sign_rows, r_post, r_cav, subsample=8):
     materialised as meshgrids and broadcast copies, each post's field is
     formed on them, and the signed sums start from ``zeros_like``.
     Returns one ``(Hx, Hy, energy, coverage, excluded)`` tuple per sign
-    row.
+    row; the node fields ``Hx``/``Hy`` are the reference for
+    ``magcav._kernels.node_fields``.  Overflow on extreme axes gives inf
+    or nan without a warning, as in the library.
     """
     xc = np.asarray(xc, dtype=float)
     yc = np.asarray(yc, dtype=float)

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,6 +24,8 @@ from magcav.cavity import (
 )
 from magcav.core import CONSTANTS, DomainError, SphereSample
 from magcav.presets import reference_cavity, reference_sphere
+
+from oracles import field_cells_meshgrid
 
 BARE = CavityGeometry(
     cavity_radius=5.0e-3,
@@ -120,6 +123,22 @@ def test_field_map_validation():
         field_map(BARE, "dark", resolution=32)
 
 
+# 257.5 used to build a 258-node grid whose last node sits on the wall
+@pytest.mark.parametrize("resolution", [63, 2050, 257.5, 257.0, np.float64(129), True, "129"])
+def test_resolution_must_be_an_integer_in_range(resolution):
+    with pytest.raises(DomainError, match="resolution must be an integer in"):
+        field_map(BARE, "dark", resolution=resolution)
+    with pytest.raises(DomainError, match="resolution must be an integer in"):
+        geometry_scan(reference_cavity(), "gap", [73e-6], reference_sphere(),
+                      resolution=resolution)
+
+
+def test_resolution_takes_numpy_integers():
+    fmap = field_map(BARE, "bright", resolution=np.int64(129))
+    assert fmap.xs.shape == (129,)
+    assert fmap.energy is field_map(BARE, "bright", resolution=129).energy
+
+
 def test_dark_mode_midpoint_null():
     fmap = field_map(BARE, "dark", resolution=257)
     # parallel currents cancel exactly on the symmetry axis
@@ -164,7 +183,7 @@ def test_mode_energy_complementarity():
         centers, centers, posts, [(1.0, 1.0), (1.0, -1.0), (1.0, 0.0), (0.0, 1.0)],
         BARE.post_radius, R,
     )
-    dark, bright, left, right = (c[2] for c in cells)
+    dark, bright, left, right = (c[0] for c in cells)
 
     lhs = dark + bright
     rhs = 2.0 * (left + right)
@@ -209,6 +228,23 @@ def _xi_full_grid(fmap, sphere, center):
     sphere_integral = float((fmap.energy * fmap.coverage * chord).sum() * fmap.cell_area)
     whole = float((fmap.energy * fmap.coverage).sum() * fmap.cell_area)
     return sphere_integral / (whole * fmap.geometry.height)
+
+
+def test_filling_factor_allocates_one_grid():
+    # the sphere integral's products, written into one zero grid on the
+    # sphere's index box; the cavity integral's sum is the map's own
+    ref = reference_cavity()
+    fmap = field_map(ref, "bright", resolution=257)
+    sph = reference_sphere()
+    xi = filling_factor(fmap, sph)  # imports and caches warm
+    tracemalloc.start()
+    try:
+        assert filling_factor(fmap, sph) == xi
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # one full grid and the box's few small arrays
+    assert peak < fmap.energy.nbytes * 17 // 16
 
 
 @pytest.mark.parametrize("resolution", [65, 257])
@@ -317,6 +353,44 @@ _IN_PLANE = [(5.0e-3, 0.4e-3, 2.3e-3), (5.0e-3, 0.4e-3, 1.8e-3), (4.0e-3, 0.3e-3
 def _fresh_field_map(geom, mode, resolution):
     cavity._last_cells = None
     return field_map(geom, mode, resolution=resolution)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("resolution", [64, 65, 129, 257])
+def test_field_map_node_fields_match_meshgrid_oracle(resolution):
+    # Hx/Hy are formed on request, with the bytes of the meshgrid oracle
+    ref = reference_cavity()
+    signs = [(1.0, 1.0), (1.0, -1.0)]
+    fmaps = [field_map(ref, mode, resolution=resolution) for mode in ("dark", "bright")]
+    xs = fmaps[0].xs
+    want = field_cells_meshgrid(xs, xs, ref.post_positions, signs, ref.post_radius,
+                                ref.cavity_radius)
+    for fmap, row in zip(fmaps, want):
+        for name, arr in zip(("Hx", "Hy", "energy", "coverage", "excluded"), row):
+            assert getattr(fmap, name).tobytes() == arr.tobytes()
+        assert fmap.Hx is fmap.Hx and not fmap.Hy.flags.writeable
+
+
+def test_field_map_quadrature_memory_stays_at_its_scratch():
+    # a fresh 257-cell pass keeps each mode's energy, one coverage and one
+    # node mask; above those it allocates at most its scratch (one post's
+    # field and each mode's Hx, Hy for one block of points), since the
+    # node fields of the whole grid are never formed
+    ref = reference_cavity()
+    _fresh_field_map(ref, "dark", 257)  # imports and caches warm
+    cavity._last_cells = None
+    tracemalloc.start()
+    try:
+        field_map(ref, "dark", resolution=257)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    centers, cells = cavity._last_cells[1]
+    kept = {id(a): a for row in cells.values() for a in row[:3]}
+    kept_bytes = centers.nbytes + sum(a.nbytes for a in kept.values())
+    assert kept_bytes == 257 * 257 * (3 * 8 + 1) + 257 * 8
+    scratch_bytes = (2 + 2 * len(cells)) * _kernels._BLOCK_POINTS * 8
+    assert peak - kept_bytes <= scratch_bytes
 
 
 @given(data=st.data())

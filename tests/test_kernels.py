@@ -4,9 +4,9 @@ The transmission kernel is checked against a per-cell dense LAPACK solve
 (``oracles.s21_point_solve``) and the field cells against the scalar
 per-cell quadrature in ``oracles.py``.  Neither oracle shares code with
 the implementation under test, so agreement on random inputs is a real
-check, not a tautology.  The field cells are also held byte for byte to
-``oracles.field_cells_meshgrid``, the full-grid numpy formulation they
-replaced.
+check, not a tautology.  The field cells and the node fields formed on
+request are also held byte for byte to ``oracles.field_cells_meshgrid``,
+the full-grid numpy formulation they replaced.
 """
 
 from pathlib import Path
@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from magcav import _kernels, spectra
-from magcav._kernels import field_cells, s21_rows
+from magcav._kernels import field_cells, node_fields, s21_rows
 from magcav.config import load_config
 
 from oracles import (
@@ -175,12 +175,19 @@ def _reference_cells(resolution):
     return centers, centers, posts, r_post, r_cav
 
 
+# the field-cell tests fail on any numpy RuntimeWarning: extreme axes
+# give inf or nan quietly, in the library and in the meshgrid oracle
+field_cell_test = pytest.mark.filterwarnings("error::RuntimeWarning")
+
+
+@field_cell_test
 @pytest.mark.parametrize("resolution", [65, 129])
 def test_field_cells_match_scalar_oracle(resolution):
     xc, yc, posts, r_post, r_cav = _reference_cells(resolution)
     cells = field_cells(xc, yc, posts, SIGN_ROWS, r_post, r_cav)
     assert len(cells) == len(SIGN_ROWS)
-    for signs, (Hx, Hy, e, cov, _) in zip(SIGN_ROWS, cells):
+    for signs, (e, cov, excluded) in zip(SIGN_ROWS, cells):
+        Hx, Hy = node_fields(xc, yc, posts, signs, excluded)
         Hx_o, Hy_o, e_o, cov_o = field_cells_scalar(xc, yc, posts, signs, 1.0, r_post, r_cav)
         # coverage counts subsamples, an integer ratio: must match exactly
         np.testing.assert_array_equal(cov, cov_o)
@@ -193,22 +200,24 @@ def test_field_cells_match_scalar_oracle(resolution):
             assert not np.signbit(arr[arr == 0.0]).any()
     # coverage and the node mask are properties of the geometry, shared by
     # every row
-    assert all(c[3] is cells[0][3] and c[4] is cells[0][4] for c in cells)
+    assert all(c[1] is cells[0][1] and c[2] is cells[0][2] for c in cells)
     excluded = [
         [not _in_cavity_domain(x, y, posts, r_post * r_post, r_cav * r_cav) for y in yc]
         for x in xc
     ]
-    np.testing.assert_array_equal(cells[0][4], excluded)
+    np.testing.assert_array_equal(cells[0][2], excluded)
 
 
+@field_cell_test
 def test_field_cells_without_cut_cells_match_scalar_oracle():
     # a 9x9 patch of +-0.1 mm around the midpoint between the posts: every
     # cell lies wholly inside the domain, so none is cut
     _, _, posts, r_post, r_cav = _reference_cells(65)
     xc = yc = np.linspace(-1e-4, 1e-4, 9)
     cells = field_cells(xc, yc, posts, SIGN_ROWS, r_post, r_cav)
-    for signs, (Hx, Hy, e, cov, excluded) in zip(SIGN_ROWS, cells):
+    for signs, (e, cov, excluded) in zip(SIGN_ROWS, cells):
         assert cov.min() == 1.0 and not excluded.any()
+        Hx, Hy = node_fields(xc, yc, posts, signs, excluded)
         oracle = field_cells_scalar(xc, yc, posts, signs, 1.0, r_post, r_cav)
         for arr, arr_o in zip((Hx, Hy, e, cov), oracle):
             np.testing.assert_array_equal(arr, arr_o)
@@ -221,13 +230,27 @@ def test_field_cells_rejects_bad_sign_rows():
             field_cells(xc, yc, posts, rows, r_post, r_cav)
 
 
+def _assert_bytes_equal(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        # bytes compare signed zeros too
+        assert a.dtype == b.dtype and a.shape == b.shape
+        assert a.tobytes() == b.tobytes()
+
+
 def _assert_cells_bytes_equal(got, want):
+    """The kernel's (energy, coverage, excluded) rows against the oracle's."""
     assert len(got) == len(want)
     for row_got, row_want in zip(got, want):
-        for a, b in zip(row_got, row_want):
-            # bytes compare signed zeros too
-            assert a.dtype == b.dtype and a.shape == b.shape
-            assert a.tobytes() == b.tobytes()
+        assert len(row_got) == 3  # no node-field grid
+        _assert_bytes_equal(row_got, row_want[2:])
+
+
+def _assert_node_fields_bytes_equal(xc, yc, posts, rows, want):
+    """``node_fields`` of every row against the oracle's (Hx, Hy)."""
+    for row, row_want in zip(rows, want):
+        got = node_fields(xc, yc, posts, row, row_want[4])
+        _assert_bytes_equal(got, row_want[:2])
 
 
 @st.composite
@@ -260,6 +283,7 @@ def cell_cases(draw):
     return xc, yc, np.array(posts), rows, r_post, r_cav, block
 
 
+@field_cell_test
 @given(case=cell_cases())
 @settings(max_examples=60, deadline=None)
 def test_field_cells_match_meshgrid_oracle_bytes(case):
@@ -269,6 +293,35 @@ def test_field_cells_match_meshgrid_oracle_bytes(case):
     _assert_cells_bytes_equal(got, field_cells_meshgrid(xc, yc, posts, rows, r_post, r_cav))
 
 
+@field_cell_test
+@given(case=cell_cases())
+@settings(max_examples=60, deadline=None)
+def test_node_fields_match_meshgrid_oracle_bytes(case):
+    # the node fields field_cells does not keep, formed on request
+    xc, yc, posts, rows, r_post, r_cav, _ = case
+    want = field_cells_meshgrid(xc, yc, posts, rows, r_post, r_cav)
+    _assert_node_fields_bytes_equal(xc, yc, posts, rows, want)
+
+
+@field_cell_test
+@pytest.mark.parametrize("r_post", [0.0, 4e-4])
+def test_field_cells_overflow_near_a_post_centre_is_quiet(r_post):
+    # a node 1e-160 m from a post centre: r2 is a subnormal, 1/(2 pi r2)
+    # overflows and the field is inf and nan there; a post of radius 0
+    # leaves that node in the domain, one of 0.4 mm excludes it
+    xc, _, _, _, r_cav = _reference_cells(65)
+    yc = (np.arange(65) - 32) * (xc[1] - xc[0])
+    posts = np.array([[xc[40], 1e-160], [1.15e-3, 0.0]])
+    got = field_cells(xc, yc, posts, SIGN_ROWS, r_post, r_cav)
+    want = field_cells_meshgrid(xc, yc, posts, SIGN_ROWS, r_post, r_cav)
+    _assert_cells_bytes_equal(got, want)
+    _assert_node_fields_bytes_equal(xc, yc, posts, SIGN_ROWS, want)
+    energy, _, excluded = got[SIGN_ROWS.index((1.0, 0.0))]
+    assert excluded[40, 32] == (r_post > 0.0)
+    assert np.isnan(energy[40, 32]) != excluded[40, 32]
+
+
+@field_cell_test
 @pytest.mark.parametrize("bare", [False, True])
 @pytest.mark.parametrize("resolution", [129, 130])
 def test_field_cells_node_on_post_centre_match_meshgrid_oracle(resolution, bare):
@@ -280,12 +333,15 @@ def test_field_cells_node_on_post_centre_match_meshgrid_oracle(resolution, bare)
     posts = np.array([[xc[i], yc[j]], [1.15e-3, 0.0]])
     rows = SIGN_ROWS + [(-1.0, -1.0), (0.0, 0.0)]
     got = field_cells(xc, yc, posts, rows, r_post, r_cav)
-    _assert_cells_bytes_equal(got, field_cells_meshgrid(xc, yc, posts, rows, r_post, r_cav))
+    want = field_cells_meshgrid(xc, yc, posts, rows, r_post, r_cav)
+    _assert_cells_bytes_equal(got, want)
+    _assert_node_fields_bytes_equal(xc, yc, posts, rows, want)
     # a bare line current's own node is in the domain and gets no field
     # from it; inside a post the node is excluded; either way +0.0
-    Hx, Hy, *_, excluded = got[SIGN_ROWS.index((1.0, 0.0))]
+    signs = (1.0, 0.0)
+    excluded = got[SIGN_ROWS.index(signs)][2]
     assert excluded[i, j] != bare
-    for H in (Hx, Hy):
+    for H in node_fields(xc, yc, posts, signs, excluded):
         assert H[i, j] == 0.0 and not np.signbit(H[i, j])
 
 
