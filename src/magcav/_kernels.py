@@ -287,6 +287,7 @@ def _view(buf, shape):
     return buf[: math.prod(shape)].reshape(shape)
 
 
+@np.errstate(all="ignore")
 def field_cells(xc, yc, posts, sign_rows, r_post, r_cav):
     """Quadrature cells of the midplane field, one set per row of current signs.
 
@@ -311,11 +312,6 @@ def field_cells(xc, yc, posts, sign_rows, r_post, r_cav):
     rows = [tuple(float(s) for s in row) for row in sign_rows]
     if any(len(row) != len(posts) or not set(row) <= {-1.0, 0.0, 1.0} for row in rows):
         raise ValueError("each sign row needs one sign in {-1, 0, 1} per post")
-    with np.errstate(all="ignore"):
-        return _field_cells(xc, yc, posts, rows, r_post, r_cav)
-
-
-def _field_cells(xc, yc, posts, rows, r_post, r_cav):
     # room for one block of any pass: one post's (Hx, Hy), then each
     # row's (Hx, Hy) on the nodes or on the subsamples of the cut cells
     n_work = max(_BLOCK_POINTS, yc.size + 1, SUBSAMPLE * SUBSAMPLE)
@@ -415,6 +411,7 @@ def _cut_cells(xc, yc, flat, posts, rows, r_post, r_cav, scratch):
     return energies, cnt
 
 
+@np.errstate(all="ignore")
 def node_fields(xc, yc, posts, signs, excluded):
     """Node-centre (Hx, Hy) of the posts with the given current signs.
 
@@ -426,9 +423,8 @@ def node_fields(xc, yc, posts, signs, excluded):
     shape = (np.size(xc), np.size(yc))
     x = np.broadcast_to(np.asarray(xc, dtype=float)[:, None], shape)
     y = np.broadcast_to(np.asarray(yc, dtype=float)[None, :], shape)
-    with np.errstate(all="ignore"):
-        fields, _ = post_fields(x, y, np.asarray(posts, dtype=float))
-        Hx, Hy = signed_sum(signs, fields)
+    fields, _ = post_fields(x, y, np.asarray(posts, dtype=float))
+    Hx, Hy = signed_sum(signs, fields)
     Hx[excluded] = 0.0
     Hy[excluded] = 0.0
     return Hx, Hy
