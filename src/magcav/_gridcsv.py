@@ -66,6 +66,7 @@ from __future__ import annotations
 
 import os
 import re
+import stat
 
 import numpy as np
 
@@ -212,13 +213,56 @@ def _masked(cells, outer_w, inner_w):
     return flat[flat != 0]
 
 
+def open_output(path):
+    """Open ``path`` to write an output file from its first byte; a binary
+    file object.
+
+    An existing regular file with one link, owned by the running user and
+    writable by its owner, is removed and created anew (``O_CREAT |
+    O_EXCL``) with its old mode.  Truncating such a file in place makes
+    ext4 (``auto_da_alloc``) start writeback of the old bytes when the
+    file is closed, and the next truncation waits for it; a new file has
+    no old bytes to wait for, and a write that stops halfway leaves a
+    short file, never new rows followed by the old file's.
+
+    Any other path is opened with ``open(path, "wb")`` and truncated in
+    place, so a symlink is written through, every name of a hard-linked
+    file reads the new bytes, and a file the user may not write, a file of
+    another user, a missing path and a path whose directory forbids the
+    removal behave as ``open`` does.  Call it only once every check of the
+    write has passed: it removes the old file.
+    """
+    try:
+        st = os.lstat(path)
+        owned = st.st_uid == os.geteuid()
+    except (OSError, AttributeError):  # no such path; no geteuid (Windows)
+        return open(path, "wb")
+    if not (stat.S_ISREG(st.st_mode) and st.st_nlink == 1 and owned
+            and st.st_mode & stat.S_IWUSR):
+        return open(path, "wb")
+    try:
+        os.unlink(path)
+    except OSError:
+        return open(path, "wb")
+    mode = stat.S_IMODE(st.st_mode)
+    fh = open(path, "xb", opener=lambda p, flags: os.open(p, flags, mode))
+    try:
+        os.fchmod(fh.fileno(), mode)  # the umask may have cleared bits
+    except BaseException:
+        fh.close()
+        raise
+    return fh
+
+
 def write_grid_csv(path, header: str, outer, inner, values) -> None:
     """Write ``outer[i], inner[j], values[i, j]`` rows.
 
     Rows are built in blocks of about ``_BLOCK_CELLS`` cells (whole outer
     rows, or parts of one row when a row is longer than a block), each
-    written with one call.
+    written with one call.  The file is opened by ``open_output`` once
+    the header and both axes are formatted.
     """
+    head = header.encode("ascii") + b"\n"
     values = np.asarray(values, dtype=float)
     outer_s = [FORMAT % x + "," for x in np.asarray(outer).tolist()]
     inner_s = [FORMAT % x + "," for x in np.asarray(inner).tolist()]
@@ -234,8 +278,8 @@ def write_grid_csv(path, header: str, outer, inner, values) -> None:
     # the value slots are the one buffer kept across blocks; a block's rows
     # are allocated once _sci9's temporaries are freed
     slots = np.empty((rows * span, 3), dtype=_WORD)
-    with open(path, "wb") as fh:
-        fh.write(header.encode("ascii") + b"\n")
+    with open_output(path) as fh:
+        fh.write(head)
         for i0 in range(0, n_outer, rows):
             i1 = min(i0 + rows, n_outer)
             for j0 in range(0, n_inner, span):

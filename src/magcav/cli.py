@@ -23,6 +23,7 @@ import sys
 
 import numpy as np
 
+from ._gridcsv import open_output
 from .cavity import (
     field_map,
     filling_factor,
@@ -135,8 +136,9 @@ def cmd_cavity(args) -> int:
     lines = list(_scan_csv_lines(rows))
     print("\n".join(lines))
     if args.csv is not None:
-        with open(args.csv, "w", encoding="ascii", newline="\n") as fh:
-            fh.write("\n".join(lines) + "\n")
+        data = ("\n".join(lines) + "\n").encode("ascii")
+        with open_output(args.csv) as fh:
+            fh.write(data)
         print(f"wrote {args.csv}", file=sys.stderr)
     return EXIT_OK
 

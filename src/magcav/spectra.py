@@ -25,7 +25,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import _kernels
-from ._gridcsv import read_grid_csv, write_grid_csv
+from ._gridcsv import open_output, read_grid_csv, write_grid_csv
 from .core import DomainError, HybridModel
 
 __all__ = [
@@ -197,18 +197,24 @@ class DensityMap:
         """8-bit binary PGM, row = frequency (ascending), column = field.
 
         Grayscale is linear in dB between the clamps recorded in the
-        header comment; values outside are saturated.
+        header comment; values outside are saturated.  The clamps, their
+        span and the scale 255 / span must be finite; the file is opened
+        by ``open_output`` once they are checked.
         """
         if not db_min < db_max:
             raise DomainError("db_min must lie below db_max")
+        span = float(db_max) - float(db_min)  # finite only if both clamps are
+        scale = 255.0 / span
+        if not (math.isfinite(span) and math.isfinite(scale)):
+            raise DomainError("db_min and db_max must be finite, and so must 255 / (db_max - db_min)")
         db = np.clip(self.to_db(), db_min, db_max)
-        gray = np.rint((db - db_min) * (255.0 / (db_max - db_min))).astype(np.uint8)
+        gray = np.rint((db - db_min) * scale).astype(np.uint8)
         header = (
             f"P5\n# dB clamps [{db_min:g}, {db_max:g}]\n"
             f"{self.B_axis.size} {self.f_axis.size}\n255\n"
-        )
-        with open(path, "wb") as fh:
-            fh.write(header.encode("ascii"))
+        ).encode("ascii")
+        with open_output(path) as fh:
+            fh.write(header)
             fh.write(gray.T.tobytes())  # row index runs along f
 
 

@@ -24,6 +24,8 @@ the stdout of the command in ``CAVITY_CASES``, e.g.
     magcav cavity fixtures/reference_cavity.ini --scan gap --start 10 --stop 150 \
         > tests/golden/cavity_scan_gap.txt
 
+A scan's ``--csv`` file holds the same bytes as its stdout.
+
 The ``predict`` report is held byte for byte too, as the stdout of
 ``magcav predict fixtures/optimized_prediction.ini`` (``predict.txt``):
 its branch offsets are the Bogoliubov closed form's digits.
@@ -90,7 +92,21 @@ def test_cavity_output_matches_golden_bytes(capsys, args, golden):
     assert capsys.readouterr().out == (GOLDEN / golden).read_text()
 
 
-def test_fixture_maps_match_golden_sha256(tmp_path, capsys):
+@pytest.mark.parametrize("args, golden", [c for c in CAVITY_CASES if "--scan" in c[0]])
+def test_cavity_scan_csv_matches_golden_bytes(tmp_path, capsys, args, golden):
+    # the scan table file holds the printed table's bytes, also when it
+    # is written over a longer file
+    csv = tmp_path / "scan.csv"
+    csv.write_bytes(b"x" * 10_000)
+    code = main(["cavity", str(FIXTURES / "reference_cavity.ini"), *args, "--csv", str(csv)])
+    assert code == 0
+    capsys.readouterr()
+    assert csv.read_bytes() == (GOLDEN / golden).read_bytes()
+
+
+def _map_sha256(tmp_path, capsys):
+    """The golden and the written sha256 of the six fixture map files, as
+    two ``{name: digest}`` dicts; the files are written to ``tmp_path``."""
     for stem in ("bright_crossing", "dark_doublet"):
         assert main(["spectrum", str(FIXTURES / f"{stem}.ini"), "-o", str(tmp_path / stem)]) == 0
     prefix = tmp_path / "optimized_prediction"
@@ -101,6 +117,21 @@ def test_fixture_maps_match_golden_sha256(tmp_path, capsys):
         digest, name = line.split()
         want[name] = digest
     got = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in want}
+    return want, got
+
+
+def test_fixture_maps_match_golden_sha256(tmp_path, capsys):
+    want, got = _map_sha256(tmp_path, capsys)
+    assert got == want
+
+
+@pytest.mark.parametrize("old", ["longer", "shorter"])
+def test_fixture_maps_over_old_files_match_golden_sha256(tmp_path, capsys, old):
+    # an existing output, longer (sparse) or shorter, leaves no trace
+    for line in (GOLDEN / "maps.sha256").read_text().splitlines():
+        with open(tmp_path / line.split()[1], "wb") as fh:
+            fh.truncate(64 << 20 if old == "longer" else 10)
+    want, got = _map_sha256(tmp_path, capsys)
     assert got == want
 
 

@@ -12,6 +12,7 @@ array for ``DensityMap.to_db``.
 
 import functools
 import math
+import os
 import random
 import tempfile
 import tracemalloc
@@ -294,14 +295,18 @@ def test_csv_round_trip_at_written_precision(tmp_path, data):
     assert back.values.tobytes() == (10.0 ** (db / 20.0)).tobytes()
 
 
+def _small_dmap():
+    """A 20 x 60 bright-crossing map on which ``fit --kind two-mode`` exits 0."""
+    return density_map(bright_crossing_model(), np.linspace(0.6, 0.89, 20),
+                       np.linspace(18.9e9, 22.9e9, 60), PortCouplings())
+
+
 @functools.cache
 def _small_map():
-    """A 20 x 60 bright-crossing map on which ``fit --kind two-mode`` exits 0."""
-    dmap = density_map(bright_crossing_model(), np.linspace(0.6, 0.89, 20),
-                       np.linspace(18.9e9, 22.9e9, 60), PortCouplings())
+    """The bytes of ``_small_dmap()`` as a map CSV."""
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "map.csv"
-        dmap.write_csv(path)
+        _small_dmap().write_csv(path)
         return path.read_bytes()
 
 
@@ -559,3 +564,108 @@ def test_other_layouts_fall_back_once(tmp_path, monkeypatch, layout, fallbacks):
         DensityMap.read_csv(path)
     assert len(calls) == fallbacks
     _same_as_oracle(path)
+
+
+# ---------------------------------------------------------------------------
+# How an output file is written over an existing one (``_gridcsv.open_output``)
+
+
+def _one_cell_map(value=0.25):
+    return DensityMap([0.7], [20.9e9], [[value]])
+
+
+@pytest.mark.parametrize("old", ["longer", "shorter"])
+def test_rewrite_gives_exactly_the_new_bytes(tmp_path, old):
+    fresh, path = tmp_path / "fresh.csv", tmp_path / "map.csv"
+    big, small = _small_dmap(), _one_cell_map()
+    new, other = (small, big) if old == "longer" else (big, small)
+    new.write_csv(fresh)
+    other.write_csv(path)
+    new.write_csv(path)
+    assert path.read_bytes() == fresh.read_bytes()
+
+
+@pytest.mark.parametrize("mode", [0o640, 0o666, 0o600], ids=oct)
+def test_rewrite_is_a_new_file_with_the_old_mode(tmp_path, mode):
+    path = tmp_path / "map.csv"
+    _one_cell_map(0.5).write_csv(path)
+    os.chmod(path, mode)
+    umask = os.umask(0o077)  # a new file would get 0o600 without the chmod
+    try:
+        # a reader of the old file keeps it, so its inode stays in use
+        with open(path, "rb") as reader:
+            _small_dmap().write_csv(path)
+            assert reader.read() == b"B_T,f_Hz,s21_dB\n7.000000000e-01,2.090000000e+10,-6.020599913e+00\n"
+            assert os.fstat(reader.fileno()).st_ino != path.stat().st_ino
+    finally:
+        os.umask(umask)
+    assert path.stat().st_mode & 0o7777 == mode
+    assert path.read_bytes() == _small_map()
+
+
+def test_symlinked_output_is_written_through(tmp_path):
+    target, link = tmp_path / "target.csv", tmp_path / "link.csv"
+    _one_cell_map().write_csv(target)
+    link.symlink_to(target)
+    _small_dmap().write_csv(link)
+    assert link.is_symlink() and os.readlink(link) == str(target)
+    assert target.read_bytes() == _small_map()
+
+
+def test_hard_linked_output_is_written_in_place(tmp_path):
+    first, second = tmp_path / "first.csv", tmp_path / "second.csv"
+    _one_cell_map().write_csv(first)
+    os.link(first, second)
+    inode = first.stat().st_ino
+    _small_dmap().write_csv(first)
+    assert first.stat().st_ino == second.stat().st_ino == inode
+    assert first.read_bytes() == second.read_bytes() == _small_map()
+
+
+def test_read_only_output_keeps_its_inode(tmp_path, capsys):
+    prefix = tmp_path / "optimized_prediction"
+    csv = tmp_path / "optimized_prediction.csv"
+    csv.write_bytes(b"old\n")
+    csv.chmod(0o444)
+    inode = csv.stat().st_ino
+    code = main(["predict", str(FIXTURES / "optimized_prediction.ini"), "--map", str(prefix)])
+    err = capsys.readouterr().err
+    assert csv.stat().st_ino == inode and csv.stat().st_mode & 0o777 == 0o444
+    if os.geteuid() != 0:
+        # root may write a file whatever its mode; any other user gets exit 4
+        assert code == 4 and len(err.splitlines()) == 1 and err.startswith("i/o error:")
+        assert csv.read_bytes() == b"old\n"
+    else:
+        assert code == 0 and csv.read_bytes().startswith(b"B_T,f_Hz,s21_dB\n")
+
+
+@pytest.mark.parametrize("failing_block", [2, 40])
+def test_write_that_stops_halfway_leaves_a_short_file(tmp_path, monkeypatch, capsys,
+                                                      failing_block):
+    # The old file has the new map's grid, so an overwrite in place that
+    # stopped halfway would leave a complete map of new rows and old rows.
+    # Blocks of two cells: block 2 stops the write in the first B row,
+    # block 40 in the second (the first row is 30 blocks).
+    path = tmp_path / "map.csv"
+    old = _small_dmap()
+    DensityMap(old.B_axis, old.f_axis, 0.5 * old.values).write_csv(path)
+    monkeypatch.setattr(_gridcsv, "_BLOCK_CELLS", 2)
+    calls = []
+    sci9 = _gridcsv._sci9
+
+    def stopping(x, words):
+        calls.append(x.size)
+        if len(calls) == failing_block:
+            raise RuntimeError("write stopped")
+        return sci9(x, words)
+
+    monkeypatch.setattr(_gridcsv, "_sci9", stopping)
+    with pytest.raises(RuntimeError, match="write stopped"):
+        old.write_csv(path)
+    written = path.read_bytes()
+    # the rows before the failing block, and nothing of the old file
+    assert written == _small_map()[:len(written)]
+    assert written.count(b"\n") == 1 + 2 * (failing_block - 1)
+    assert main(["fit", str(path), "--kind", "two-mode"]) == 4
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("i/o error:")

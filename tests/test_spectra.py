@@ -345,3 +345,27 @@ def test_pgm_output(tmp_path):
     assert len(rest) == 6 * 24
     with pytest.raises(DomainError):
         dmap.write_pgm(tmp_path / "c.pgm", db_min=0.0, db_max=0.0)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("db_min, db_max", [
+    (-np.inf, 0.0), (-120.0, np.inf), (-np.inf, np.inf),
+    (-1e308, 1e308),  # the span overflows
+    (0.0, 5e-324), (np.float64(0.0), np.float64(5e-324)),  # 255 / span overflows
+])
+def test_pgm_clamps_must_give_a_finite_scale(tmp_path, db_min, db_max):
+    # checked before the file is opened: the old file is left as it was
+    _, dmap = fig5_map(nB=6, nf=24)
+    path = tmp_path / "map.pgm"
+    path.write_bytes(b"old")
+    with pytest.raises(DomainError, match="finite"):
+        dmap.write_pgm(path, db_min=db_min, db_max=db_max)
+    assert path.read_bytes() == b"old"
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_pgm_wide_finite_clamps_write_mid_gray(tmp_path):
+    _, dmap = fig5_map(nB=6, nf=24)
+    dmap.write_pgm(tmp_path / "map.pgm", db_min=-1e300, db_max=1e300)
+    gray = (tmp_path / "map.pgm").read_bytes().split(b"255\n", 1)[1]
+    assert set(gray) <= {127, 128}
