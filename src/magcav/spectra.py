@@ -206,7 +206,8 @@ class DensityMap:
         span = float(db_max) - float(db_min)  # finite only if both clamps are
         scale = 255.0 / span
         if not (math.isfinite(span) and math.isfinite(scale)):
-            raise DomainError("db_min and db_max must be finite, and so must 255 / (db_max - db_min)")
+            raise DomainError(
+                "db_min and db_max must be finite, and so must 255 / (db_max - db_min)")
         db = np.clip(self.to_db(), db_min, db_max)
         gray = np.rint((db - db_min) * scale).astype(np.uint8)
         header = (
