@@ -215,39 +215,43 @@ def _masked(cells, outer_w, inner_w):
 
 def open_output(path):
     """Open ``path`` to write an output file from its first byte; a binary
-    file object.
+    file object.  Call it only once every check of the write has passed:
+    it may remove the old file.
 
-    An existing regular file with one link, owned by the running user and
-    writable by its owner, is removed and created anew (``O_CREAT |
-    O_EXCL``) with its old mode.  Truncating such a file in place makes
-    ext4 (``auto_da_alloc``) start writeback of the old bytes when the
-    file is closed, and the next truncation waits for it; a new file has
-    no old bytes to wait for, and a write that stops halfway leaves a
-    short file, never new rows followed by the old file's.
+    An existing file is removed and created anew only where the new file
+    matches it in everything but its inode, times and ``chattr`` flags: on
+    Linux, a regular file with one link, owned by the effective user and
+    group, writable by its owner and carrying no extended attributes (so
+    no ACL), in a directory that carries none (so no default ACL to pass
+    on).  The new file is made with ``O_CREAT | O_EXCL`` and given the old
+    group (a set-group-ID directory would give its own) and the old mode.
+    Any other path, a missing one included, is opened with
+    ``open(path, "wb")`` and truncated in place.
 
-    Any other path is opened with ``open(path, "wb")`` and truncated in
-    place, so a symlink is written through, every name of a hard-linked
-    file reads the new bytes, and a file the user may not write, a file of
-    another user, a missing path and a path whose directory forbids the
-    removal behave as ``open`` does.  Call it only once every check of the
-    write has passed: it removes the old file.
+    The new file is for speed only.  On ext4 (``auto_da_alloc``) closing
+    a file that was truncated to zero starts writeback of its bytes, and
+    the next truncation of the same file waits for it; a new file has no
+    old bytes to wait for.  The bytes written, and the short file that a
+    write stopped halfway leaves, are the same either way.
     """
     try:
         st = os.lstat(path)
-        owned = st.st_uid == os.geteuid()
-    except (OSError, AttributeError):  # no such path; no geteuid (Windows)
-        return open(path, "wb")
-    if not (stat.S_ISREG(st.st_mode) and st.st_nlink == 1 and owned
-            and st.st_mode & stat.S_IWUSR):
-        return open(path, "wb")
-    try:
-        os.unlink(path)
-    except OSError:
+        renew = (stat.S_ISREG(st.st_mode) and st.st_nlink == 1
+                 and st.st_uid == os.geteuid() and st.st_gid == os.getegid()
+                 and st.st_mode & stat.S_IWUSR
+                 and not os.listxattr(path, follow_symlinks=False)
+                 and not os.listxattr(os.path.dirname(os.fspath(path)) or os.curdir))
+        if renew:
+            os.unlink(path)
+    except (OSError, AttributeError):  # AttributeError: no geteuid or listxattr
+        renew = False
+    if not renew:
         return open(path, "wb")
     mode = stat.S_IMODE(st.st_mode)
     fh = open(path, "xb", opener=lambda p, flags: os.open(p, flags, mode))
     try:
-        os.fchmod(fh.fileno(), mode)  # the umask may have cleared bits
+        os.fchown(fh.fileno(), -1, st.st_gid)
+        os.fchmod(fh.fileno(), mode)  # the umask, or fchown, may have cleared bits
     except BaseException:
         fh.close()
         raise

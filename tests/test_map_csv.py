@@ -574,6 +574,36 @@ def _one_cell_map(value=0.25):
     return DensityMap([0.7], [20.9e9], [[value]])
 
 
+# a new file is made only where os.listxattr can show the old file's ACLs
+_renews = pytest.mark.skipif(not hasattr(os, "listxattr"), reason="needs os.listxattr")
+
+
+def _other_group():
+    """A group other than the effective one that this user may give a file,
+    or None."""
+    egid = os.getegid()
+    other = [g for g in os.getgroups() if g != egid]
+    if other:
+        return other[0]
+    return egid + 1 if os.geteuid() == 0 else None
+
+
+def _written_in_place(path):
+    """Write ``_small_dmap()`` over ``path``; whether the old file took the
+    bytes.  A reader keeps the old inode in use, so a new file cannot get
+    its number."""
+    with open(path, "rb") as reader:
+        _small_dmap().write_csv(path)
+        return os.fstat(reader.fileno()).st_ino == path.stat().st_ino
+
+
+def _set_xattr(path):
+    try:
+        os.setxattr(path, "user.magcav-test", b"1", follow_symlinks=False)
+    except (OSError, AttributeError) as exc:
+        pytest.skip(f"no user extended attributes here: {exc}")
+
+
 @pytest.mark.parametrize("old", ["longer", "shorter"])
 def test_rewrite_gives_exactly_the_new_bytes(tmp_path, old):
     fresh, path = tmp_path / "fresh.csv", tmp_path / "map.csv"
@@ -585,6 +615,7 @@ def test_rewrite_gives_exactly_the_new_bytes(tmp_path, old):
     assert path.read_bytes() == fresh.read_bytes()
 
 
+@_renews
 @pytest.mark.parametrize("mode", [0o640, 0o666, 0o600], ids=oct)
 def test_rewrite_is_a_new_file_with_the_old_mode(tmp_path, mode):
     path = tmp_path / "map.csv"
@@ -628,10 +659,11 @@ def test_read_only_output_keeps_its_inode(tmp_path, capsys):
     csv = tmp_path / "optimized_prediction.csv"
     csv.write_bytes(b"old\n")
     csv.chmod(0o444)
-    inode = csv.stat().st_ino
-    code = main(["predict", str(FIXTURES / "optimized_prediction.ini"), "--map", str(prefix)])
+    with open(csv, "rb") as reader:  # so a new file cannot take its inode's number
+        code = main(["predict", str(FIXTURES / "optimized_prediction.ini"), "--map", str(prefix)])
+        assert os.fstat(reader.fileno()).st_ino == csv.stat().st_ino
     err = capsys.readouterr().err
-    assert csv.stat().st_ino == inode and csv.stat().st_mode & 0o777 == 0o444
+    assert csv.stat().st_mode & 0o777 == 0o444
     if os.geteuid() != 0:
         # root may write a file whatever its mode; any other user gets exit 4
         assert code == 4 and len(err.splitlines()) == 1 and err.startswith("i/o error:")
@@ -640,11 +672,61 @@ def test_read_only_output_keeps_its_inode(tmp_path, capsys):
         assert code == 0 and csv.read_bytes().startswith(b"B_T,f_Hz,s21_dB\n")
 
 
+def test_output_of_another_group_is_written_in_place(tmp_path):
+    # a new file would get the effective group, so the old one is kept
+    group = _other_group()
+    if group is None:
+        pytest.skip("the user has no second group")
+    path = tmp_path / "map.csv"
+    _one_cell_map().write_csv(path)
+    os.chown(path, -1, group)
+    os.chmod(path, 0o640)
+    assert _written_in_place(path)
+    st = path.stat()
+    assert (st.st_gid, st.st_mode & 0o7777) == (group, 0o640)
+    assert path.read_bytes() == _small_map()
+
+
+@_renews
+def test_new_file_in_a_set_group_id_directory_keeps_the_old_group(tmp_path):
+    # the directory would give a new file its own group; the old file's
+    # group, the effective one, is given back
+    group = _other_group()
+    if group is None:
+        pytest.skip("the user has no second group")
+    shared = tmp_path / "shared"
+    shared.mkdir()
+    os.chown(shared, -1, group)
+    shared.chmod(0o2775)
+    path = shared / "map.csv"
+    _one_cell_map().write_csv(path)
+    os.chown(path, -1, os.getegid())
+    path.chmod(0o640)
+    assert not _written_in_place(path)
+    st = path.stat()
+    assert (st.st_gid, st.st_mode & 0o7777) == (os.getegid(), 0o640)
+    assert path.read_bytes() == _small_map()
+
+
+@pytest.mark.parametrize("where", ["file", "directory"])
+def test_extended_attributes_keep_the_output_in_place(tmp_path, where):
+    # an ACL is an extended attribute; a new file would lose the file's,
+    # or take the directory's default
+    path = tmp_path / "map.csv"
+    _one_cell_map().write_csv(path)
+    _set_xattr(path if where == "file" else tmp_path)
+    assert _written_in_place(path)
+    if where == "file":
+        assert os.getxattr(path, "user.magcav-test") == b"1"
+    assert path.read_bytes() == _small_map()
+
+
 @pytest.mark.parametrize("failing_block", [2, 40])
 def test_write_that_stops_halfway_leaves_a_short_file(tmp_path, monkeypatch, capsys,
                                                       failing_block):
-    # The old file has the new map's grid, so an overwrite in place that
-    # stopped halfway would leave a complete map of new rows and old rows.
+    # Truncation gave this too; the test guards against an overwrite in
+    # place without it, which over an old file of the new map's grid would
+    # leave a complete map of new rows followed by old rows.
     # Blocks of two cells: block 2 stops the write in the first B row,
     # block 40 in the second (the first row is 30 blocks).
     path = tmp_path / "map.csv"
