@@ -228,11 +228,13 @@ def open_output(path):
     Any other path, a missing one included, is opened with
     ``open(path, "wb")`` and truncated in place.
 
-    The new file is for speed only.  On ext4 (``auto_da_alloc``) closing
-    a file that was truncated to zero starts writeback of its bytes, and
-    the next truncation of the same file waits for it; a new file has no
-    old bytes to wait for.  The bytes written, and the short file that a
-    write stopped halfway leaves, are the same either way.
+    The new file is for speed only.  On ext4, truncating a file written
+    before costs a rewrite 1-5 ms per map and a new file does not, also
+    in separate processes seconds apart; that fits ext4's
+    ``auto_da_alloc`` (closing a file that was truncated to zero starts
+    writeback of its bytes) but was not traced.  The bytes written, and
+    the short file that a write stopped halfway leaves, are the same
+    either way.
     """
     try:
         st = os.lstat(path)
