@@ -8,22 +8,18 @@ cavity-R-L chain) that entry is a continued fraction evaluated leaves
 first over the whole block, with no linear solve.  Other coupling graphs
 take one batched ``np.linalg.solve``.
 
-Midplane field-map construction (subsampled quadrature cells along the
-post and wall circles) has one numpy path, ``field_cells``.  It shares
-the masks, the subsample points and each post's field between all the
-current-sign rows it is given, so the dark and bright modes of one
-geometry cost one pass.  It forms no meshgrid: every squared distance
-is an outer sum of 1-D axis terms, taken in blocks that reuse one set of
-scratch arrays.  It keeps only what the filling and geometric factors
-read: each row's cell energy, the coverage and the node mask.  A
-block's node fields are reduced to |H|^2 in the scratch, and
-``node_fields`` forms the grid's node fields on request.  The test
-oracles keep a scalar per-cell reference and the full-meshgrid
+Every line-current field comes from one evaluator, ``_row_fields``:
+``field_cells`` runs it on the blocks of its quadrature and
+``line_fields`` on any broadcast points (G's circles, the node grid of
+``node_fields``).  ``field_cells`` shares the masks, the subsample
+points and each post's field between all the current-sign rows it is
+given, so the dark and bright modes of one geometry cost one pass.  It
+forms no meshgrid: every squared distance is an outer sum of 1-D axis
+terms, taken in blocks that reuse one set of scratch arrays, and it
+keeps only each row's cell energy, the coverage and the node mask.  The
+test oracles keep a scalar per-cell reference and the full-meshgrid
 formulation this replaced (``field_cells_meshgrid``), which both match
-byte for byte.  Every line-current field is one post's unit-current
-field summed in post order from +0: by ``post_fields`` and
-``signed_sum`` on a circle and on the node grid (``node_fields``), and
-inside ``field_cells`` on the quadrature's blocks.
+byte for byte.
 """
 
 from __future__ import annotations
@@ -43,9 +39,8 @@ _BLOCK_POINTS = 1 << 15
 
 __all__ = [
     "SUBSAMPLE",
-    "post_fields",
-    "signed_sum",
     "s21_rows",
+    "line_fields",
     "field_cells",
     "node_fields",
 ]
@@ -162,53 +157,6 @@ def s21_rows(freqs, half_widths, half_couplings, drive, f_axis, amplitude):
 # |H|^2 over the covered fraction.
 
 
-def _line_term(x, y, px, py):
-    """In-plane H (A/m) at points (x, y) of a unit line current at (px, py).
-
-    The line carries 1 A along +z; its azimuthal field is 1/(2*pi*rho).
-    Returns new arrays (Hx, Hy, r2), r2 being the squared distance to the
-    line; H is 0 where r2 == 0.
-    """
-    dx = x - px
-    dy = y - py
-    r2 = dx * dx
-    r2 += dy * dy
-    pref = (2.0 * np.pi) * r2
-    np.divide(1.0, pref, out=pref, where=r2 > 0.0)
-    hx = np.multiply(pref, dy, out=dy)
-    np.negative(hx, out=hx)
-    hy = np.multiply(pref, dx, out=dx)
-    return hx, hy, r2
-
-
-def post_fields(x, y, posts):
-    """Each post's unit-current (Hx, Hy) at (x, y), and the squared distances."""
-    fields, r2s = [], []
-    for px, py in posts:
-        hx, hy, r2 = _line_term(x, y, px, py)
-        fields.append((hx, hy))
-        r2s.append(r2)
-    return fields, r2s
-
-
-def signed_sum(signs, fields):
-    """(Hx, Hy) of the posts with the given current signs, summed in post order.
-
-    Sums start from +0, so a field that is zero comes out as +0.0
-    whatever the signs of the zero terms.
-    """
-    Hx = np.zeros_like(fields[0][0])
-    Hy = np.zeros_like(fields[0][1])
-    for s, (hx, hy) in zip(signs, fields):
-        if s > 0.0:
-            Hx += hx
-            Hy += hy
-        elif s < 0.0:
-            Hx -= hx
-            Hy -= hy
-    return Hx, Hy
-
-
 def _add_signed(acc, s, h, first):
     """acc = +0 + s*h when ``first``, else acc + s*h, in place; s is -1 or 1.
 
@@ -241,9 +189,9 @@ def _row_fields(x, y, posts, rows, r_post, r_cav, out, work):
     outer sum of 1-D terms and no coordinate grid is formed.  The mask
     is True inside the wall and outside every post.  Each post's field
     is formed once, in the two ``work`` arrays, and added to the
-    ``out[k] = (Hx, Hy)`` of every row ``k`` that drives it; as in
-    ``signed_sum``, row sums start from +0 and add the posts in order.
-    With no rows only the mask is formed.
+    ``out[k] = (Hx, Hy)`` of every row ``k`` that drives it; row sums
+    start from +0 and add the posts in order.  With no rows only the
+    mask is formed.
     """
     r2, hx = work
     inside = _outer_sum(x * x, y * y, r2) <= r_cav * r_cav
@@ -271,6 +219,17 @@ def _row_fields(x, y, posts, rows, r_post, r_cav, out, work):
             Hx.fill(0.0)
             Hy.fill(0.0)
     return inside
+
+
+def line_fields(x, y, posts, signs):
+    """New (Hx, Hy) arrays at the broadcast of the float arrays ``x`` and ``y``.
+
+    Post ``p`` is a unit line current carrying ``signs[p]`` A along +z,
+    a sign of -1, 0 or 1; it adds nothing at its own centre.
+    """
+    r2, hx, Hx, Hy = (np.empty(np.broadcast_shapes(x.shape, y.shape)) for _ in range(4))
+    _row_fields(x, y, posts, [signs], 0.0, math.inf, [(Hx, Hy)], (r2, hx))
+    return Hx, Hy
 
 
 def _blocks(n, per_item):
@@ -416,15 +375,12 @@ def node_fields(xc, yc, posts, signs, excluded):
     """Node-centre (Hx, Hy) of the posts with the given current signs.
 
     The nodes are the grid of the axes ``xc`` and ``yc``; the field is
-    ``signed_sum`` of ``post_fields``, set to 0 on the ``excluded``
-    nodes.  These are the node fields ``field_cells`` does not keep, with
-    the bytes of ``tests/oracles.py::field_cells_meshgrid``.
+    ``line_fields`` on that grid, set to 0 on the ``excluded`` nodes.
+    These are the node fields ``field_cells`` does not keep, with the
+    bytes of ``tests/oracles.py::field_cells_meshgrid``.
     """
-    shape = (np.size(xc), np.size(yc))
-    x = np.broadcast_to(np.asarray(xc, dtype=float)[:, None], shape)
-    y = np.broadcast_to(np.asarray(yc, dtype=float)[None, :], shape)
-    fields, _ = post_fields(x, y, np.asarray(posts, dtype=float))
-    Hx, Hy = signed_sum(signs, fields)
+    Hx, Hy = line_fields(np.asarray(xc, dtype=float)[:, None],
+                         np.asarray(yc, dtype=float)[None, :], posts, signs)
     Hx[excluded] = 0.0
     Hy[excluded] = 0.0
     return Hx, Hy

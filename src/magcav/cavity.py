@@ -347,10 +347,9 @@ def filling_factor(
 def _circle_energy(fmap: FieldMap, center: tuple[float, float], radius: float) -> float:
     """Line integral of |H|^2 around a circle (A^2/m^2 * m)."""
     theta = (np.arange(_N_THETA) + 0.5) * (TWO_PI / _N_THETA)
-    fields, _ = _kernels.post_fields(center[0] + radius * np.cos(theta),
-                                     center[1] + radius * np.sin(theta),
-                                     fmap.geometry.post_positions)
-    hx, hy = _kernels.signed_sum(_MODE_SIGNS[fmap.mode], fields)
+    hx, hy = _kernels.line_fields(center[0] + radius * np.cos(theta),
+                                  center[1] + radius * np.sin(theta),
+                                  fmap.geometry.post_positions, _MODE_SIGNS[fmap.mode])
     e = hx * hx
     e += hy * hy
     return float(e.sum() * radius * TWO_PI / _N_THETA)

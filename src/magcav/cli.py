@@ -148,9 +148,11 @@ def cmd_spectrum(args) -> int:
     model = cfg.require("model")
     b_axis = cfg.require("b_axis")
     f_axis = cfg.require("f_axis")
-    dmap = density_map(model, b_axis, f_axis, cfg.ports)
-    if cfg.noise_sigma > 0.0:
-        dmap = add_noise(dmap, cfg.noise_seed, cfg.noise_sigma)
+    # an overflow gives map values that DensityMap rejects, not warnings
+    with np.errstate(all="ignore"):
+        dmap = density_map(model, b_axis, f_axis, cfg.ports)
+        if cfg.noise_sigma > 0.0:
+            dmap = add_noise(dmap, cfg.noise_seed, cfg.noise_sigma)
     _write_map(dmap, args.output)
     return EXIT_OK
 
@@ -226,9 +228,11 @@ def cmd_predict(args) -> int:
     if args.map is not None:
         b_axis = cfg.require("b_axis")
         f_axis = cfg.require("f_axis")
-        branches = bogoliubov_two_mode(f_b, slope * b_axis + offset, g_opt).frequencies
-        values = lorentzian(f_axis, 1.0, branches[..., None], out["kappa_opt"]).sum(axis=1)
-        dmap = DensityMap(b_axis, f_axis, values, {"kind": "bogoliubov-prediction"})
+        # a line far off the f axis overflows to 0, not to warnings
+        with np.errstate(all="ignore"):
+            branches = bogoliubov_two_mode(f_b, slope * b_axis + offset, g_opt).frequencies
+            values = lorentzian(f_axis, 1.0, branches[..., None], out["kappa_opt"]).sum(axis=1)
+            dmap = DensityMap(b_axis, f_axis, values, {"kind": "bogoliubov-prediction"})
         _write_map(dmap, args.map)
     return EXIT_OK
 

@@ -157,9 +157,8 @@ def test_far_field_closed_forms():
     a = 0.5 * BARE.post_spacing
     posts = BARE.post_positions
     y = 10.0 * BARE.post_spacing
-    fields, r2 = _kernels.post_fields(np.array([0.0]), np.array([y]), posts)
-    Hx, Hy = _kernels.signed_sum((1.0, -1.0), fields)
-    assert [d[0] for d in r2] == pytest.approx([y * y + a * a] * 2, rel=1e-15)
+    x0, y0 = np.array([0.0]), np.array([y])
+    Hx, Hy = _kernels.line_fields(x0, y0, posts, (1.0, -1.0))
     expect = BARE.post_spacing / (2 * math.pi * (y * y + a * a))
     assert Hx[0] == pytest.approx(0.0, abs=1e-18)
     assert Hy[0] == pytest.approx(expect, rel=1e-12)
@@ -167,7 +166,7 @@ def test_far_field_closed_forms():
     dipole = BARE.post_spacing / (2 * math.pi * y * y)
     assert Hy[0] == pytest.approx(dipole, rel=5e-3)
     # parallel currents cancel on the bisector's axis component instead
-    Hx, Hy = _kernels.signed_sum((1.0, 1.0), fields)
+    Hx, Hy = _kernels.line_fields(x0, y0, posts, (1.0, 1.0))
     assert Hy[0] == 0.0 and Hx[0] == pytest.approx(-2 * y / (2 * math.pi * (y * y + a * a)))
 
 

@@ -350,7 +350,9 @@ def test_mutated_config_ends_in_an_exit_code(tmp_path, capsys, content):
     capsys.readouterr()
 
 
-# the bounds on resolution and *_steps keep every grid these draw small
+# the bounds on resolution and *_steps keep every grid these draw small;
+# a draw that prints a numpy warning fails
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @given(content=_mutated_config())
 @settings(max_examples=60, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -407,6 +409,23 @@ def test_spectrum_requires_model_block(capsys):
     code, _, err = run_cli(capsys, "spectrum", FIXTURES / "reference_cavity.ini", "-o", "/tmp/x")
     assert code == 2
     assert "model" in err
+
+
+# a coupling whose square overflows gives the one config error line and
+# no numpy warning
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("fixture, coupling", [("dark_doublet.ini", "0.143"),
+                                               ("bright_crossing.ini", "2.05")])
+def test_spectrum_overflowing_coupling_is_one_config_error(tmp_path, capsys, fixture, coupling):
+    text = (FIXTURES / fixture).read_text()
+    old = f"coupling_1_2_ghz = {coupling}\n"
+    assert old in text
+    cfg = tmp_path / fixture
+    cfg.write_text(text.replace(old, "coupling_1_2_ghz = 1e150\n"))
+    code, out, err = run_cli(capsys, "spectrum", cfg, "-o", tmp_path / "map")
+    assert code == 2 and out == ""
+    assert err.splitlines() == ["config error: map values must be finite"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == [fixture]
 
 
 # ---------------------------------------------------------------------------
@@ -634,6 +653,21 @@ def test_predict_map_output(tmp_path, capsys):
     lower = f[(f < 20.9e9)][np.argmax(col[f < 20.9e9])]
     asym = abs((upper - 20.9e9) - (20.9e9 - lower)) / (upper - lower)
     assert asym > 0.01
+
+
+# (f - f0)**2 overflows on every cell of the map: its lines are 0 there,
+# with no numpy warning
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_predict_map_on_an_overflowing_f_axis_prints_no_warning(tmp_path, capsys):
+    text = (FIXTURES / "optimized_prediction.ini").read_text()
+    assert "f_start_ghz = 10.0\n" in text and "f_stop_ghz = 32.0\n" in text
+    cfg = tmp_path / "huge.ini"
+    cfg.write_text(text.replace("f_start_ghz = 10.0\n", "f_start_ghz = 1e150\n")
+                   .replace("f_stop_ghz = 32.0\n", "f_stop_ghz = 2e150\n"))
+    prefix = tmp_path / "pred"
+    want = run_cli(capsys, "predict", FIXTURES / "optimized_prediction.ini", "--map", prefix)
+    got = run_cli(capsys, "predict", cfg, "--map", prefix)
+    assert got == want and want[0] == 0 and want[2] == ""
 
 
 def test_predict_requires_current_block(capsys):

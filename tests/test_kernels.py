@@ -351,8 +351,27 @@ def test_signed_post_fields_match_scalar_oracle(half_spacing, radius, center, si
     theta = (np.arange(64) + 0.5) * (2.0 * np.pi / 64)
     x = center[0] + radius * np.cos(theta)
     y = center[1] + radius * np.sin(theta)
-    Hx, Hy = _kernels.signed_sum(signs, _kernels.post_fields(x, y, posts)[0])
+    Hx, Hy = _kernels.line_fields(x, y, posts, signs)
     want = np.array([_line_currents_H(a, b, posts, signs, 1.0) for a, b in zip(x, y)])
     scale = np.abs(want).max()
     np.testing.assert_allclose(Hx, want[:, 0], rtol=1e-12, atol=1e-14 * scale)
     np.testing.assert_allclose(Hy, want[:, 1], rtol=1e-12, atol=1e-14 * scale)
+
+
+@field_cell_test
+def test_line_fields_give_the_same_bytes_on_axes_full_grids_and_flat_points():
+    xc = np.linspace(-2e-3, 2e-3, 9)
+    yc = np.linspace(-1e-3, 1e-3, 5)
+    # the first post on the node (xc[2], yc[2]), where r2 == 0
+    posts = np.array([[xc[2], yc[2]], [1.15e-3, 0.0], [0.0, 7e-4]])
+    shape = (xc.size, yc.size)
+    X = np.broadcast_to(xc[:, None], shape)
+    Y = np.broadcast_to(yc[None, :], shape)
+    for signs in [(1.0, -1.0, 0.0), (0.0, 1.0, 1.0), (-1.0, 0.0, -1.0), (0.0, 0.0, 0.0)]:
+        want = _kernels.line_fields(xc[:, None], yc[None, :], posts, signs)
+        _assert_bytes_equal(_kernels.line_fields(X, Y, posts, signs), want)
+        flat = _kernels.line_fields(X.ravel(), Y.ravel(), posts, signs)
+        _assert_bytes_equal([H.reshape(shape) for H in flat], want)
+        for H in want:
+            # sums start from +0: no point holds a -0.0
+            assert not np.signbit(H[H == 0.0]).any()
