@@ -9,6 +9,7 @@ fits, and the derived figures of merit.
 from .core import (
     CONSTANTS,
     DEFAULT_GYRO,
+    TWO_PI,
     CouplingStrength,
     DomainError,
     HybridModel,
@@ -16,11 +17,14 @@ from .core import (
     OscillatorMode,
     PhysicalConstants,
     SphereSample,
+    angular_to_hz,
     gyromagnetic_ratio,
+    hz_to_angular,
     magnon_frequency,
 )
 from .modes import (
     EigenResult,
+    MinimumSplitting,
     ModeCollapseError,
     bogoliubov_two_mode,
     dispersion_branches,
@@ -54,6 +58,7 @@ from .cavity import (
 )
 from .spectra import (
     DensityMap,
+    MapFormatError,
     PortCouplings,
     SingularResponseError,
     add_noise,

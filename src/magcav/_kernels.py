@@ -10,11 +10,10 @@ take one batched ``np.linalg.solve``.
 
 Every line-current field comes from one evaluator, ``_row_fields``:
 ``field_cells`` runs it on the blocks of its quadrature and
-``line_fields`` on any broadcast points (G's circles, the node grid of
-``node_fields``).  ``field_cells`` shares the masks, the subsample
-points and each post's field between all the current-sign rows it is
-given, so the dark and bright modes of one geometry cost one pass.  It
-forms no meshgrid: every squared distance is an outer sum of 1-D axis
+``line_fields`` on any broadcast points (G's wall and post circles).
+``field_cells`` shares the masks, the subsample points and each post's
+field between all the current-sign rows it is given, so the dark and
+bright modes of one geometry cost one pass.  It forms no meshgrid: every squared distance is an outer sum of 1-D axis
 terms, taken in blocks that reuse one set of scratch arrays, and it
 keeps only each row's cell energy, the coverage and the node mask.  The
 test oracles keep a scalar per-cell reference and the full-meshgrid
@@ -42,7 +41,6 @@ __all__ = [
     "s21_rows",
     "line_fields",
     "field_cells",
-    "node_fields",
 ]
 
 
@@ -260,10 +258,9 @@ def field_cells(xc, yc, posts, sign_rows, r_post, r_cav):
     |H|^2 over the covered fraction, that fraction, and the mask of nodes
     outside the domain; the last two depend on the geometry only and are
     the same arrays in every tuple.  Node fields are not kept: each
-    block's are reduced to |H|^2 in the scratch, and ``node_fields``
-    forms them on request.  Overflow on extreme axes gives inf or nan
-    without a warning.  ``tests/oracles.py`` keeps the meshgrid version,
-    which this matches byte for byte.
+    block's are reduced to |H|^2 in the scratch.  Overflow on extreme
+    axes gives inf or nan without a warning.  ``tests/oracles.py`` keeps
+    the meshgrid version, which this matches byte for byte.
     """
     xc = np.asarray(xc, dtype=float)
     yc = np.asarray(yc, dtype=float)
@@ -368,19 +365,3 @@ def _cut_cells(xc, yc, flat, posts, rows, r_post, r_cav, scratch):
             total = by_cell.reshape(m, -1).sum(axis=1)
             ce[b] = np.where(n_in > 0, total / np.maximum(n_in, 1), 0.0)
     return energies, cnt
-
-
-@np.errstate(all="ignore")
-def node_fields(xc, yc, posts, signs, excluded):
-    """Node-centre (Hx, Hy) of the posts with the given current signs.
-
-    The nodes are the grid of the axes ``xc`` and ``yc``; the field is
-    ``line_fields`` on that grid, set to 0 on the ``excluded`` nodes.
-    These are the node fields ``field_cells`` does not keep, with the
-    bytes of ``tests/oracles.py::field_cells_meshgrid``.
-    """
-    Hx, Hy = line_fields(np.asarray(xc, dtype=float)[:, None],
-                         np.asarray(yc, dtype=float)[None, :], posts, signs)
-    Hx[excluded] = 0.0
-    Hy[excluded] = 0.0
-    return Hx, Hy

@@ -20,14 +20,13 @@ fraction (subsampled along post and wall circles), so integrals over the
 midplane are plain coverage-weighted sums and converge despite the 1/rho
 field blowup at the post surface.  A quadrature pass keeps only what
 those sums read: each mode's cell energies, the coverage, the mask of
-excluded nodes and the coverage-weighted sum over the whole grid.  The
-node field samples of a map enter no figure and are computed on request.
+excluded nodes and the coverage-weighted sum over the whole grid.  G's
+wall and post circles take the line-current field at their own points.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import functools
 import inspect
 import math
 import numbers
@@ -160,9 +159,7 @@ class FieldMap:
     ``coverage`` that fraction, which together define all integrals;
     ``energy_sum`` is the sum of their product over the grid.
     ``excluded`` marks node centers inside a post or outside the cavity
-    wall.  The node samples ``Hx``/``Hy`` (A/m, zero on excluded nodes)
-    enter no figure: the quadrature does not keep them, and a map
-    computes them on their first request.
+    wall.  The node field itself is not kept.
 
     Maps from ``field_map`` share their arrays: the maps of one in-plane
     geometry hold the same grid, ``excluded`` and ``coverage`` arrays, and
@@ -182,39 +179,6 @@ class FieldMap:
     @property
     def cell_area(self) -> float:
         return (self.xs[1] - self.xs[0]) ** 2
-
-    @functools.cached_property
-    def _node_fields(self) -> tuple[np.ndarray, np.ndarray]:
-        fields = _kernels.node_fields(self.xs, self.ys, self.geometry.post_positions,
-                                      _MODE_SIGNS[self.mode], self.excluded)
-        for H in fields:
-            H.flags.writeable = False
-        return fields
-
-    @property
-    def Hx(self) -> np.ndarray:
-        """x component of H at the nodes (A/m), 0 on excluded nodes."""
-        return self._node_fields[0]
-
-    @property
-    def Hy(self) -> np.ndarray:
-        """y component of H at the nodes (A/m), 0 on excluded nodes."""
-        return self._node_fields[1]
-
-    @property
-    def magnitude(self) -> np.ndarray:
-        """|H| node samples (A/m)."""
-        return np.hypot(self.Hx, self.Hy)
-
-    @property
-    def max_abs_H(self) -> float:
-        return float(self.magnitude[~self.excluded].max())
-
-    def midpoint_abs_H(self) -> float:
-        """|H| at the grid node nearest the inter-post midpoint (0, 0)."""
-        i = int(np.argmin(np.abs(self.xs)))
-        j = int(np.argmin(np.abs(self.ys)))
-        return float(self.magnitude[i, j])
 
 
 _MODE_SIGNS = {"dark": (1.0, 1.0), "bright": (1.0, -1.0)}
@@ -379,6 +343,8 @@ def geometric_factor(fmap: FieldMap) -> float:
 
 def surface_resistance(G: float, Q: float) -> float:
     """Effective surface resistance (ohm) from G = Q * Rs."""
+    if not G > 0.0:
+        raise DomainError("G must be > 0")
     if not Q > 0.0:
         raise DomainError("Q must be > 0")
     return G / Q

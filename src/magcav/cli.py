@@ -74,6 +74,15 @@ def _emit(name: str, value) -> None:
     print(f"{name} = {value!r}")
 
 
+def _print_figures(figures: dict) -> None:
+    """Print every figure, or none if one has overflowed; nan marks no value."""
+    for name, value in figures.items():
+        if math.isinf(value):
+            raise ConfigError(f"{name} = {value!r} is not finite")
+    for name, value in figures.items():
+        _emit(name, value)
+
+
 def _scan_csv_lines(rows):
     yield "value_m,f_dark_Hz,f_bright_Hz,xi_dark,xi_bright,error"
     for r in rows:
@@ -179,27 +188,27 @@ def cmd_report(args) -> int:
     rep = cfg.require("report")
     sphere = cfg.require("sphere")
 
-    _emit("C_bright", cooperativity(rep["bright_g_over_pi"],
-                                    rep["bright_kappa"], rep["bright_gamma"]))
-    _emit("C_dark", cooperativity(rep["dark_g_over_pi"],
-                                  rep["dark_kappa"], rep["dark_gamma"]))
+    # every figure is computed before any is printed, as in cavity
     n_spins = spin_count(sphere.spin_density, sphere.diameter)
-    _emit("N_spins", n_spins)
-    _emit("g_per_spin_Hz", coupling_per_spin(rep["bright_g_over_pi"], n_spins))
     power_w = 1e-3 * 10.0 ** (rep["power_dbm"] / 10.0)
-    _emit("photons", photon_number(power_w, rep["photon_f0"], rep["photon_q"],
-                                   rep["photon_beta"], rep["photon_beta"]))
     rs = surface_resistance(rep["geometric_factor"], rep["q_measured"])
-    _emit("Rs_ohm", rs)
-    _emit("Rs_reference_ohm", rep["rs_reference"])
-    _emit("Rs_over_reference", rs / rep["rs_reference"])
-    _emit("ratio_modeled", coupling_ratio(rep["f_bright"], rep["f_dark"],
-                                          rep["xi_bright"], rep["xi_dark"]))
-    measured = (
-        rep["bright_g_over_pi"] / rep["dark_g_over_pi"]
-        if rep["dark_g_over_pi"] > 0.0 else 0.0
-    )
-    _emit("ratio_measured", measured)
+    figures = {
+        "C_bright": cooperativity(rep["bright_g_over_pi"], rep["bright_kappa"],
+                                  rep["bright_gamma"]),
+        "C_dark": cooperativity(rep["dark_g_over_pi"], rep["dark_kappa"], rep["dark_gamma"]),
+        "N_spins": n_spins,
+        "g_per_spin_Hz": coupling_per_spin(rep["bright_g_over_pi"], n_spins),
+        "photons": photon_number(power_w, rep["photon_f0"], rep["photon_q"],
+                                 rep["photon_beta"], rep["photon_beta"]),
+        "Rs_ohm": rs,
+        "Rs_reference_ohm": rep["rs_reference"],
+        "Rs_over_reference": rs / rep["rs_reference"],
+        "ratio_modeled": coupling_ratio(rep["f_bright"], rep["f_dark"],
+                                        rep["xi_bright"], rep["xi_dark"]),
+        "ratio_measured": (rep["bright_g_over_pi"] / rep["dark_g_over_pi"]
+                           if rep["dark_g_over_pi"] > 0.0 else 0.0),
+    }
+    _print_figures(figures)
     return EXIT_OK
 
 
@@ -209,30 +218,32 @@ def cmd_predict(args) -> int:
     optimized = cfg.require("optimized")
     slope = current.pop("magnon_slope")
     offset = current.pop("magnon_offset")
-    out = predict_optimized(current, optimized)
-    for name in ("chi", "g_opt_over_pi", "kappa_opt",
-                 "cooperativity_current", "cooperativity_opt", "per_spin_scale"):
-        _emit(name, out[name])
 
+    # every figure, and the map, is computed before any is printed
+    figures = predict_optimized(current, optimized)
     f_b = current["f_b"]
-    g_opt = out["g_opt_over_pi"]
+    g_opt = figures["g_opt_over_pi"]
     eig = bogoliubov_two_mode(f_b, f_b, g_opt)
     up = eig.frequencies[1] - f_b
     down = f_b - eig.frequencies[0]
-    _emit("branch_offset_upper_Hz", up)
-    _emit("branch_offset_lower_Hz", down)
     split = eig.frequencies[1] - eig.frequencies[0]
+    figures["branch_offset_upper_Hz"] = up
+    figures["branch_offset_lower_Hz"] = down
     # g = 0 leaves one degenerate line: no splitting to compare against
-    _emit("branch_asymmetry", abs(up - down) / split if split > 0.0 else math.nan)
+    figures["branch_asymmetry"] = abs(up - down) / split if split > 0.0 else math.nan
 
+    dmap = None
     if args.map is not None:
         b_axis = cfg.require("b_axis")
         f_axis = cfg.require("f_axis")
         # a line far off the f axis overflows to 0, not to warnings
         with np.errstate(all="ignore"):
             branches = bogoliubov_two_mode(f_b, slope * b_axis + offset, g_opt).frequencies
-            values = lorentzian(f_axis, 1.0, branches[..., None], out["kappa_opt"]).sum(axis=1)
-            dmap = DensityMap(b_axis, f_axis, values, {"kind": "bogoliubov-prediction"})
+            lines = lorentzian(f_axis, 1.0, branches[..., None], figures["kappa_opt"])
+            dmap = DensityMap(b_axis, f_axis, lines.sum(axis=1),
+                              {"kind": "bogoliubov-prediction"})
+    _print_figures(figures)
+    if dmap is not None:
         _write_map(dmap, args.map)
     return EXIT_OK
 

@@ -1,11 +1,12 @@
 """Shared domain types, physical constants, and unit conventions.
 
 Everything downstream stores linear frequencies in Hz; angular quantities
-(rad/s) exist only transiently inside solvers, converted at the boundary
-with :func:`hz_to_angular` / :func:`angular_to_hz`.  Coupling strengths are
-stored as the observable normal-mode splitting g/pi (Hz); the half-splitting
-g/pi/2 that enters coupling matrices is derived, never stored.  Magnetic
-bias fields are in tesla.
+(rad/s) exist only transiently inside solvers, which multiply by
+``TWO_PI`` themselves.  :func:`hz_to_angular` / :func:`angular_to_hz`
+convert for callers of the library.  Coupling strengths are stored as
+the observable normal-mode splitting g/pi (Hz); the half-splitting g/pi/2
+that enters coupling matrices is derived, never stored.  Magnetic bias
+fields are in tesla.
 """
 
 from __future__ import annotations

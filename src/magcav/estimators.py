@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import CONSTANTS, DEFAULT_GYRO, TWO_PI, DomainError
-from .modes import _pair, eigenbranches
+from .modes import eigenbranches
 from .spectra import DensityMap, lorentzian
 
 __all__ = [
@@ -387,10 +387,25 @@ def _initial_lines(B, f):
     return fc0, float(gyro0), float(o0)
 
 
-def _two_mode_branches(p, B):
-    """(..., n, 2) branches of (f_c, gyro, offset, (g/pi)^2) at the n fields B."""
-    fc, gyro, offset, g2 = p
-    return np.stack(_pair(fc, gyro * B + offset, 0.5 * np.sqrt(np.abs(g2)))[:2], axis=-1)
+def _chain_branches(p, B):
+    """(..., n, k) branches of a k-mode chain at the n fields B.
+
+    ``p`` is (f_c, gyro, k-1 line offsets, k-1 squared couplings (g/pi)^2):
+    the cavity couples to the first magnon line, each line to the next,
+    and every line has slope gyro.  Entries of ``p`` may be arrays that
+    broadcast with B.  The matrix is laid out as ``HybridModel.matrix_at``
+    lays out its own: bare frequencies on the diagonal, half-splittings
+    g/pi/2 beside it.
+    """
+    k = len(p) // 2
+    lines = [p[0], *(p[1] * B + o for o in p[2:k + 1])]
+    halves = [0.5 * np.sqrt(np.abs(g2)) for g2 in p[k + 1:]]
+    m = np.zeros(np.broadcast(*lines, *halves).shape + (k, k))
+    for j, line in enumerate(lines):
+        m[..., j, j] = line
+    for j, h in enumerate(halves):
+        m[..., j, j + 1] = m[..., j + 1, j] = h
+    return eigenbranches(m)
 
 
 def fit_two_mode(B, f_peak, initial=None) -> FitReport:
@@ -411,31 +426,19 @@ def fit_two_mode(B, f_peak, initial=None) -> FitReport:
     if initial is None:
         fc0, gyro0, o0 = _initial_lines(B, f_peak)
         g2_try = np.linspace(0.0, float(np.ptp(f_peak)), 33) ** 2
-        d, _ = _nearest(f_peak, _two_mode_branches((fc0, gyro0, o0, g2_try[:, None]), B))
+        d, _ = _nearest(f_peak, _chain_branches((fc0, gyro0, o0, g2_try[:, None]), B))
         initial = (fc0, gyro0, o0, g2_try[np.argmin(np.sum(d**2, axis=1))])
 
     def resid(p):
-        return _nearest(f_peak, _two_mode_branches(p, B))[0]
+        return _nearest(f_peak, _chain_branches(p, B))[0]
 
     fit, p = _fit(resid, initial, ("f_c", "gyro", "offset", "g_over_pi"), B.size,
                   squared=("g_over_pi",))
-    if np.ptp(_nearest(f_peak, _two_mode_branches(p, B))[1]) == 0:
+    if np.ptp(_nearest(f_peak, _chain_branches(p, B))[1]) == 0:
         raise UnidentifiableModelError(
             "ridge touches a single branch; coupling is not identifiable"
         )
     return fit
-
-
-def _three_mode_branches(p, B):
-    """(n, 3) branches of (f_c, gyro, offset_r, offset_l, g_c^2, g_rl^2) at B."""
-    fc, gyro, o_r, o_l, gc2, grl2 = p
-    gc, grl = math.sqrt(abs(gc2)), math.sqrt(abs(grl2))
-    M = np.empty((B.size, 3, 3))
-    M[:] = 0.5 * np.array([[0.0, gc, 0.0], [gc, 0.0, grl], [0.0, grl, 0.0]])
-    M[:, 0, 0] = fc
-    M[:, 1, 1] = gyro * B + o_r
-    M[:, 2, 2] = gyro * B + o_l
-    return eigenbranches(M)
 
 
 def fit_three_mode(B, f_peak, initial=None) -> FitReport:
@@ -477,7 +480,7 @@ def fit_three_mode(B, f_peak, initial=None) -> FitReport:
 
     def resid(p):
         # one eigenproblem per field column, the same bits as per point
-        return _nearest(f_peak, _three_mode_branches(p, uniq)[inv])[0]
+        return _nearest(f_peak, _chain_branches(p, uniq)[inv])[0]
 
     p0 = np.asarray(initial, dtype=float)
     p0[4:] **= 2
@@ -491,6 +494,8 @@ def fit_three_mode(B, f_peak, initial=None) -> FitReport:
 
 def cooperativity(g_over_pi: float, cavity_fwhm: float, magnon_fwhm: float) -> float:
     """(g/pi)^2 over the product of full linewidths, all in Hz."""
+    if g_over_pi < 0.0:
+        raise DomainError("g_over_pi must be >= 0")
     if cavity_fwhm <= 0.0 or magnon_fwhm <= 0.0:
         raise DomainError("linewidths must be > 0")
     return g_over_pi**2 / (cavity_fwhm * magnon_fwhm)
@@ -505,6 +510,8 @@ def spin_count(density: float, diameter: float) -> float:
 
 def coupling_per_spin(g_over_pi: float, N: float) -> float:
     """Single-spin vacuum coupling (g/pi/2)/sqrt(N), in Hz."""
+    if g_over_pi < 0.0:
+        raise DomainError("g_over_pi must be >= 0")
     if N < 1.0:
         raise DomainError("N must be at least 1")
     return 0.5 * g_over_pi / math.sqrt(N)
@@ -542,6 +549,8 @@ def photon_number(P_inc: float, f0: float, Q_loaded: float, beta1: float, beta2:
         raise DomainError("incident power must be >= 0")
     if f0 <= 0.0 or Q_loaded <= 0.0:
         raise DomainError("f0 and Q_loaded must be > 0")
+    if beta1 < 0.0 or beta2 < 0.0:
+        raise DomainError("port couplings must be >= 0")
     kappa = f0 / Q_loaded
     kappa1 = beta1 * kappa / (1.0 + beta1 + beta2)
     return (

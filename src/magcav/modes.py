@@ -66,40 +66,37 @@ class EigenResult:
         return self.frequencies[..., 1] - self.frequencies[..., 0]
 
 
-def _pair(a, b, h):
-    """[[a, h], [h, b]] over arrays: (mean -+ s, d, s), d = (a - b)/2, s = hypot(d, h)."""
-    mean = 0.5 * (a + b)
-    d = 0.5 * (a - b)
-    s = np.hypot(d, h)
-    return mean - s, mean + s, d, s
-
-
 def eigenbranches(m, weights=False):
     """Ascending branches (..., n) of symmetric matrices (..., n, n).
 
     With ``weights`` also returns w (..., n, n), the share w[..., k, j] of
-    branch k in bare mode j.  A 2x2 takes the closed form ``_pair``, larger
-    ones batched ``eigvalsh`` (``eigh`` for weights); a stacked matrix
-    gives the same bits as on its own.
+    branch k in bare mode j.  A 2x2 takes the closed form mean -+ s, with
+    d = (a - b)/2 and s = hypot(d, h), and an uncoupled one (h = 0) is
+    exactly its sorted diagonal; larger ones take batched ``eigvalsh``
+    (``eigh`` for weights).  A stacked matrix gives the same bits as on
+    its own.
     """
     m = np.asarray(m, dtype=float)
     if m.shape[-1] == 2:
         a, b, h = m[..., 0, 0], m[..., 1, 1], m[..., 0, 1]
-        lo, hi, d, s = _pair(a, b, h)
-        # an uncoupled pair is exactly its sorted diagonal
-        free = (h == 0.0)[..., None]
-        vals = np.where(free, np.sort(np.stack([a, b], axis=-1)), np.stack([lo, hi], axis=-1))
+        mean = 0.5 * (a + b)
+        d = 0.5 * (a - b)
+        s = np.hypot(d, h)
+        vals = np.stack([mean - s, mean + s], axis=-1)
+        free = h == 0.0
+        if free.any():
+            vals[free] = np.sort(np.stack([a, b], axis=-1)[free])
+        if not weights:
+            return vals
         # the upper branch's eigenvector (h, s - d) puts (1 + d/s)/2 on a;
         # a degenerate uncoupled pair keeps the bare order
         c = np.divide(d, s, out=np.full(np.shape(s), -1.0), where=s > 0.0)
         w_hi = np.stack([0.5 + 0.5 * c, 0.5 - 0.5 * c], axis=-1)
-        w = np.stack([w_hi[..., ::-1], w_hi], axis=-2)
-    elif not weights:
+        return vals, np.stack([w_hi[..., ::-1], w_hi], axis=-2)
+    if not weights:
         return np.linalg.eigvalsh(m)
-    else:
-        vals, vecs = np.linalg.eigh(m)
-        w = np.swapaxes(vecs, -1, -2) ** 2
-    return (vals, w) if weights else vals
+    vals, vecs = np.linalg.eigh(m)
+    return vals, np.swapaxes(vecs, -1, -2) ** 2
 
 
 def rwa_two_mode(fc: float, fm: float, g_over_pi: float) -> EigenResult:

@@ -377,9 +377,10 @@ def field_cells_meshgrid(xc, yc, posts, sign_rows, r_post, r_cav, subsample=8):
     materialised as meshgrids and broadcast copies, each post's field is
     formed on them, and the signed sums start from ``zeros_like``.
     Returns one ``(Hx, Hy, energy, coverage, excluded)`` tuple per sign
-    row; the node fields ``Hx``/``Hy`` are the reference for
-    ``magcav._kernels.node_fields``.  Overflow on extreme axes gives inf
-    or nan without a warning, as in the library.
+    row; the node fields ``Hx``/``Hy``, zero outside the domain, are the
+    reference for ``magcav._kernels.line_fields`` on the node grid.
+    Overflow on extreme axes gives inf or nan without a warning, as in
+    the library.
     """
     xc = np.asarray(xc, dtype=float)
     yc = np.asarray(yc, dtype=float)

@@ -101,7 +101,7 @@ def test_geometry_invariants(kwargs):
 def test_field_map_layout():
     fmap = field_map(BARE, "bright", resolution=129)
     assert fmap.xs.shape == (129,)
-    assert fmap.Hx.shape == (129, 129)
+    assert fmap.energy.shape == (129, 129)
     dx = fmap.xs[1] - fmap.xs[0]
     assert dx == pytest.approx(2 * BARE.cavity_radius / 129, rel=1e-14)
     assert np.all(fmap.coverage >= 0.0) and np.all(fmap.coverage <= 1.0)
@@ -139,16 +139,26 @@ def test_resolution_takes_numpy_integers():
     assert fmap.energy is field_map(BARE, "bright", resolution=129).energy
 
 
+def _midpoint_and_max_abs_H(fmap):
+    """|H| at the node nearest the inter-post midpoint, and its maximum in the domain."""
+    H = np.hypot(*_kernels.line_fields(fmap.xs[:, None], fmap.ys[None, :],
+                                       fmap.geometry.post_positions,
+                                       cavity._MODE_SIGNS[fmap.mode]))
+    i = int(np.argmin(np.abs(fmap.xs)))
+    j = int(np.argmin(np.abs(fmap.ys)))
+    return H[i, j], H[~fmap.excluded].max()
+
+
 def test_dark_mode_midpoint_null():
-    fmap = field_map(BARE, "dark", resolution=257)
+    mid, top = _midpoint_and_max_abs_H(field_map(BARE, "dark", resolution=257))
     # parallel currents cancel exactly on the symmetry axis
-    assert fmap.midpoint_abs_H() == 0.0
-    assert fmap.midpoint_abs_H() <= 1e-6 * fmap.max_abs_H
+    assert mid == 0.0
+    assert mid <= 1e-6 * top
 
 
 def test_bright_mode_midpoint_strong():
-    fmap = field_map(BARE, "bright", resolution=257)
-    assert fmap.midpoint_abs_H() >= 0.1 * fmap.max_abs_H
+    mid, top = _midpoint_and_max_abs_H(field_map(BARE, "bright", resolution=257))
+    assert mid >= 0.1 * top
 
 
 def test_far_field_closed_forms():
@@ -303,6 +313,8 @@ def test_surface_resistance():
     assert surface_resistance(54.6, 1e12) < 1e-10
     with pytest.raises(DomainError):
         surface_resistance(51.0, 0.0)
+    with pytest.raises(DomainError, match="G must be > 0"):
+        surface_resistance(-51.0, 520.0)
     # field-model value against the measured milliohms
     ref = reference_cavity()
     G_b = geometric_factor(field_map(ref, "bright"))
@@ -343,7 +355,7 @@ def test_geometry_scan_error_rows():
 # ---------------------------------------------------------------------------
 # The one-entry field-cell memo behind field_map
 
-_MAP_ARRAYS = ("xs", "ys", "Hx", "Hy", "energy", "coverage", "excluded")
+_MAP_ARRAYS = ("xs", "ys", "energy", "coverage", "excluded")
 
 # (cavity_radius, post_radius, post_spacing): two share the wall and posts
 _IN_PLANE = [(5.0e-3, 0.4e-3, 2.3e-3), (5.0e-3, 0.4e-3, 1.8e-3), (4.0e-3, 0.3e-3, 2.6e-3)]
@@ -357,17 +369,21 @@ def _fresh_field_map(geom, mode, resolution):
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("resolution", [64, 65, 129, 257])
 def test_field_map_node_fields_match_meshgrid_oracle(resolution):
-    # Hx/Hy are formed on request, with the bytes of the meshgrid oracle
+    # a map keeps the oracle's cells; the node fields it does not keep are
+    # line_fields on its grid, which the oracle zeroes outside the domain
     ref = reference_cavity()
     signs = [(1.0, 1.0), (1.0, -1.0)]
     fmaps = [field_map(ref, mode, resolution=resolution) for mode in ("dark", "bright")]
     xs = fmaps[0].xs
     want = field_cells_meshgrid(xs, xs, ref.post_positions, signs, ref.post_radius,
                                 ref.cavity_radius)
-    for fmap, row in zip(fmaps, want):
-        for name, arr in zip(("Hx", "Hy", "energy", "coverage", "excluded"), row):
+    for fmap, row, row_signs in zip(fmaps, want, signs):
+        for name, arr in zip(("energy", "coverage", "excluded"), row[2:]):
             assert getattr(fmap, name).tobytes() == arr.tobytes()
-        assert fmap.Hx is fmap.Hx and not fmap.Hy.flags.writeable
+        inside = ~fmap.excluded
+        got = _kernels.line_fields(xs[:, None], xs[None, :], ref.post_positions, row_signs)
+        for H, arr in zip(got, row[:2]):
+            assert H[inside].tobytes() == arr[inside].tobytes()
 
 
 def test_field_map_quadrature_memory_stays_at_its_scratch():

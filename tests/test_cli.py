@@ -344,10 +344,12 @@ def test_mutated_config_ends_in_an_exit_code(tmp_path, capsys, content):
     except (ConfigError, OSError):
         pass
     # a documented exit code, never a traceback: 0 ok, 2 config,
-    # 3 unidentifiable, 4 i/o
+    # 3 unidentifiable, 4 i/o; an error is reported before any figure
     for command in ("report", "predict"):
-        assert main([command, str(path)]) in (0, 2, 3, 4)
-    capsys.readouterr()
+        code = main([command, str(path)])
+        out = capsys.readouterr().out
+        assert code in (0, 2, 3, 4)
+        assert code == 0 or out == ""
 
 
 # the bounds on resolution and *_steps keep every grid these draw small;
@@ -610,6 +612,26 @@ def test_report_zero_coupling_zeroes_derived_outputs(tmp_path, capsys):
     assert kv["ratio_modeled"] > 0.0  # geometry-derived, independent of g
 
 
+# each value outside its domain exits 2 before anything is printed
+@pytest.mark.parametrize("old, new", [
+    ("xi_dark = 3e-4", "xi_dark = -3e-4"),
+    ("photon_beta = 0.01", "photon_beta = -0.3"),
+    ("dark_g_over_pi_mhz = 143", "dark_g_over_pi_mhz = -143"),
+    ("bright_g_over_pi_ghz = 2.05", "bright_g_over_pi_ghz = -2.05"),
+    ("geometric_factor_ohm = 51", "geometric_factor_ohm = -51"),
+    # C_bright overflows
+    ("bright_kappa_mhz = 27", "bright_kappa_mhz = 1e-305"),
+])
+def test_report_out_of_domain_value_prints_nothing(tmp_path, capsys, old, new):
+    text = (FIXTURES / "reference_cavity.ini").read_text()
+    assert old + "\n" in text
+    cfg = tmp_path / "bad.ini"
+    cfg.write_text(text.replace(old + "\n", new + "\n"))
+    code, out, err = run_cli(capsys, "report", cfg)
+    assert code == 2 and out == ""
+    assert err.startswith("config error: ") and err.count("\n") == 1
+
+
 # ---------------------------------------------------------------------------
 # predict
 
@@ -668,6 +690,26 @@ def test_predict_map_on_an_overflowing_f_axis_prints_no_warning(tmp_path, capsys
     want = run_cli(capsys, "predict", FIXTURES / "optimized_prediction.ini", "--map", prefix)
     got = run_cli(capsys, "predict", cfg, "--map", prefix)
     assert got == want and want[0] == 0 and want[2] == ""
+
+
+# xi_bright = 50 puts g_opt/pi above f_b, where the lower Bogoliubov
+# branch collapses; with --map the magnon line leaves f > 0 instead
+@pytest.mark.parametrize("old, new, extra", [
+    ("[optimized]\nxi_bright = 0.2\n", "[optimized]\nxi_bright = 50\n", ()),
+    ("magnon_offset_ghz = 0\n", "magnon_offset_ghz = -20\n", ("--map",)),
+    # cooperativity_opt overflows
+    ("kappa_mhz = 27\n", "kappa_mhz = 1e-300\n", ()),
+])
+def test_predict_error_prints_nothing(tmp_path, capsys, old, new, extra):
+    text = (FIXTURES / "optimized_prediction.ini").read_text()
+    assert old in text
+    cfg = tmp_path / "bad.ini"
+    cfg.write_text(text.replace(old, new))
+    argv = ["predict", cfg, *extra] + ([tmp_path / "pred"] if extra else [])
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("config error: ") and err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == [cfg]
 
 
 def test_predict_requires_current_block(capsys):

@@ -1,11 +1,13 @@
-"""Domain types, constants, and unit conventions."""
+"""Domain types, constants, unit conventions and the package namespace."""
 
+import importlib
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import magcav
 from magcav.core import (
     CONSTANTS,
     DEFAULT_GYRO,
@@ -178,3 +180,15 @@ def test_chain_builder_topology():
     assert g[0, 1] == 143e6 and g[1, 2] == 12.5e6
     assert g[0, 2] == 0.0  # cavity reaches L only through R
     assert m.modes[0].kind is ModeKind.CAVITY_DARK
+
+
+# the modules whose public names the package re-exports; presets is
+# exported as a module of its own
+@pytest.mark.parametrize(
+    "module", ["core", "modes", "walker", "cavity", "spectra", "estimators", "config"]
+)
+def test_every_public_name_is_exported_from_the_package(module):
+    mod = importlib.import_module(f"magcav.{module}")
+    missing = [name for name in mod.__all__
+               if getattr(magcav, name, None) is not getattr(mod, name)]
+    assert missing == []

@@ -376,22 +376,41 @@ def test_fit_three_mode_exact_roundtrip():
 @given(data=st.data())
 @settings(max_examples=200, deadline=None)
 def test_three_mode_branches_per_column_match_per_point(data):
-    # fit_three_mode solves one eigenproblem per distinct B and expands it
-    # to the ridge points; that must give the per-point branches bit for bit
+    # the crossing fits solve one eigenproblem per distinct B and expand it
+    # to the ridge points; that must give the per-point branches bit for
+    # bit, for the two-mode (k = 2) and the three-mode (k = 3) chain
+    k = data.draw(st.sampled_from([2, 3]))
     n_cols = data.draw(st.integers(1, 12))
     cols = np.linspace(0.45, 0.49, n_cols) + data.draw(st.floats(-0.01, 0.01))
     B = cols[data.draw(st.lists(st.integers(0, n_cols - 1), min_size=1, max_size=40))]
     p = (
         data.draw(st.floats(13.0e9, 15.0e9)),
         data.draw(st.floats(2.0e10, 3.0e10)),
-        data.draw(st.floats(-1.0e9, 1.0e9)),
-        data.draw(st.floats(-1.0e9, 1.0e9)),
-        data.draw(st.floats(-1e18, 1e18)),  # squared couplings, either sign
-        data.draw(st.floats(-1e16, 1e16)),
+        *(data.draw(st.floats(-1.0e9, 1.0e9)) for _ in range(k - 1)),
+        # squared couplings, either sign
+        *(data.draw(st.floats(-1e18, 1e18)) for _ in range(k - 1)),
     )
     uniq, inv = np.unique(B, return_inverse=True)
-    per_point = estimators._three_mode_branches(p, B)
-    assert estimators._three_mode_branches(p, uniq)[inv].tobytes() == per_point.tobytes()
+    per_point = estimators._chain_branches(p, B)
+    assert per_point.shape == (B.size, k)
+    assert estimators._chain_branches(p, uniq)[inv].tobytes() == per_point.tobytes()
+
+
+@given(data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_chain_branches_at_zero_coupling_are_the_sorted_diagonal(data):
+    # an uncoupled chain is exactly its bare lines, sorted; mean -+ half
+    # the difference would give 0.10000000000000003 for the pair (1, 0.1)
+    B = np.array([0.1])
+    assert estimators._chain_branches((1.0, 1.0, 0.0, 0.0), B).tolist() == [[0.1, 1.0]]
+    k = data.draw(st.sampled_from([2, 3]))
+    B = np.array(data.draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=10)))
+    fc = data.draw(st.floats(13.0e9, 15.0e9))
+    gyro = data.draw(st.floats(2.0e10, 3.0e10))
+    offsets = [data.draw(st.floats(-1.0e9, 1.0e9)) for _ in range(k - 1)]
+    bare = np.stack([np.full(B.size, fc), *(gyro * B + o for o in offsets)], axis=-1)
+    got = estimators._chain_branches((fc, gyro, *offsets, *[0.0] * (k - 1)), B)
+    assert got.tobytes() == np.sort(bare, axis=-1).tobytes()
 
 
 def test_fit_three_mode_asymptote_gap():
@@ -527,6 +546,9 @@ def test_cooperativity_values():
     )
     with pytest.raises(DomainError):
         cooperativity(1e9, 0.0, 1e6)
+    # g/pi is a splitting, never negative, as in predict_optimized
+    with pytest.raises(DomainError, match="g_over_pi must be >= 0"):
+        cooperativity(-143e6, 33e6, 1.2e6)
 
 
 def test_spin_count_values():
@@ -550,6 +572,8 @@ def test_coupling_per_spin_values():
     assert ratio == pytest.approx(2.57, rel=2e-2)
     with pytest.raises(DomainError):
         coupling_per_spin(1e9, 0.5)
+    with pytest.raises(DomainError, match="g_over_pi must be >= 0"):
+        coupling_per_spin(-2.05e9, N)
 
 
 def test_coupling_from_filling_chain():
@@ -590,6 +614,11 @@ def test_photon_number_values():
         photon_number(-1e-12, 20.9e9, 714.0, 0.01, 0.01)
     with pytest.raises(DomainError):
         photon_number(1e-12, 20.9e9, 0.0, 0.01, 0.01)
+    # a negative port coupling, as PortCouplings rejects it
+    for betas in ((-0.3, -0.3), (-0.3, 0.01), (0.01, -0.3)):
+        with pytest.raises(DomainError, match="port couplings must be >= 0"):
+            photon_number(1e-12, 20.9e9, 714.0, *betas)
+    assert photon_number(1e-12, 20.9e9, 714.0, 0.0, 0.01) == 0.0
 
 
 PAPER_CURRENT = dict(f_b=20.9e9, g_over_pi=2.05e9, kappa_b=27e6, gamma_m=1.1e6, xi_b=0.03)

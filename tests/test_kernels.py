@@ -4,8 +4,8 @@ The transmission kernel is checked against a per-cell dense LAPACK solve
 (``oracles.s21_point_solve``) and the field cells against the scalar
 per-cell quadrature in ``oracles.py``.  Neither oracle shares code with
 the implementation under test, so agreement on random inputs is a real
-check, not a tautology.  The field cells and the node fields formed on
-request are also held byte for byte to ``oracles.field_cells_meshgrid``,
+check, not a tautology.  The field cells, and ``line_fields`` on their
+node grid, are also held byte for byte to ``oracles.field_cells_meshgrid``,
 the full-grid numpy formulation they replaced.
 """
 
@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from magcav import _kernels, spectra
-from magcav._kernels import field_cells, node_fields, s21_rows
+from magcav._kernels import field_cells, line_fields, s21_rows
 from magcav.config import load_config
 
 from oracles import (
@@ -187,7 +187,7 @@ def test_field_cells_match_scalar_oracle(resolution):
     cells = field_cells(xc, yc, posts, SIGN_ROWS, r_post, r_cav)
     assert len(cells) == len(SIGN_ROWS)
     for signs, (e, cov, excluded) in zip(SIGN_ROWS, cells):
-        Hx, Hy = node_fields(xc, yc, posts, signs, excluded)
+        Hx, Hy = _node_fields(xc, yc, posts, signs, excluded)
         Hx_o, Hy_o, e_o, cov_o = field_cells_scalar(xc, yc, posts, signs, 1.0, r_post, r_cav)
         # coverage counts subsamples, an integer ratio: must match exactly
         np.testing.assert_array_equal(cov, cov_o)
@@ -217,7 +217,7 @@ def test_field_cells_without_cut_cells_match_scalar_oracle():
     cells = field_cells(xc, yc, posts, SIGN_ROWS, r_post, r_cav)
     for signs, (e, cov, excluded) in zip(SIGN_ROWS, cells):
         assert cov.min() == 1.0 and not excluded.any()
-        Hx, Hy = node_fields(xc, yc, posts, signs, excluded)
+        Hx, Hy = _node_fields(xc, yc, posts, signs, excluded)
         oracle = field_cells_scalar(xc, yc, posts, signs, 1.0, r_post, r_cav)
         for arr, arr_o in zip((Hx, Hy, e, cov), oracle):
             np.testing.assert_array_equal(arr, arr_o)
@@ -246,10 +246,23 @@ def _assert_cells_bytes_equal(got, want):
         _assert_bytes_equal(row_got, row_want[2:])
 
 
+@np.errstate(all="ignore")
+def _node_fields(xc, yc, posts, signs, excluded):
+    """``line_fields`` on the node grid of the axes, 0 on ``excluded`` nodes.
+
+    The oracles zero those nodes too; overflow near a post centre gives
+    inf or nan without a warning, as in ``field_cells``.
+    """
+    Hx, Hy = line_fields(xc[:, None], yc[None, :], posts, signs)
+    Hx[excluded] = 0.0
+    Hy[excluded] = 0.0
+    return Hx, Hy
+
+
 def _assert_node_fields_bytes_equal(xc, yc, posts, rows, want):
-    """``node_fields`` of every row against the oracle's (Hx, Hy)."""
+    """Node fields of every row against the oracle's (Hx, Hy)."""
     for row, row_want in zip(rows, want):
-        got = node_fields(xc, yc, posts, row, row_want[4])
+        got = _node_fields(xc, yc, posts, row, row_want[4])
         _assert_bytes_equal(got, row_want[:2])
 
 
@@ -292,7 +305,7 @@ def test_field_cells_match_meshgrid_oracle_bytes(case):
         got = field_cells(xc, yc, posts, rows, r_post, r_cav)
     want = field_cells_meshgrid(xc, yc, posts, rows, r_post, r_cav)
     _assert_cells_bytes_equal(got, want)
-    # and the node fields field_cells does not keep, formed on request
+    # and the node fields field_cells does not keep
     _assert_node_fields_bytes_equal(xc, yc, posts, rows, want)
 
 
@@ -334,7 +347,7 @@ def test_field_cells_node_on_post_centre_match_meshgrid_oracle(resolution, bare)
     signs = (1.0, 0.0)
     excluded = got[SIGN_ROWS.index(signs)][2]
     assert excluded[i, j] != bare
-    for H in node_fields(xc, yc, posts, signs, excluded):
+    for H in _node_fields(xc, yc, posts, signs, excluded):
         assert H[i, j] == 0.0 and not np.signbit(H[i, j])
 
 
@@ -351,7 +364,7 @@ def test_signed_post_fields_match_scalar_oracle(half_spacing, radius, center, si
     theta = (np.arange(64) + 0.5) * (2.0 * np.pi / 64)
     x = center[0] + radius * np.cos(theta)
     y = center[1] + radius * np.sin(theta)
-    Hx, Hy = _kernels.line_fields(x, y, posts, signs)
+    Hx, Hy = line_fields(x, y, posts, signs)
     want = np.array([_line_currents_H(a, b, posts, signs, 1.0) for a, b in zip(x, y)])
     scale = np.abs(want).max()
     np.testing.assert_allclose(Hx, want[:, 0], rtol=1e-12, atol=1e-14 * scale)
@@ -368,9 +381,9 @@ def test_line_fields_give_the_same_bytes_on_axes_full_grids_and_flat_points():
     X = np.broadcast_to(xc[:, None], shape)
     Y = np.broadcast_to(yc[None, :], shape)
     for signs in [(1.0, -1.0, 0.0), (0.0, 1.0, 1.0), (-1.0, 0.0, -1.0), (0.0, 0.0, 0.0)]:
-        want = _kernels.line_fields(xc[:, None], yc[None, :], posts, signs)
-        _assert_bytes_equal(_kernels.line_fields(X, Y, posts, signs), want)
-        flat = _kernels.line_fields(X.ravel(), Y.ravel(), posts, signs)
+        want = line_fields(xc[:, None], yc[None, :], posts, signs)
+        _assert_bytes_equal(line_fields(X, Y, posts, signs), want)
+        flat = line_fields(X.ravel(), Y.ravel(), posts, signs)
         _assert_bytes_equal([H.reshape(shape) for H in flat], want)
         for H in want:
             # sums start from +0: no point holds a -0.0
