@@ -74,10 +74,14 @@ def _emit(name: str, value) -> None:
     print(f"{name} = {value!r}")
 
 
-def _print_figures(figures: dict) -> None:
-    """Print every figure, or none if one has overflowed; nan marks no value."""
+def _print_figures(figures: dict, nan_ok=()) -> None:
+    """Print every figure, or none if one is not finite.
+
+    A figure named in ``nan_ok`` may be nan, which marks it as having no
+    value; an overflow shows up as a figure that is not finite.
+    """
     for name, value in figures.items():
-        if math.isinf(value):
+        if not (math.isfinite(value) or (name in nan_ok and math.isnan(value))):
             raise ConfigError(f"{name} = {value!r} is not finite")
     for name, value in figures.items():
         _emit(name, value)
@@ -123,8 +127,8 @@ def cmd_cavity(args) -> int:
     sphere = cfg.require("sphere")
 
     if values is None:
-        # every figure is computed before any is printed; an overflow shows
-        # up as a figure that is not finite, not as numpy warnings
+        # every figure is computed before any is printed; an overflow gives
+        # a figure that is not finite, not numpy warnings
         with np.errstate(all="ignore"):
             f_dark, f_bright = mode_frequencies(geom)
             figures = {"f_dark_Hz": f_dark, "f_bright_Hz": f_bright}
@@ -132,11 +136,7 @@ def cmd_cavity(args) -> int:
                 fmap = field_map(geom, mode, resolution=cfg.resolution)
                 figures[f"xi_{mode}"] = filling_factor(fmap, sphere)
                 figures[f"G_{mode}_ohm"] = geometric_factor(fmap)
-        for name in _CAVITY_FIGURES:
-            if not math.isfinite(figures[name]):
-                raise ConfigError(f"{name} = {figures[name]!r} is not finite")
-        for name in _CAVITY_FIGURES:
-            _emit(name, figures[name])
+        _print_figures({name: figures[name] for name in _CAVITY_FIGURES})
         return EXIT_OK
 
     # an overflow shows up in a row's error column, not as numpy warnings
@@ -242,7 +242,7 @@ def cmd_predict(args) -> int:
             lines = lorentzian(f_axis, 1.0, branches[..., None], figures["kappa_opt"])
             dmap = DensityMap(b_axis, f_axis, lines.sum(axis=1),
                               {"kind": "bogoliubov-prediction"})
-    _print_figures(figures)
+    _print_figures(figures, nan_ok=("per_spin_scale", "branch_asymmetry"))
     if dmap is not None:
         _write_map(dmap, args.map)
     return EXIT_OK

@@ -619,8 +619,9 @@ def test_report_zero_coupling_zeroes_derived_outputs(tmp_path, capsys):
     ("dark_g_over_pi_mhz = 143", "dark_g_over_pi_mhz = -143"),
     ("bright_g_over_pi_ghz = 2.05", "bright_g_over_pi_ghz = -2.05"),
     ("geometric_factor_ohm = 51", "geometric_factor_ohm = -51"),
-    # C_bright overflows
+    # C_bright overflows; photons is inf / inf
     ("bright_kappa_mhz = 27", "bright_kappa_mhz = 1e-305"),
+    ("photon_q = 714", "photon_q = 1e-300"),
 ])
 def test_report_out_of_domain_value_prints_nothing(tmp_path, capsys, old, new):
     text = (FIXTURES / "reference_cavity.ini").read_text()
