@@ -127,8 +127,8 @@ def cmd_cavity(args) -> int:
     sphere = cfg.require("sphere")
 
     if values is None:
-        # every figure is computed before any is printed; an overflow gives
-        # a figure that is not finite, not numpy warnings
+        # every figure is computed before any is printed; an overflow shows
+        # up as a figure that is not finite, not as numpy warnings
         with np.errstate(all="ignore"):
             f_dark, f_bright = mode_frequencies(geom)
             figures = {"f_dark_Hz": f_dark, "f_bright_Hz": f_bright}
