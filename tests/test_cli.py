@@ -695,19 +695,19 @@ def test_predict_map_on_an_overflowing_f_axis_prints_no_warning(tmp_path, capsys
 
 # xi_bright = 50 puts g_opt/pi above f_b, where the lower Bogoliubov
 # branch collapses; with --map the magnon line leaves f > 0 instead
-@pytest.mark.parametrize("old, new, extra", [
-    ("[optimized]\nxi_bright = 0.2\n", "[optimized]\nxi_bright = 50\n", ()),
-    ("magnon_offset_ghz = 0\n", "magnon_offset_ghz = -20\n", ("--map",)),
+@pytest.mark.parametrize("old, new, with_map", [
+    ("[optimized]\nxi_bright = 0.2\n", "[optimized]\nxi_bright = 50\n", False),
+    ("magnon_offset_ghz = 0\n", "magnon_offset_ghz = -20\n", True),
     # cooperativity_opt overflows
-    ("kappa_mhz = 27\n", "kappa_mhz = 1e-300\n", ()),
+    ("kappa_mhz = 27\n", "kappa_mhz = 1e-300\n", False),
 ])
-def test_predict_error_prints_nothing(tmp_path, capsys, old, new, extra):
+def test_predict_error_prints_nothing(tmp_path, capsys, old, new, with_map):
     text = (FIXTURES / "optimized_prediction.ini").read_text()
     assert old in text
     cfg = tmp_path / "bad.ini"
     cfg.write_text(text.replace(old, new))
-    argv = ["predict", cfg, *extra] + ([tmp_path / "pred"] if extra else [])
-    code, out, err = run_cli(capsys, *argv)
+    map_args = ["--map", tmp_path / "pred"] if with_map else []
+    code, out, err = run_cli(capsys, "predict", cfg, *map_args)
     assert code == 2 and out == ""
     assert err.startswith("config error: ") and err.count("\n") == 1
     assert list(tmp_path.iterdir()) == [cfg]
