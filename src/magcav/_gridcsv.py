@@ -4,8 +4,9 @@ Every grid file the package writes goes through ``write_grid_csv``: one
 header line, then one row per cell with the outer axis in the outer
 loop, the inner axis in the inner loop, and the cell's value after them.
 Every float is exactly ``FORMAT % x``, CPython's correctly rounded
-formatter.  ``read_grid_csv`` reads back the files of three-column grids
-laid out that way and declines every other file.
+formatter.  ``read_grid_csv`` reads back the rows of three-column grids
+laid out that way, from an open file past its header, and declines
+every other file.
 
 Cell values are formatted a block of cells at a time, by array
 arithmetic.  For a float x with e = floor(log10 |x|) in the decades
@@ -23,26 +24,19 @@ string is exact once its rounding is certain, and only the cells near a
 tie need the slow path.  On the fixture maps 92 of 470 000 cells do.
 
 The axis strings and their commas are formatted once per file; each
-value's text goes into a 24-byte slot, NUL-padded: the array path starts
-it at byte 0 when it has a sign and at byte 1 when it has none, CPython's
-formatter always at byte 0.  A block's rows are then assembled in one of
-two ways and written with one ``write`` call, so temporaries stay at one
-block of cells:
-
-- fixed layout, when every row of the block has the same byte layout:
-  the block's outer strings are of one length, its inner strings of
-  another, and every value slot has the same sign byte (NUL or "-") and
-  ends its text at the same byte (so a block holding an unsigned value
-  from CPython's formatter takes the other way).  The rows are
-  exact-length, and three strided copies of whole strings fill them:
-  outer string, inner string, value text.  Every block of the fixture
-  maps is of this kind.
-- NUL compaction, for any other block (values of both signs, a
-  three-digit exponent beside two-digit ones, axis strings of mixed
-  lengths): each row is laid out in 8-byte-aligned NUL-padded words
-  (outer string, inner string, value slot) and the NUL bytes are dropped.
-
-Both give the same bytes.
+value's text goes into a 24-byte slot, NUL-padded, starting at byte 0
+when it has a sign and at byte 1 when it has none.  A block's rows are
+assembled by ``_rows`` with three strided copies of whole strings (outer
+string, inner string, value text) and written with one ``write`` call,
+so temporaries stay at one block of cells.  When every row of the block
+has the same byte layout (outer strings of one length, inner strings of
+another, and every value slot with the same sign byte, NUL or "-", and
+its text ending at the same byte) the copies are at exact widths and
+make the rows themselves; every block of the fixture maps is of this
+kind.  Any other block (values of both signs, a three-digit exponent
+beside two-digit ones, axis strings of mixed lengths) is copied at the
+padded widths, the NUL-padded axis strings and the whole slot, and its
+NUL bytes are dropped.  Both give the same bytes.
 
 The reader takes the first data row as the template of every row and
 checks each row through 8-byte words, a block of whole outer rows at a
@@ -131,7 +125,9 @@ def _sci9(x, words):
     words[:, 2] = ord("\n")
     slow = np.flatnonzero(~fast)
     if slow.size:
-        words.view(np.uint8)[slow] = _text([FORMAT % v + "\n" for v in x[slow].tolist()], 24)
+        texts = [FORMAT % v + "\n" for v in x[slow].tolist()]
+        # unsigned text at byte 1, as the array path puts it
+        words.view(np.uint8)[slow] = _text([t if t[0] == "-" else "\0" + t for t in texts], 24)
     return slow.size
 
 
@@ -139,10 +135,6 @@ def _text(strings, width):
     """NUL-padded (len(strings), width) byte matrix of ASCII strings."""
     joined = b"".join(s.encode("ascii").ljust(width, b"\0") for s in strings)
     return np.frombuffer(joined, dtype=np.uint8).reshape(len(strings), width)
-
-
-def _round8(n):
-    return -(-n // 8) * 8
 
 
 def _items(a):
@@ -161,10 +153,10 @@ def _value_span(slots):
     """``(start, stop)`` of the value text that every slot holds at the same
     bytes, or None.
 
-    A slot whose text has a sign starts it at byte 0, the array path's
-    unsigned text at byte 1 (after a NUL).  A text ends at its one
-    newline, which the first slot puts at byte 16 or later; every slot
-    must have it at that byte.
+    A slot whose text has a sign starts it at byte 0, an unsigned text at
+    byte 1 (after a NUL).  A text ends at its one newline, which the
+    first slot puts at byte 16 or later; every slot must have it at that
+    byte.
     """
     head = slots.view(np.uint8)[:, 0]
     sign = int(head[0])
@@ -178,38 +170,30 @@ def _value_span(slots):
     return int(sign == 0), 16 + past
 
 
-def _fixed_rows(cells, outer, outer_n, inner, inner_n):
-    """A block's rows assembled by fixed-width copies, or None when its
-    rows differ in byte layout.
+def _rows(cells, outer, outer_n, inner, inner_n):
+    """A block's rows, by three strided copies: outer string, inner string
+    and value text of each cell.
 
     ``outer`` and ``inner`` hold the block's NUL-padded axis strings and
     ``outer_n`` and ``inner_n`` their lengths; ``cells`` is the block's
-    (n, 3) value slots.
+    (n, 3) value slots.  When every row has the same byte layout the
+    copies are at exact widths and the result is the (outer, inner,
+    bytes) array of the rows.  Otherwise they are at the padded widths,
+    and the result is the flat bytes with every NUL dropped.
     """
     lo, li, text = _uniform(outer_n), _uniform(inner_n), _value_span(cells)
-    if lo is None or li is None or text is None:
-        return None
+    exact = lo is not None and li is not None and text is not None
+    if not exact:
+        lo, li, text = outer.shape[1], inner.shape[1], (0, 24)
     v0, v1 = text
     shape = (outer.shape[0], inner.shape[0])
     rows = np.empty(shape + (lo + li + v1 - v0,), dtype=np.uint8)
     _items(rows[..., :lo])[...] = _items(outer[:, None, :lo])
     _items(rows[..., lo:lo + li])[...] = _items(inner[:, :li])
     _items(rows[..., lo + li:])[...] = _items(cells.view(np.uint8)[:, v0:v1]).reshape(shape)
-    return rows
-
-
-def _masked(cells, outer_w, inner_w):
-    """A block's rows laid out in NUL-padded words, with every NUL byte
-    dropped."""
-    n_o, n_i = outer_w.shape[1], inner_w.shape[1]
-    shape = (outer_w.shape[0], inner_w.shape[0])
-    words = np.empty(shape + (n_o + n_i + 3,), dtype=_WORD)
-    for w in range(n_o):
-        words[..., w] = outer_w[:, w, None]
-    for w in range(n_i):
-        words[..., n_o + w] = inner_w[:, w]
-    words[..., n_o + n_i:] = cells.reshape(shape + (3,))
-    flat = words.view(np.uint8).reshape(-1)
+    if exact:
+        return rows
+    flat = rows.reshape(-1)
     return flat[flat != 0]
 
 
@@ -275,10 +259,9 @@ def write_grid_csv(path, header: str, outer, inner, values) -> None:
     n_outer, n_inner = len(outer_s), len(inner_s)
     outer_n = np.array([len(s) for s in outer_s], dtype=np.intp)
     inner_n = np.array([len(s) for s in inner_s], dtype=np.intp)
-    # each axis's NUL-padded "x," strings, as bytes and as (r, c) words
-    outer_t = _text(outer_s, _round8(max(outer_n, default=0)))
-    inner_t = _text(inner_s, _round8(max(inner_n, default=0)))
-    outer_w, inner_w = outer_t.view(_WORD), inner_t.view(_WORD)
+    # each axis's NUL-padded "x," strings
+    outer_t = _text(outer_s, max(outer_n, default=0))
+    inner_t = _text(inner_s, max(inner_n, default=0))
     rows = max(1, _BLOCK_CELLS // max(n_inner, 1))
     span = min(max(n_inner, 1), _BLOCK_CELLS)
     # the value slots are the one buffer kept across blocks; a block's rows
@@ -292,10 +275,8 @@ def write_grid_csv(path, header: str, outer, inner, values) -> None:
                 j1 = min(j0 + span, n_inner)
                 cells = slots[: (i1 - i0) * (j1 - j0)]
                 _sci9(values[i0:i1, j0:j1].ravel(), cells)
-                block = _fixed_rows(cells, outer_t[i0:i1], outer_n[i0:i1],
-                                    inner_t[j0:j1], inner_n[j0:j1])
-                if block is None:
-                    block = _masked(cells, outer_w[i0:i1], inner_w[j0:j1])
+                block = _rows(cells, outer_t[i0:i1], outer_n[i0:i1],
+                              inner_t[j0:j1], inner_n[j0:j1])
                 fh.write(block)
                 del block  # freed before the next block's _sci9 temporaries
 
@@ -432,86 +413,84 @@ def _values(w0, w1, scratch, out):
     return True
 
 
-def read_grid_csv(path, header: str):
+def read_grid_csv(fh):
     """``(outer, inner, values)`` of a three-column file in the writer's layout.
 
-    The first data row is the template: its length, its comma positions
-    and each field's ``[-]d.ddddddddde[+-]dd`` shape.  Every row must
-    follow it, every row of an outer block must carry that block's outer
-    string, every block the first block's inner strings, and both axes
-    must strictly increase.  Then the file is a complete grid in the
-    writer's order, and each value is its ten-digit mantissa times or
-    over one exact power of ten, the correctly rounded double.
+    ``fh`` is the file open in binary mode, just past its header line,
+    which the caller has checked.  The first data row is the template:
+    its length, its comma positions and each field's
+    ``[-]d.ddddddddde[+-]dd`` shape.  Every row must follow it, every row
+    of an outer block must carry that block's outer string, every block
+    the first block's inner strings, and both axes must strictly
+    increase.  Then the file is a complete grid in the writer's order,
+    and each value is its ten-digit mantissa times or over one exact
+    power of ten, the correctly rounded double.
 
-    Returns None for any other file (another header line or line end, a
-    row off the template, a value whose scale 10^(e - 9) is not an exact
-    double, a missing final newline); the caller then reads it with a
-    general parser.  The file is read in blocks of whole outer rows
-    into one reused buffer; each 8-byte window of a row that a check
-    needs is copied into a column of words, one per row.
+    Returns None for any other content (a row off the template, a value
+    whose scale 10^(e - 9) is not an exact double, a missing final
+    newline); the caller then reads the file with a general parser.  The
+    file is read in blocks of whole outer rows into one reused buffer;
+    each 8-byte window of a row that a check needs is copied into a
+    column of words, one per row.
     """
-    head = header.encode("ascii") + b"\n"
-    with open(path, "rb") as fh:
-        if fh.readline(len(head)) != head:
+    start = fh.tell()
+    first = fh.readline(64)  # a template row has at most 3 * 17 bytes
+    fields = first[:-1].split(b",")
+    if (first[-1:] != b"\n" or len(fields) != 3
+            or not all(_FIELD.fullmatch(x) for x in fields)):
+        return None
+    width = len(first)
+    n_rows, rest = divmod(os.fstat(fh.fileno()).st_size - start, width)
+    if rest:
+        return None
+    c1 = len(fields[0]) + 1  # each axis string ends at its comma
+    c2 = c1 + len(fields[1]) + 1
+    neg = fields[2][:1] == b"-"
+    v0 = c2 + neg  # the value's unsigned text: two words
+    # the inner size: the first row whose outer string is not the first's
+    lo, hi = 1, n_rows
+    while lo < hi:
+        mid = (lo + hi) // 2
+        fh.seek(start + mid * width)
+        if fh.read(c1) == first[:c1]:
+            lo = mid + 1
+        else:
+            hi = mid
+    n_inner = lo
+    if n_rows % n_inner:
+        return None
+    rows = n_inner * max(1, _BLOCK_BYTES // (n_inner * width))
+    buf = np.empty(rows * width, dtype=np.uint8)
+    w0, w1 = np.empty((2, rows), dtype=_U)
+    values = np.empty(n_rows)
+    outer_s = []
+    inner = inner_s = None
+    fh.seek(start)
+    for r0 in range(0, n_rows, rows):
+        n = min(rows, n_rows - r0)
+        if fh.readinto(buf[: n * width]) != n * width:
             return None
-        start = len(head)
-        first = fh.readline(64)  # a template row has at most 3 * 17 bytes
-        fields = first[:-1].split(b",")
-        if (first[-1:] != b"\n" or len(fields) != 3
-                or not all(_FIELD.fullmatch(x) for x in fields)):
+        a = buf[: n * width].reshape(n, width)
+        if inner is None:
+            # the first block's inner strings; as words with the
+            # value's sign byte, which every row must repeat
+            inner_s = _strings(a[:n_inner, c1:c2])
+            inner = [_word(a[:n_inner], at, w0[:n_inner]).copy()
+                     for at in _windows(c1, v0)]
+        # every axis string is a field and its comma, at least 16 bytes
+        if not (_same_strings(a, 0, c1, n_inner, w0[:n])
+                and _same_strings(a, c1, v0, n_inner, w0[:n], inner)):
             return None
-        width = len(first)
-        n_rows, rest = divmod(os.fstat(fh.fileno()).st_size - start, width)
-        if rest:
+        outer_s += _strings(a[::n_inner, :c1])
+        _word(a, v0, w0[:n])
+        _word(a, v0 + 8, w1[:n])
+        # the block's bytes are copied out: its buffer is scratch now
+        scratch = buf[: 24 * n].view(_U).reshape(3, n)
+        q = values[r0:r0 + n]
+        if not _values(w0[:n], w1[:n], scratch, q):
             return None
-        c1 = len(fields[0]) + 1  # each axis string ends at its comma
-        c2 = c1 + len(fields[1]) + 1
-        neg = fields[2][:1] == b"-"
-        v0 = c2 + neg  # the value's unsigned text: two words
-        # the inner size: the first row whose outer string is not the first's
-        lo, hi = 1, n_rows
-        while lo < hi:
-            mid = (lo + hi) // 2
-            fh.seek(start + mid * width)
-            if fh.read(c1) == first[:c1]:
-                lo = mid + 1
-            else:
-                hi = mid
-        n_inner = lo
-        if n_rows % n_inner:
-            return None
-        rows = n_inner * max(1, _BLOCK_BYTES // (n_inner * width))
-        buf = np.empty(rows * width, dtype=np.uint8)
-        w0, w1 = np.empty((2, rows), dtype=_U)
-        values = np.empty(n_rows)
-        outer_s = []
-        inner = inner_s = None
-        fh.seek(start)
-        for r0 in range(0, n_rows, rows):
-            n = min(rows, n_rows - r0)
-            if fh.readinto(buf[: n * width]) != n * width:
-                return None
-            a = buf[: n * width].reshape(n, width)
-            if inner is None:
-                # the first block's inner strings; as words with the
-                # value's sign byte, which every row must repeat
-                inner_s = _strings(a[:n_inner, c1:c2])
-                inner = [_word(a[:n_inner], at, w0[:n_inner]).copy()
-                         for at in _windows(c1, v0)]
-            # every axis string is a field and its comma, at least 16 bytes
-            if not (_same_strings(a, 0, c1, n_inner, w0[:n])
-                    and _same_strings(a, c1, v0, n_inner, w0[:n], inner)):
-                return None
-            outer_s += _strings(a[::n_inner, :c1])
-            _word(a, v0, w0[:n])
-            _word(a, v0 + 8, w1[:n])
-            # the block's bytes are copied out: its buffer is scratch now
-            scratch = buf[: 24 * n].view(_U).reshape(3, n)
-            q = values[r0:r0 + n]
-            if not _values(w0[:n], w1[:n], scratch, q):
-                return None
-            if neg:
-                np.negative(q, out=q)
+        if neg:
+            np.negative(q, out=q)
     outer = _axis(outer_s)
     inner = _axis(inner_s)
     if outer is None or inner is None:

@@ -408,7 +408,7 @@ def _chain_branches(p, B):
     return eigenbranches(m)
 
 
-def fit_two_mode(B, f_peak, initial=None) -> FitReport:
+def fit_two_mode(B, f_peak) -> FitReport:
     """Fit the two-oscillator crossing; parameters (f_c, gyro, offset, g_over_pi).
 
     Each ridge point is scored against the nearer branch.  Data touching
@@ -423,11 +423,10 @@ def fit_two_mode(B, f_peak, initial=None) -> FitReport:
         raise UnidentifiableModelError(
             "no field column resolves both branches; coupling is not identifiable"
         )
-    if initial is None:
-        fc0, gyro0, o0 = _initial_lines(B, f_peak)
-        g2_try = np.linspace(0.0, float(np.ptp(f_peak)), 33) ** 2
-        d, _ = _nearest(f_peak, _chain_branches((fc0, gyro0, o0, g2_try[:, None]), B))
-        initial = (fc0, gyro0, o0, g2_try[np.argmin(np.sum(d**2, axis=1))])
+    fc0, gyro0, o0 = _initial_lines(B, f_peak)
+    g2_try = np.linspace(0.0, float(np.ptp(f_peak)), 33) ** 2
+    d, _ = _nearest(f_peak, _chain_branches((fc0, gyro0, o0, g2_try[:, None]), B))
+    initial = (fc0, gyro0, o0, g2_try[np.argmin(np.sum(d**2, axis=1))])
 
     def resid(p):
         return _nearest(f_peak, _chain_branches(p, B))[0]
@@ -441,15 +440,14 @@ def fit_two_mode(B, f_peak, initial=None) -> FitReport:
     return fit
 
 
-def fit_three_mode(B, f_peak, initial=None) -> FitReport:
+def fit_three_mode(B, f_peak) -> FitReport:
     """Fit the chained three-oscillator crossing.
 
-    Parameters (f_c, gyro, offset_r, offset_l, g_c_over_pi, g_rl_over_pi);
-    an explicit ``initial`` uses that order with plain (not squared)
-    couplings.  The central pass-through branch is recognized
-    structurally: columns carrying three or more peaks bracket it, and
-    their middle peaks ride the bare magnon line.  Without such columns
-    the model degrades to fit_two_mode and says so in the flags.
+    Parameters (f_c, gyro, offset_r, offset_l, g_c_over_pi, g_rl_over_pi).
+    The central pass-through branch is recognized structurally: columns
+    carrying three or more peaks bracket it, and their middle peaks ride
+    the bare magnon line.  Without such columns the model degrades to
+    fit_two_mode and says so in the flags.
     """
     B, f_peak = _check_ridge(B, f_peak)
     uniq, inv = np.unique(B, return_inverse=True)
@@ -471,19 +469,17 @@ def fit_three_mode(B, f_peak, initial=None) -> FitReport:
         params["g_rl_over_pi"] = (0.0, 0.0)
         return FitReport(params, two.residual_rms, two.iterations, two.converged, flags)
 
-    if initial is None:
-        gyro0, o0 = np.polyfit(central_B, central_f, 1)
-        fc0 = float(np.median(f_peak))
-        # smallest outer gap ~ the on-resonance splitting hypot(gc, gRL)
-        gap = float(np.min(outer_gaps))
-        initial = (fc0, float(gyro0), float(o0), float(o0), 0.95 * gap, 0.3 * gap)
+    gyro0, o0 = np.polyfit(central_B, central_f, 1)
+    fc0 = float(np.median(f_peak))
+    # smallest outer gap ~ the on-resonance splitting hypot(gc, gRL)
+    gap = float(np.min(outer_gaps))
+    p0 = np.array([fc0, gyro0, o0, o0, 0.95 * gap, 0.3 * gap])
+    p0[4:] **= 2  # the couplings are fitted squared
 
     def resid(p):
         # one eigenproblem per field column, the same bits as per point
         return _nearest(f_peak, _chain_branches(p, uniq)[inv])[0]
 
-    p0 = np.asarray(initial, dtype=float)
-    p0[4:] **= 2
     names = ("f_c", "gyro", "offset_r", "offset_l", "g_c_over_pi", "g_rl_over_pi")
     return _fit(resid, p0, names, B.size, squared=names[4:])[0]
 
@@ -498,7 +494,10 @@ def cooperativity(g_over_pi: float, cavity_fwhm: float, magnon_fwhm: float) -> f
         raise DomainError("g_over_pi must be >= 0")
     if cavity_fwhm <= 0.0 or magnon_fwhm <= 0.0:
         raise DomainError("linewidths must be > 0")
-    return g_over_pi**2 / (cavity_fwhm * magnon_fwhm)
+    product = cavity_fwhm * magnon_fwhm
+    if not math.isfinite(product):
+        raise DomainError("the product of the linewidths overflows")
+    return g_over_pi**2 / product
 
 
 def spin_count(density: float, diameter: float) -> float:
@@ -583,7 +582,7 @@ def predict_optimized(current: dict, optimized: dict) -> dict:
         "chi": chi,
         "g_opt_over_pi": g_opt,
         "kappa_opt": kappa_opt,
-        "cooperativity_current": cooperativity(g, kappa, gamma) if g > 0 else 0.0,
-        "cooperativity_opt": cooperativity(g_opt, kappa_opt, gamma) if g_opt > 0 else 0.0,
+        "cooperativity_current": cooperativity(g, kappa, gamma),
+        "cooperativity_opt": cooperativity(g_opt, kappa_opt, gamma),
         "per_spin_scale": g_opt / g if g > 0 else math.nan,
     }

@@ -135,21 +135,19 @@ class DensityMap:
         non-finite field, frequency or amplitude, a wrong column count,
         missing or repeated cells) raises MapFormatError naming the file.
 
-        A file in the writer's own layout is read by ``read_grid_csv``;
-        any other goes through ``np.loadtxt``, with the same result.
+        A file with an LF header and the writer's own layout is read by
+        ``read_grid_csv`` from the handle that checked the header; any
+        other goes through ``np.loadtxt``, with the same result.
         """
         head = _MAP_HEADER.encode()
         with open(path, "rb") as fh:
             line = fh.readline(len(head) + 2)
-        if line not in (head + b"\n", head + b"\r\n"):
-            raise MapFormatError(f"{path}: first line {line!r} is not the header {_MAP_HEADER}")
-        grid = read_grid_csv(path, _MAP_HEADER)
+            if line not in (head + b"\n", head + b"\r\n"):
+                raise MapFormatError(
+                    f"{path}: first line {line!r} is not the header {_MAP_HEADER}")
+            grid = read_grid_csv(fh) if line == head + b"\n" else None
         if grid is not None:
-            B_axis, f_axis, values = grid
-            values /= 20.0  # dB to linear amplitude in place, as below
-            with np.errstate(over="ignore"):  # inf is reported by _checked
-                np.power(10.0, values, out=values)
-            return cls._checked(path, B_axis, f_axis, values)
+            return cls._from_db(path, *grid)
         try:
             with warnings.catch_warnings():
                 # an empty data section is reported below, not as a warning
@@ -178,18 +176,20 @@ class DensityMap:
                 f"{path}: CSV rows do not tile a complete (B, f) grid "
                 f"({int(seen.sum())} of {seen.size} cells in {raw.shape[0]} rows)"
             )
-        amp = raw[:, 2]  # dB to linear amplitude in place, no full-size temporaries
-        amp /= 20.0
-        with np.errstate(over="ignore"):  # inf is reported by _checked
-            np.power(10.0, amp, out=amp)
-        values = np.empty(seen.size)
-        values[cell] = amp
-        return cls._checked(path, B_axis, f_axis, values.reshape(B_axis.size, f_axis.size))
+        db = np.empty(seen.size)
+        db[cell] = raw[:, 2]
+        return cls._from_db(path, B_axis, f_axis, db.reshape(B_axis.size, f_axis.size))
 
     @classmethod
-    def _checked(cls, path, B_axis, f_axis, values) -> "DensityMap":
+    def _from_db(cls, path, B_axis, f_axis, db) -> "DensityMap":
+        """The map of the dB grid ``db``, turned into linear amplitude in
+        place (no full-size temporaries); bad content raises
+        MapFormatError naming the file."""
+        db /= 20.0
+        with np.errstate(over="ignore"):  # inf is reported below
+            np.power(10.0, db, out=db)
         try:
-            return cls(B_axis, f_axis, values, {"source": str(path)})
+            return cls(B_axis, f_axis, db, {"source": str(path)})
         except DomainError as exc:
             raise MapFormatError(f"{path}: {exc}") from None
 

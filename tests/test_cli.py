@@ -622,6 +622,8 @@ def test_report_zero_coupling_zeroes_derived_outputs(tmp_path, capsys):
     # C_bright overflows; photons is inf / inf
     ("bright_kappa_mhz = 27", "bright_kappa_mhz = 1e-305"),
     ("photon_q = 714", "photon_q = 1e-300"),
+    # kappa * gamma overflows, so C_bright would read 0
+    ("bright_kappa_mhz = 27", "bright_kappa_mhz = 1e300"),
 ])
 def test_report_out_of_domain_value_prints_nothing(tmp_path, capsys, old, new):
     text = (FIXTURES / "reference_cavity.ini").read_text()
@@ -700,6 +702,8 @@ def test_predict_map_on_an_overflowing_f_axis_prints_no_warning(tmp_path, capsys
     ("magnon_offset_ghz = 0\n", "magnon_offset_ghz = -20\n", True),
     # cooperativity_opt overflows
     ("kappa_mhz = 27\n", "kappa_mhz = 1e-300\n", False),
+    # kappa_opt * gamma overflows, so cooperativity_opt would read 0
+    ("linewidth_factor = 12\n", "linewidth_factor = 1e-300\n", False),
 ])
 def test_predict_error_prints_nothing(tmp_path, capsys, old, new, with_map):
     text = (FIXTURES / "optimized_prediction.ini").read_text()

@@ -25,7 +25,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 import oracles
-from magcav import _gridcsv
+from magcav import _gridcsv, spectra
 from magcav.cli import main
 from magcav.config import load_config
 from magcav.presets import bright_crossing_model
@@ -102,16 +102,17 @@ def test_blocks_that_split_rows_match_fstring_oracle(tmp_path, monkeypatch, bloc
 
 
 def _block_paths(monkeypatch):
-    """The way each block the writer assembles goes: "fixed" or "masked"."""
+    """The way each block the writer assembles goes: "fixed" (exact-width
+    copies, the rows as an array) or "masked" (padded copies, NULs dropped)."""
     paths = []
-    fixed_rows = _gridcsv._fixed_rows
+    rows_of = _gridcsv._rows
 
     def recording(*args):
-        rows = fixed_rows(*args)
-        paths.append("masked" if rows is None else "fixed")
+        rows = rows_of(*args)
+        paths.append("fixed" if rows.ndim == 3 else "masked")
         return rows
 
-    monkeypatch.setattr(_gridcsv, "_fixed_rows", recording)
+    monkeypatch.setattr(_gridcsv, "_rows", recording)
     return paths
 
 
@@ -155,16 +156,28 @@ def test_block_kinds_match_fstring_oracle(tmp_path, monkeypatch, block):
     oracles.write_map_csv_fstring(tmp_path / "old.csv", dmap)
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
     if block == 64:
-        assert paths == ["fixed", "masked", "masked", "masked", "fixed", "masked"]
+        assert paths == ["fixed", "fixed", "masked", "masked", "fixed", "masked"]
+    elif block == 1:
+        assert set(paths) == {"fixed"}
     else:
         assert "fixed" in paths and "masked" in paths
 
 
-def test_fixture_maps_take_the_fixed_layout_path(tmp_path, monkeypatch, capsys):
-    def forbidden(*args, **kwargs):
-        raise AssertionError("a fixture map block was assembled by NUL compaction")
+def test_positive_block_with_a_tie_band_cell_takes_exact_copies(tmp_path, monkeypatch):
+    # CPython's formatter puts an unsigned text at byte 1 of its slot, as
+    # the array path does, so the block keeps one layout
+    monkeypatch.setattr(_gridcsv, "_BLOCK_CELLS", 64)
+    B, f, db = _block_kinds_map()
+    cells = np.empty((64, 3), dtype=_gridcsv._WORD)
+    assert _gridcsv._sci9(db[8:16].ravel(), cells) == 1
+    assert _gridcsv._value_span(cells) == (1, 17)
+    paths = _block_paths(monkeypatch)
+    _with_db(monkeypatch, db[8:16])
+    DensityMap(B[8:16], f, np.ones((8, 8))).write_csv(tmp_path / "map.csv")
+    assert paths == ["fixed"]
 
-    monkeypatch.setattr(_gridcsv, "_masked", forbidden)
+
+def test_fixture_maps_take_the_fixed_layout_path(tmp_path, monkeypatch, capsys):
     paths = _block_paths(monkeypatch)
     runs = [
         ["spectrum", FIXTURES / "bright_crossing.ini", "-o", tmp_path / "bright"],
@@ -175,7 +188,7 @@ def test_fixture_maps_take_the_fixed_layout_path(tmp_path, monkeypatch, capsys):
         assert main([str(a) for a in argv]) == 0
     capsys.readouterr()
     # 200 x 400 cells in blocks of 40 rows, 220 x 1500 in blocks of 10, and
-    # the prediction's map
+    # the prediction's map; no block is assembled by NUL compaction
     assert len(paths) > 5 + 22 and set(paths) == {"fixed"}
 
 
@@ -468,6 +481,33 @@ def test_fixture_maps_take_the_template_path(tmp_path, monkeypatch, capsys):
     assert DensityMap.read_csv(tmp_path / "dark_doublet.csv").values.shape == (220, 1500)
 
 
+def _read_grid(path):
+    """``read_grid_csv`` on ``path``, past its header line."""
+    with open(path, "rb") as fh:
+        assert fh.readline() == b"B_T,f_Hz,s21_dB\n"
+        return _gridcsv.read_grid_csv(fh)
+
+
+def test_writer_layout_map_is_opened_once(tmp_path, monkeypatch):
+    # the header is checked and the rows read through one open file
+    path = tmp_path / "map.csv"
+    path.write_bytes(_small_map())
+    opened = []
+
+    def counting(*args, **kwargs):
+        opened.append(args[0])
+        return open(*args, **kwargs)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the general parser read a map in the writer's layout")
+
+    for module in (spectra, _gridcsv):
+        monkeypatch.setattr(module, "open", counting, raising=False)
+    monkeypatch.setattr(np, "loadtxt", forbidden)
+    assert DensityMap.read_csv(path).values.shape == (20, 60)
+    assert opened == [path]
+
+
 def test_reader_memory_stays_at_one_block(tmp_path, capsys):
     # the reader's own allocations on the dark map (220 x 1500 cells): one
     # block's bytes (1.5 MiB) and two word columns, not (cells, digits)
@@ -475,10 +515,10 @@ def test_reader_memory_stays_at_one_block(tmp_path, capsys):
     assert main(["spectrum", str(FIXTURES / "dark_doublet.ini"), "-o", str(tmp_path / "dark")]) == 0
     capsys.readouterr()
     path = tmp_path / "dark.csv"
-    _gridcsv.read_grid_csv(path, "B_T,f_Hz,s21_dB")  # imports and caches warm
+    _read_grid(path)  # imports and caches warm
     tracemalloc.start()
     try:
-        grid = _gridcsv.read_grid_csv(path, "B_T,f_Hz,s21_dB")
+        grid = _read_grid(path)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -513,7 +553,7 @@ def test_single_byte_edits_meet_the_word_checks(tmp_path, monkeypatch, row):
                 rows[row] = text[:i] + bytes([byte]) + text[i + 1:]
                 fh.seek(offset + i)
                 fh.write(bytes([byte]))
-                got = _gridcsv.read_grid_csv(path, "B_T,f_Hz,s21_dB")
+                got = _read_grid(path)
                 # the template: a negative value with a two-digit exponent
                 # whose scale 10^(e - 9) is exact, and the row's axis strings
                 value = rows[row][c2:-1]
