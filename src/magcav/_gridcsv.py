@@ -8,8 +8,11 @@ formatter.  ``read_grid_csv`` reads back the rows of three-column grids
 laid out that way, from an open file past its header, and declines
 every other file.
 
-Cell values are formatted a block of cells at a time, by array
-arithmetic.  For a float x with e = floor(log10 |x|) in the decades
+The writer knows no units: the caller passes a conversion that it
+applies to each block of cells, into one reused float buffer, before the
+block is formatted (the map writer converts |S21| to dB there), so no
+full-size array is made.  Cell values are formatted a block of cells at
+a time, by array arithmetic.  For a float x with e = floor(log10 |x|) in the decades
 where 10^(9 - e) is an exact double (|9 - e| <= 22), q = |x| * 10^(9 - e)
 (or |x| / 10^(e - 9)) is one correctly rounded operation, so q is within
 half an ulp (< 1e-6) of the exact scaled value, and n = rint(q) holds
@@ -244,13 +247,15 @@ def open_output(path):
     return fh
 
 
-def write_grid_csv(path, header: str, outer, inner, values) -> None:
-    """Write ``outer[i], inner[j], values[i, j]`` rows.
+def write_grid_csv(path, header: str, outer, inner, values, convert) -> None:
+    """Write ``outer[i], inner[j], y[i, j]`` rows, where ``convert(v, out)``
+    writes into ``out`` the cells y of a block ``v`` of ``values``.
 
     Rows are built in blocks of about ``_BLOCK_CELLS`` cells (whole outer
     rows, or parts of one row when a row is longer than a block), each
-    written with one call.  The file is opened by ``open_output`` once
-    the header and both axes are formatted.
+    converted into one reused float buffer and written with one call.
+    The file is opened by ``open_output`` once the header and both axes
+    are formatted.
     """
     head = header.encode("ascii") + b"\n"
     values = np.asarray(values, dtype=float)
@@ -264,8 +269,9 @@ def write_grid_csv(path, header: str, outer, inner, values) -> None:
     inner_t = _text(inner_s, max(inner_n, default=0))
     rows = max(1, _BLOCK_CELLS // max(n_inner, 1))
     span = min(max(n_inner, 1), _BLOCK_CELLS)
-    # the value slots are the one buffer kept across blocks; a block's rows
-    # are allocated once _sci9's temporaries are freed
+    # the converted cells and their value slots are the buffers kept across
+    # blocks; a block's rows are allocated once _sci9's temporaries are freed
+    y = np.empty(rows * span)
     slots = np.empty((rows * span, 3), dtype=_WORD)
     with open_output(path) as fh:
         fh.write(head)
@@ -273,8 +279,10 @@ def write_grid_csv(path, header: str, outer, inner, values) -> None:
             i1 = min(i0 + rows, n_outer)
             for j0 in range(0, n_inner, span):
                 j1 = min(j0 + span, n_inner)
-                cells = slots[: (i1 - i0) * (j1 - j0)]
-                _sci9(values[i0:i1, j0:j1].ravel(), cells)
+                n = (i1 - i0) * (j1 - j0)
+                convert(values[i0:i1, j0:j1], y[:n].reshape(i1 - i0, j1 - j0))
+                cells = slots[:n]
+                _sci9(y[:n], cells)
                 block = _rows(cells, outer_t[i0:i1], outer_n[i0:i1],
                               inner_t[j0:j1], inner_n[j0:j1])
                 fh.write(block)

@@ -74,8 +74,8 @@ def _emit(name: str, value) -> None:
     print(f"{name} = {value!r}")
 
 
-def _print_figures(figures: dict, nan_ok=()) -> None:
-    """Print every figure, or none if one is not finite.
+def _check_figures(figures: dict, nan_ok=()) -> None:
+    """Raise ConfigError unless every figure is finite.
 
     A figure named in ``nan_ok`` may be nan, which marks it as having no
     value; an overflow shows up as a figure that is not finite.
@@ -83,6 +83,11 @@ def _print_figures(figures: dict, nan_ok=()) -> None:
     for name, value in figures.items():
         if not (math.isfinite(value) or (name in nan_ok and math.isnan(value))):
             raise ConfigError(f"{name} = {value!r} is not finite")
+
+
+def _print_figures(figures: dict, nan_ok=()) -> None:
+    """Print every figure, or none if one is not finite."""
+    _check_figures(figures, nan_ok)
     for name, value in figures.items():
         _emit(name, value)
 
@@ -97,13 +102,12 @@ def _scan_csv_lines(rows):
         )
 
 
-def _write_map(dmap: DensityMap, prefix: str) -> None:
-    """Write ``prefix.csv`` and ``prefix.pgm``, then print both paths."""
+def _write_map(dmap: DensityMap, prefix: str) -> list[str]:
+    """Write ``prefix.csv`` and ``prefix.pgm``; the lines that report them."""
     paths = (prefix + ".csv", prefix + ".pgm")
     dmap.write_csv(paths[0])
     dmap.write_pgm(paths[1])
-    for path in paths:
-        print(f"wrote {path}")
+    return [f"wrote {path}" for path in paths]
 
 
 def _scan_values(args) -> np.ndarray:
@@ -143,11 +147,14 @@ def cmd_cavity(args) -> int:
     with np.errstate(all="ignore"):
         rows = geometry_scan(geom, args.scan, values, sphere, resolution=cfg.resolution)
     lines = list(_scan_csv_lines(rows))
-    print("\n".join(lines))
+    # the file is written before anything is printed: a failed write
+    # prints nothing
     if args.csv is not None:
         data = ("\n".join(lines) + "\n").encode("ascii")
         with open_output(args.csv) as fh:
             fh.write(data)
+    print("\n".join(lines))
+    if args.csv is not None:
         print(f"wrote {args.csv}", file=sys.stderr)
     return EXIT_OK
 
@@ -162,7 +169,7 @@ def cmd_spectrum(args) -> int:
         dmap = density_map(model, b_axis, f_axis, cfg.ports)
         if cfg.noise_sigma > 0.0:
             dmap = add_noise(dmap, cfg.noise_seed, cfg.noise_sigma)
-    _write_map(dmap, args.output)
+    print("\n".join(_write_map(dmap, args.output)))
     return EXIT_OK
 
 
@@ -219,7 +226,8 @@ def cmd_predict(args) -> int:
     slope = current.pop("magnon_slope")
     offset = current.pop("magnon_offset")
 
-    # every figure, and the map, is computed before any is printed
+    # every figure, and the map, is computed and checked before any is
+    # printed
     figures = predict_optimized(current, optimized)
     f_b = current["f_b"]
     g_opt = figures["g_opt_over_pi"]
@@ -242,9 +250,14 @@ def cmd_predict(args) -> int:
             lines = lorentzian(f_axis, 1.0, branches[..., None], figures["kappa_opt"])
             dmap = DensityMap(b_axis, f_axis, lines.sum(axis=1),
                               {"kind": "bogoliubov-prediction"})
-    _print_figures(figures, nan_ok=("per_spin_scale", "branch_asymmetry"))
-    if dmap is not None:
-        _write_map(dmap, args.map)
+    # the map is written before anything is printed: a failed write
+    # prints nothing
+    nan_ok = ("per_spin_scale", "branch_asymmetry")
+    _check_figures(figures, nan_ok)
+    wrote = [] if dmap is None else _write_map(dmap, args.map)
+    _print_figures(figures, nan_ok)
+    for line in wrote:
+        print(line)
     return EXIT_OK
 
 

@@ -14,6 +14,12 @@ field rows) both evaluate it with ``_kernels.s21_rows``.  For a star of
 magnons on the cavity [A^-1]_cc is 1/(i (f_c - f) + kappa/2 + sum of
 (g/2)^2 / (i (f_j - f) + gamma_j/2)); chains nest one such fraction per
 level, and any other coupling graph is solved as a matrix.
+
+A map is written as long-form CSV (``DensityMap.write_csv``) and as an
+8-bit PGM (``DensityMap.write_pgm``).  Each writer converts |S21| to dB
+a block at a time, into one reused float buffer, with the one dB formula
+of ``_db_of``, which ``DensityMap.to_db`` also uses; neither writer makes
+a full-size float temporary.
 """
 
 from __future__ import annotations
@@ -95,6 +101,31 @@ def s21(f, model: HybridModel, ports: PortCouplings, B: float = 0.0):
 
 
 _MAP_HEADER = "B_T,f_Hz,s21_dB"
+# The dB level that both writers clip |S21| at, as to_db does by default.
+_DB_FLOOR = -200.0
+
+
+def _db_of(floor):
+    """The conversion ``convert(amplitude, out)`` that writes 20 log10 of
+    max(amplitude, 10^(floor / 20)) into ``out``, in place.
+
+    The one place the dB formula is written.  Raises DomainError unless
+    10^(floor / 20) is a positive, finite double.
+    """
+    try:
+        tiny = 10.0 ** (float(floor) / 20.0)
+    except OverflowError:
+        tiny = math.inf
+    if not 0.0 < tiny < math.inf:
+        raise DomainError(
+            f"dB floor {floor!r} must give a positive, finite amplitude 10^(floor/20)")
+
+    def convert(amplitude, out):
+        np.maximum(amplitude, tiny, out=out)
+        np.log10(out, out=out)
+        out *= 20.0
+
+    return convert
 
 
 @dataclass(frozen=True, eq=False)
@@ -117,14 +148,24 @@ class DensityMap:
         if np.any(self.values < 0.0):
             raise DomainError("map values are linear amplitudes, >= 0")
 
-    def to_db(self, floor: float = -200.0) -> np.ndarray:
-        """20 log10 |S21|, clipped below at ``floor`` to stay finite."""
-        tiny = 10.0 ** (floor / 20.0)
-        return 20.0 * np.log10(np.maximum(self.values, tiny))
+    def to_db(self, floor: float = _DB_FLOOR) -> np.ndarray:
+        """20 log10 |S21|, clipped below at ``floor`` to stay finite.
+
+        Raises DomainError unless 10^(floor / 20) is a positive, finite
+        double.  The one full-size array made is the result.
+        """
+        db = np.empty_like(self.values)
+        _db_of(floor)(self.values, db)
+        return db
 
     def write_csv(self, path) -> None:
-        """Long-form rows B_T, f_Hz, s21_dB; B outer loop, f inner."""
-        write_grid_csv(path, _MAP_HEADER, self.B_axis, self.f_axis, self.to_db())
+        """Long-form rows B_T, f_Hz, s21_dB; B outer loop, f inner.
+
+        The dB cells are converted a block at a time, inside the writer's
+        block loop, so no full-size temporary is made.
+        """
+        write_grid_csv(path, _MAP_HEADER, self.B_axis, self.f_axis, self.values,
+                       _db_of(_DB_FLOOR))
 
     @classmethod
     def read_csv(cls, path) -> "DensityMap":
@@ -199,7 +240,12 @@ class DensityMap:
         Grayscale is linear in dB between the clamps recorded in the
         header comment; values outside are saturated.  The clamps, their
         span and the scale 255 / span must be finite; the file is opened
-        by ``open_output`` once they are checked.
+        by ``open_output`` once they are checked and the image is made.
+
+        The image is filled in blocks of whole B rows (``_BLOCK_CELLS``
+        cells), each converted to dB in one reused float buffer, so the
+        one full-size array made is the image, already in the file's
+        layout.
         """
         if not db_min < db_max:
             raise DomainError("db_min must lie below db_max")
@@ -208,15 +254,26 @@ class DensityMap:
         if not (math.isfinite(span) and math.isfinite(scale)):
             raise DomainError(
                 "db_min and db_max must be finite, and so must 255 / (db_max - db_min)")
-        db = np.clip(self.to_db(), db_min, db_max)
-        gray = np.rint((db - db_min) * scale).astype(np.uint8)
+        convert = _db_of(_DB_FLOOR)
+        n_B, n_f = self.values.shape
+        gray = np.empty((n_f, n_B), dtype=np.uint8)  # row index runs along f
+        rows = max(1, _BLOCK_CELLS // max(n_f, 1))
+        block = np.empty((min(rows, n_B), n_f))
+        for i in range(0, n_B, rows):
+            db = block[: min(rows, n_B - i)]
+            convert(self.values[i:i + rows], db)
+            np.clip(db, db_min, db_max, out=db)
+            db -= db_min
+            db *= scale
+            np.rint(db, out=db)
+            gray[:, i:i + rows] = db.T
         header = (
             f"P5\n# dB clamps [{db_min:g}, {db_max:g}]\n"
             f"{self.B_axis.size} {self.f_axis.size}\n255\n"
         ).encode("ascii")
         with open_output(path) as fh:
             fh.write(header)
-            fh.write(gray.T.tobytes())  # row index runs along f
+            fh.write(gray)
 
 
 # Cells per transmission block: whole rows, about 16k cells, so the

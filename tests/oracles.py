@@ -441,14 +441,37 @@ def field_cells_meshgrid(xc, yc, posts, sign_rows, r_post, r_cav, subsample=8):
     return cells
 
 
-def write_map_csv_fstring(path, dmap):
-    """Reference map writer: one f-string and one write per cell."""
-    db = dmap.to_db()
+def db_full(values, floor=-200.0):
+    """Reference dB conversion: the whole grid at once, as three full-size
+    arrays."""
+    return 20.0 * np.log10(np.maximum(values, 10.0 ** (floor / 20.0)))
+
+
+def write_cells_csv_fstring(path, B_axis, f_axis, cells):
+    """Reference grid writer: one f-string and one write per cell."""
     with open(path, "w", encoding="ascii", newline="\n") as fh:
         fh.write("B_T,f_Hz,s21_dB\n")
-        for i, b in enumerate(dmap.B_axis):
-            for j, fr in enumerate(dmap.f_axis):
-                fh.write(f"{b:.9e},{fr:.9e},{db[i, j]:.9e}\n")
+        for i, b in enumerate(B_axis):
+            for j, fr in enumerate(f_axis):
+                fh.write(f"{b:.9e},{fr:.9e},{cells[i, j]:.9e}\n")
+
+
+def write_map_csv_fstring(path, dmap):
+    """Reference map writer: the map's dB cells, one f-string per cell."""
+    write_cells_csv_fstring(path, dmap.B_axis, dmap.f_axis, db_full(dmap.values))
+
+
+def write_pgm_full(path, dmap, db_min=-120.0, db_max=0.0):
+    """Reference PGM writer: clip, shift, scale, rint and cast on the whole
+    grid, then the transposed image in one write."""
+    scale = 255.0 / (float(db_max) - float(db_min))
+    db = np.clip(db_full(dmap.values), db_min, db_max)
+    gray = np.rint((db - db_min) * scale).astype(np.uint8)
+    header = (f"P5\n# dB clamps [{db_min:g}, {db_max:g}]\n"
+              f"{dmap.B_axis.size} {dmap.f_axis.size}\n255\n").encode("ascii")
+    with open(path, "wb") as fh:
+        fh.write(header)
+        fh.write(gray.T.tobytes())
 
 
 def read_map_loadtxt(path):

@@ -717,6 +717,34 @@ def test_predict_error_prints_nothing(tmp_path, capsys, old, new, with_map):
     assert list(tmp_path.iterdir()) == [cfg]
 
 
+_WRITES = {
+    "predict": ["predict", FIXTURES / "optimized_prediction.ini", "--map"],
+    "cavity": ["cavity", FIXTURES / "reference_cavity.ini", "--scan", "gap",
+               "--start", "10", "--stop", "150", "--csv"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(_WRITES))
+def test_unwritable_output_prints_nothing(tmp_path, capsys, command):
+    # the output file is written before anything is printed
+    code, out, err = run_cli(capsys, *_WRITES[command], tmp_path / "nodir" / "x")
+    assert code == 4 and out == ""
+    assert err.startswith("i/o error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", sorted(_WRITES))
+def test_written_output_is_reported_after_the_figures(tmp_path, capsys, command):
+    argv = _WRITES[command]
+    code, plain, _ = run_cli(capsys, *argv[:-1])
+    assert code == 0
+    code, out, err = run_cli(capsys, *argv, tmp_path / "x")
+    assert code == 0
+    if command == "predict":
+        assert out == plain + f"wrote {tmp_path / 'x'}.csv\nwrote {tmp_path / 'x'}.pgm\n"
+    else:
+        assert out == plain and err == f"wrote {tmp_path / 'x'}\n"
+
+
 def test_predict_requires_current_block(capsys):
     code, _, err = run_cli(capsys, "predict", FIXTURES / "bright_crossing.ini")
     assert code == 2

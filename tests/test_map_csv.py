@@ -6,8 +6,9 @@ the file format was defined by; the production writer must emit the
 same bytes for the same arrays.  ``oracles.read_map_loadtxt`` is the
 ``np.loadtxt`` reader every map file was once read with; the production
 reader must return the same arrays bit for bit, or reject the same
-files.  Tests that need value cells of any sign stand in their own dB
-array for ``DensityMap.to_db``.
+files.  Tests that need value cells of any sign write their own cells
+through ``_gridcsv.write_grid_csv`` with a copying conversion, and
+compare with ``oracles.write_cells_csv_fstring``.
 """
 
 import functools
@@ -55,9 +56,21 @@ def _floats(draw, shape):
     return draw(arrays(np.float64, shape, elements=_FLOATS))
 
 
-def _with_db(monkeypatch, db):
-    """Make every DensityMap's dB cells exactly ``db``, whatever its sign."""
-    monkeypatch.setattr(DensityMap, "to_db", lambda self: db)
+def _copy(block, out):
+    np.copyto(out, block)
+
+
+def _write_cells(path, B, f, cells):
+    """Write ``cells`` as the map CSV's dB column, whatever their sign, by the
+    map writer's block loop."""
+    _gridcsv.write_grid_csv(path, spectra._MAP_HEADER, B, f, cells, _copy)
+
+
+def _same_as_fstring(tmp_path, B, f, cells):
+    """The grid writer's bytes for ``cells`` are the f-string oracle's."""
+    _write_cells(tmp_path / "new.csv", B, f, cells)
+    oracles.write_cells_csv_fstring(tmp_path / "old.csv", B, f, cells)
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
 
 
 @given(data=st.data())
@@ -76,12 +89,8 @@ def test_map_csv_matches_fstring_oracle(tmp_path, data):
 def test_signed_db_csv_matches_fstring_oracle(tmp_path, data):
     # value cells of either sign, zeros and subnormals, not only dB levels
     nB, nf = data.draw(_SHAPES)
-    dmap = DensityMap(_floats(data.draw, nB), _floats(data.draw, nf), np.ones((nB, nf)))
-    with pytest.MonkeyPatch.context() as mp:
-        _with_db(mp, _floats(data.draw, (nB, nf)))
-        dmap.write_csv(tmp_path / "new.csv")
-        oracles.write_map_csv_fstring(tmp_path / "old.csv", dmap)
-    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+    B, f = _floats(data.draw, nB), _floats(data.draw, nf)
+    _same_as_fstring(tmp_path, B, f, _floats(data.draw, (nB, nf)))
 
 
 @pytest.mark.parametrize("block", [1, 3, 7, 64])
@@ -95,10 +104,7 @@ def test_blocks_that_split_rows_match_fstring_oracle(tmp_path, monkeypatch, bloc
     dmap.write_csv(tmp_path / "new.csv")
     oracles.write_map_csv_fstring(tmp_path / "old.csv", dmap)
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
-    _with_db(monkeypatch, cells[1])
-    dmap.write_csv(tmp_path / "new.csv")
-    oracles.write_map_csv_fstring(tmp_path / "old.csv", dmap)
-    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+    _same_as_fstring(tmp_path, dmap.B_axis, dmap.f_axis, cells[1])
 
 
 def _block_paths(monkeypatch):
@@ -149,12 +155,8 @@ def test_block_kinds_match_fstring_oracle(tmp_path, monkeypatch, block):
     assert _gridcsv._sci9(tie, np.empty((1, 3), dtype=_gridcsv._WORD)) == 1
     monkeypatch.setattr(_gridcsv, "_BLOCK_CELLS", block)
     B, f, db = _block_kinds_map()
-    _with_db(monkeypatch, db)
     paths = _block_paths(monkeypatch)
-    dmap = DensityMap(B, f, np.ones(db.shape))
-    dmap.write_csv(tmp_path / "new.csv")
-    oracles.write_map_csv_fstring(tmp_path / "old.csv", dmap)
-    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+    _same_as_fstring(tmp_path, B, f, db)
     if block == 64:
         assert paths == ["fixed", "fixed", "masked", "masked", "fixed", "masked"]
     elif block == 1:
@@ -172,8 +174,7 @@ def test_positive_block_with_a_tie_band_cell_takes_exact_copies(tmp_path, monkey
     assert _gridcsv._sci9(db[8:16].ravel(), cells) == 1
     assert _gridcsv._value_span(cells) == (1, 17)
     paths = _block_paths(monkeypatch)
-    _with_db(monkeypatch, db[8:16])
-    DensityMap(B[8:16], f, np.ones((8, 8))).write_csv(tmp_path / "map.csv")
+    _write_cells(tmp_path / "map.csv", B[8:16], f, db[8:16])
     assert paths == ["fixed"]
 
 
@@ -246,12 +247,7 @@ def test_tie_band_cells_match_percent_formatter(tmp_path, data):
     # axes and dB cells alike within a few ulp of a tie or a power of ten
     B, f = (data.draw(arrays(np.float64, n, elements=_near_ties())) for n in (nB, nf))
     db = data.draw(arrays(np.float64, (nB, nf), elements=_near_ties()))
-    dmap = DensityMap(B, f, np.ones((nB, nf)))
-    with pytest.MonkeyPatch.context() as mp:
-        _with_db(mp, db)
-        dmap.write_csv(tmp_path / "new.csv")
-        oracles.write_map_csv_fstring(tmp_path / "old.csv", dmap)
-    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+    _same_as_fstring(tmp_path, B, f, db)
     for row, cell in zip((tmp_path / "new.csv").read_text().splitlines()[1:], db.ravel()):
         assert row.split(",")[2] == "%.9e" % cell
 
@@ -433,8 +429,7 @@ def test_read_csv_matches_loadtxt_oracle(tmp_path, data):
             amplitude = data.draw(arrays(np.float64, (nB, nf), elements=_AMPLITUDES))
             DensityMap(B, f, amplitude).write_csv(path)
         else:
-            _with_db(mp, data.draw(arrays(np.float64, (nB, nf), elements=_DB)))
-            DensityMap(B, f, np.ones((nB, nf))).write_csv(path)
+            _write_cells(path, B, f, data.draw(arrays(np.float64, (nB, nf), elements=_DB)))
         _same_as_oracle(path)
 
 
@@ -579,11 +574,9 @@ def test_other_layouts_fall_back_once(tmp_path, monkeypatch, layout, fallbacks):
     path = tmp_path / "map.csv"
     data = _small_map()
     if layout == "mixed sign":
-        with monkeypatch.context() as mp:
-            # dB of both signs: the value field's width changes from row to row
-            _with_db(mp, np.linspace(-3.0, 3.0, 42).reshape(6, 7))
-            DensityMap(np.arange(1.0, 7.0), np.arange(1.0, 8.0) * 1e9,
-                       np.ones((6, 7))).write_csv(path)
+        # dB of both signs: the value field's width changes from row to row
+        _write_cells(path, np.arange(1.0, 7.0), np.arange(1.0, 8.0) * 1e9,
+                     np.linspace(-3.0, 3.0, 42).reshape(6, 7))
     elif layout == "plus sign":
         # one negative dB after the template row written "+d.ddd...":
         # as wide, but positive

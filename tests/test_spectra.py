@@ -1,8 +1,15 @@
 """Transmission response, map serialization, and noise contracts."""
 
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
+
+import oracles
+from magcav import spectra
 
 from magcav.core import DomainError, HybridModel, ModeKind, OscillatorMode
 from magcav.modes import rwa_two_mode
@@ -17,7 +24,7 @@ from magcav.spectra import (
     lorentzian,
     s21,
 )
-from oracles import s21_star_formula
+from oracles import db_full, s21_star_formula
 
 PORTS = PortCouplings()
 
@@ -276,6 +283,14 @@ def test_db_nonpositive_for_passive_maps():
     _, dmap = fig5_map(nB=8, nf=32)
     assert np.all(dmap.to_db() <= 0.0)
     assert np.all(np.isfinite(dmap.to_db()))
+    assert dmap.to_db(-90.0).tobytes() == db_full(dmap.values, -90.0).tobytes()
+
+
+@pytest.mark.parametrize("floor", [math.nan, math.inf, 1e4, -1e4, -math.inf])
+def test_to_db_floor_must_give_a_positive_finite_amplitude(floor):
+    _, dmap = fig5_map(nB=2, nf=8)
+    with pytest.raises(DomainError, match="floor"):
+        dmap.to_db(floor)
 
 
 def test_add_noise_contracts():
@@ -361,6 +376,82 @@ def test_pgm_clamps_must_give_a_finite_scale(tmp_path, db_min, db_max):
     with pytest.raises(DomainError, match="finite"):
         dmap.write_pgm(path, db_min=db_min, db_max=db_max)
     assert path.read_bytes() == b"old"
+
+
+# amplitudes 10^-m, whose dB -20 m is exact, and 0, which the -200 dB
+# floor maps to exactly -200 dB
+_POWERS = tuple(10.0 ** -m for m in range(11)) + (0.0,)
+
+
+@st.composite
+def _pgm_cases(draw):
+    """A map, its clamps and the block height (in B rows) of the writer.
+
+    Half the cases put clamps on power-of-ten cells; the other half take
+    a scale 2^j and a db_min on a half step of 2^-j, so that every
+    power-of-ten cell between the clamps meets ``rint`` on a tie.
+    """
+    nB, nf = draw(st.integers(1, 12)), draw(st.integers(1, 8))
+    cells = st.one_of(st.sampled_from(_POWERS), st.floats(0.0, 2.0))
+    values = draw(arrays(np.float64, (nB, nf), elements=cells))
+    m = draw(st.integers(0, 10))
+    if draw(st.booleans()):
+        j = draw(st.integers(0, 3))
+        db_min = -20.0 * m - (draw(st.integers(0, 254)) + 0.5) / 2**j
+        db_max = db_min + 255.0 / 2**j
+        values.flat[0] = _POWERS[m]
+    else:
+        low = draw(st.integers(0, 10).filter(lambda k: k != m))
+        db_min, db_max = -20.0 * max(m, low), -20.0 * min(m, low)
+        values.flat[0] = _POWERS[max(m, low)]
+        values.flat[-1] = _POWERS[min(m, low)]
+    return values, db_min, db_max, draw(st.sampled_from([1, 3, 7]))
+
+
+@given(case=_pgm_cases())
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_pgm_matches_full_array_oracle(tmp_path, case):
+    values, db_min, db_max, rows = case
+    nB, nf = values.shape
+    dmap = DensityMap(np.arange(nB) * 0.01, 1e10 + np.arange(nf) * 1e6, values)
+    # the case meets a clamp or a rounding tie, as the oracle computes it
+    db = db_full(values)
+    x = (np.clip(db, db_min, db_max) - db_min) * (255.0 / (db_max - db_min))
+    assert np.any((db == db_min) | (db == db_max) | (x - np.floor(x) == 0.5))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(spectra, "_BLOCK_CELLS", rows * nf)
+        dmap.write_pgm(tmp_path / "new.pgm", db_min=db_min, db_max=db_max)
+    oracles.write_pgm_full(tmp_path / "old.pgm", dmap, db_min=db_min, db_max=db_max)
+    assert (tmp_path / "new.pgm").read_bytes() == (tmp_path / "old.pgm").read_bytes()
+
+
+def _traced_peak(write):
+    """tracemalloc's peak over one call of ``write``, caches warm."""
+    write()
+    tracemalloc.start()
+    try:
+        write()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("writer", ["write_csv", "write_pgm"])
+def test_map_writers_keep_their_memory_at_one_block(tmp_path, writer):
+    # maps of 220 and 880 B rows of 1500 f samples (the dark map's width):
+    # the writer's own memory does not grow with the map, and stays below
+    # one float grid; the PGM's one full-size array is its image, one byte
+    # a cell in the file's layout, which is left out of the comparison
+    rng = np.random.default_rng(23)
+    own = []
+    for nB in (220, 880):
+        dmap = DensityMap(np.linspace(0.45, 0.49, nB), np.linspace(13.65e9, 14.15e9, 1500),
+                          rng.random((nB, 1500)))
+        peak = _traced_peak(lambda: getattr(dmap, writer)(tmp_path / "map"))
+        own.append(peak - (dmap.values.size if writer == "write_pgm" else 0))
+    assert peak < dmap.values.nbytes
+    assert own[1] <= 1.1 * own[0]
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
