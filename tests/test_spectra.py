@@ -8,7 +8,6 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-import oracles
 from magcav import spectra
 
 from magcav.core import DomainError, HybridModel, ModeKind, OscillatorMode
@@ -24,7 +23,7 @@ from magcav.spectra import (
     lorentzian,
     s21,
 )
-from oracles import db_full, s21_star_formula
+from oracles import db_full, s21_star_formula, write_pgm_full
 
 PORTS = PortCouplings()
 
@@ -422,7 +421,7 @@ def test_pgm_matches_full_array_oracle(tmp_path, case):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(spectra, "_BLOCK_CELLS", rows * nf)
         dmap.write_pgm(tmp_path / "new.pgm", db_min=db_min, db_max=db_max)
-    oracles.write_pgm_full(tmp_path / "old.pgm", dmap, db_min=db_min, db_max=db_max)
+    write_pgm_full(tmp_path / "old.pgm", dmap, db_min=db_min, db_max=db_max)
     assert (tmp_path / "new.pgm").read_bytes() == (tmp_path / "old.pgm").read_bytes()
 
 
