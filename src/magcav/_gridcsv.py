@@ -12,34 +12,42 @@ The writer knows no units: the caller passes a conversion that it
 applies to each block of cells, into one reused float buffer, before the
 block is formatted (the map writer converts |S21| to dB there), so no
 full-size array is made.  Cell values are formatted a block of cells at
-a time, by array arithmetic.  For a float x with e = floor(log10 |x|) in the decades
-where 10^(9 - e) is an exact double (|9 - e| <= 22), q = |x| * 10^(9 - e)
-(or |x| / 10^(e - 9)) is one correctly rounded operation, so q is within
-half an ulp (< 1e-6) of the exact scaled value, and n = rint(q) holds
-the ten significant digits unless that value may lie on the other side
-of a rounding tie.  A cell goes through CPython's formatter whenever the
-digits are not certain that way: q within 1e-4 of a half-integer, q
-outside [1e9, 1e10) or n = 1e10 (a decade misjudged by log10, or a
-round-up into the next decade), e outside the exact decades, or x not
-finite.  Signed zeros are written directly.  This is the reasoning of
+a time, by array arithmetic.  For a float x with e = floor(log10 |x|) in
+the decades where 10^(9 - e) is an exact double (|9 - e| <= 22), q =
+|x| * 10^(9 - e) (or |x| / 10^(e - 9)) is one correctly rounded
+operation, so q is within half an ulp (< 1e-6) of the exact scaled
+value, and n = rint(q) holds the ten significant digits unless that
+value may lie on the other side of a rounding tie.  The scale and the
+exponent text come from tables indexed by e + 13, read by clipped takes
+with no mask: a decade off the tables, 0, inf and nan give a q outside
+[1e9, 1e10), or a nan q, whatever index they take.  A cell goes through
+CPython's formatter whenever the digits are not certain: q within 1e-4
+of a half-integer, q outside [1e9, 1e10) or n = 1e10 (a decade
+misjudged by log10, or a round-up into the next decade), which also
+catches every such e, zero and non-finite x.  This is the reasoning of
 Adams, "Ryu: fast float-to-string conversion" (PLDI 2018): a digit
 string is exact once its rounding is certain, and only the cells near a
 tie need the slow path.  On the fixture maps 92 of 470 000 cells do.
+The digits of n are two table reads and a third: ``_HEAD`` holds
+NUL, d0, ".", d1 for the first two digits, and ``_FOUR`` the four ASCII
+digits of each number below 10^4, for the next four and the last four.
 
-The axis strings and their commas are formatted once per file; each
-value's text goes into a 24-byte slot, NUL-padded, starting at byte 0
-when it has a sign and at byte 1 when it has none.  A block's rows are
-assembled by ``_rows`` with three strided copies of whole strings (outer
-string, inner string, value text) and written with one ``write`` call,
-so temporaries stay at one block of cells.  When every row of the block
-has the same byte layout (outer strings of one length, inner strings of
-another, and every value slot with the same sign byte, NUL or "-", and
-its text ending at the same byte) the copies are at exact widths and
-make the rows themselves; every block of the fixture maps is of this
-kind.  Any other block (values of both signs, a three-digit exponent
-beside two-digit ones, axis strings of mixed lengths) is copied at the
-padded widths, the NUL-padded axis strings and the whole slot, and its
-NUL bytes are dropped.  Both give the same bytes.
+Each value's text goes into a 24-byte slot, NUL-padded, starting at
+byte 0 when it has a sign and at byte 1 when it has none.  The axis
+strings go through the same formatter once per file, with a comma where
+a value has its newline, and are then moved to start at byte 0.  A
+block's rows are assembled by ``_rows`` with three strided copies of
+whole strings (outer string, inner string, value text) and written with
+one ``write`` call, so temporaries stay at one block of cells.  When
+every row of the block has the same byte layout (outer strings of one
+length, inner strings of another, and every value slot with the same
+sign byte, NUL or "-", and its text ending at the same byte) the copies
+are at exact widths and make the rows themselves; every block of the
+fixture maps is of this kind.  Any other block (values of both signs, a
+three-digit exponent beside two-digit ones, axis strings of mixed
+lengths) is copied at the padded widths, the NUL-padded axis strings and
+the whole slot, and its NUL bytes are dropped.  Both give the same
+bytes.  A write that raises leaves no partial file (``open_output``).
 
 The reader takes the first data row as the template of every row and
 checks each row through 8-byte words, a block of whole outer rows at a
@@ -55,12 +63,15 @@ digit byte must hold 0..9 and each fixed byte 0, and one add and one
 mask test check all eight bytes of a word at once.  The ten-digit
 mantissa comes from the same words by multiply-shift-mask steps, and
 the exponent indexes a table of exact powers of ten, so each value is
-the correctly rounded double of its text.  A row off the template
-sends the file to a general parser.
+the correctly rounded double of its text.  Each axis's strings are
+decoded by the same word checks, with the comma in the newline's place.
+A row or axis string off the template sends the file to a general
+parser.
 """
 
 from __future__ import annotations
 
+import contextlib
 import os
 import re
 import stat
@@ -79,58 +90,70 @@ _BLOCK_CELLS = 1 << 14
 _E_MIN, _E_MAX = 9 - 22, 9 + 22
 _SCALE_UP = np.array([float(10 ** max(9 - e, 0)) for e in range(_E_MIN, _E_MAX + 1)])
 _SCALE_DOWN = np.array([float(10 ** max(e - 9, 0)) for e in range(_E_MIN, _E_MAX + 1)])
-# "e-13" .. "e+31" as little-endian 4-byte words
+_U = np.uint64
+# "e-13" .. "e+31" as little-endian 4-byte words, in the upper half of a word
 _EXPONENT = np.frombuffer(
     "".join("e%+03d" % e for e in range(_E_MIN, _E_MAX + 1)).encode("ascii"),
     dtype="<u4",
-).astype(np.uint64)
+).astype(_U) << _U(32)
 # |q - rint(q)| above this may be a tie misjudged by q's rounding
 _TIE = 0.5 - 1e-4
-_U = np.uint64
 # the row buffer's words: little-endian, so byte k of a word is bits 8k..8k+7
 _WORD = np.dtype("<u8")
-_ZEROS = _U(0x3030303030303030)  # eight ASCII "0"
+# The digits of t < 100 as NUL, d0, ".", d1, and of v < 10^4 as "dddd",
+# each a little-endian word indexed by its value.
+_T = np.arange(100, dtype=_U)
+_HEAD = ((_T // _U(10) + _U(ord("0"))) << _U(8) | _U(ord(".")) << _U(16)
+         | (_T % _U(10) + _U(ord("0"))) << _U(24))
+_V = np.arange(10**4, dtype=_U)
+_FOUR = sum((_V // _U(10 ** (3 - i)) % _U(10) + _U(ord("0"))) << _U(8 * i) for i in range(4))
+del _T, _V
 
 
-def _digits8(v):
-    """Eight ASCII digits of v < 10^8 (uint64) packed first-byte-lowest."""
-    hi = v // _U(10000)
-    v = hi | (v - hi * _U(10000)) << _U(32)  # two 4-digit lanes
-    hi = (v * _U(5243)) >> _U(19) & _U(0x0000007F0000007F)  # lane // 100
-    v = hi | (v - hi * _U(100)) << _U(16)  # four 2-digit lanes
-    hi = (v * _U(103)) >> _U(10) & _U(0x000F000F000F000F)  # lane // 10
-    return (hi | (v - hi * _U(10)) << _U(8)) + _ZEROS
-
-
-def _sci9(x, words):
-    """Write ``FORMAT % x`` and a newline for the 1-D float array ``x``.
+def _sci9(x, words, end="\n"):
+    """Write ``FORMAT % x`` and ``end`` for the 1-D float array ``x``.
 
     ``words`` is the (x.size, 3) view of each cell's 24-byte slot.
     Returns the number of cells written by CPython's formatter.
     """
     with np.errstate(all="ignore"):
-        ax = np.abs(x)
-        e = np.floor(np.log10(ax))
-        exact = (e >= _E_MIN) & (e <= _E_MAX)
-        zero = ax == 0.0
-        k = np.where(exact, e - _E_MIN, -_E_MIN).astype(np.intp)  # zero: e = 0
-        q = ax * _SCALE_UP[k] / _SCALE_DOWN[k]
+        q = np.abs(x)
+        t = np.log10(q)
+        # e - _E_MIN as log10 |x| - _E_MIN truncated, the floor where that
+        # is >= 0; any other x (a decade off the tables, 0, inf, nan) takes
+        # an index that the clipped takes keep on the tables, and fails the
+        # range test below
+        k = np.empty(x.shape, dtype=np.intp)
+        np.subtract(t, _E_MIN, out=k, casting="unsafe")
+        q *= np.take(_SCALE_UP, k, mode="clip")
+        q /= np.take(_SCALE_DOWN, k, mode="clip")
         n = np.rint(q)
-        fast = exact & (q >= 1e9) & (n < 1e10) & (np.abs(q - n) < _TIE) | zero
-        n = n.astype(np.uint64)
-    top = n // _U(100000000)  # the first two digits
-    d0 = (top * _U(103)) >> _U(10)
-    low = _digits8(n - top * _U(100000000))
-    # sign, d0, ".", d1 | d2 .. d9 | "e+dd" | newline
-    head = (d0 << _U(8)) | (top - d0 * _U(10)) << _U(24) | _U(0x302E3000)
-    words[:, 0] = (head + np.signbit(x) * _U(ord("-"))) | low << _U(32)
-    words[:, 1] = low >> _U(32) | _EXPONENT[k] << _U(32)
-    words[:, 2] = ord("\n")
+        np.subtract(q, n, out=t)
+        np.abs(t, out=t)
+        fast = t < _TIE
+        fast &= q >= 1e9
+        fast &= n < 1e10
+        n = n.astype(np.intp)
+    top = n // 10**8  # the first two digits
+    n -= top * 10**8
+    hi = n // 10**4
+    n -= hi * 10**4
+    # sign, d0, ".", d1 | d2 .. d5 ; d6 .. d9 | "e+dd" ; end
+    head = np.take(_HEAD, top, mode="clip")
+    sign = x.view(np.int64) >> 63  # all ones where the sign bit is set
+    sign &= ord("-")
+    head |= sign.view(_U)
+    hi = np.take(_FOUR, hi, mode="clip")
+    hi <<= _U(32)
+    np.bitwise_or(head, hi, out=words[:, 0])
+    np.bitwise_or(np.take(_FOUR, n, mode="clip"), np.take(_EXPONENT, k, mode="clip"),
+                  out=words[:, 1])
+    words[:, 2] = ord(end)
     slow = np.flatnonzero(~fast)
     if slow.size:
-        texts = [FORMAT % v + "\n" for v in x[slow].tolist()]
+        texts = [FORMAT % v + end for v in x[slow].tolist()]
         # unsigned text at byte 1, as the array path puts it
-        words.view(np.uint8)[slow] = _text([t if t[0] == "-" else "\0" + t for t in texts], 24)
+        words.view(np.uint8)[slow] = _text([s if s[0] == "-" else "\0" + s for s in texts], 24)
     return slow.size
 
 
@@ -138,6 +161,19 @@ def _text(strings, width):
     """NUL-padded (len(strings), width) byte matrix of ASCII strings."""
     joined = b"".join(s.encode("ascii").ljust(width, b"\0") for s in strings)
     return np.frombuffer(joined, dtype=np.uint8).reshape(len(strings), width)
+
+
+def _axis_text(x):
+    """``(text, lengths)``: the NUL-padded ``"x,"`` strings of the 1-D axis
+    ``x``, each from byte 0 of its row of the byte matrix ``text``."""
+    x = np.asarray(x, dtype=float)
+    slots = np.empty((x.size, 3), dtype=_WORD)
+    _sci9(x, slots, ",")
+    text = slots.view(np.uint8)
+    unsigned = text[:, 0] == 0
+    text[unsigned] = np.roll(text[unsigned], -1, axis=1)  # the NUL goes to the end
+    lengths = np.count_nonzero(text, axis=1)
+    return text[:, :lengths.max(initial=0)], lengths
 
 
 def _items(a):
@@ -200,10 +236,11 @@ def _rows(cells, outer, outer_n, inner, inner_n):
     return flat[flat != 0]
 
 
+@contextlib.contextmanager
 def open_output(path):
-    """Open ``path`` to write an output file from its first byte; a binary
-    file object.  Call it only once every check of the write has passed:
-    it may remove the old file.
+    """Open ``path`` to write an output file from its first byte; a context
+    manager that gives a binary file object and closes it.  Call it only
+    once every check of the write has passed: it may remove the old file.
 
     An existing file is removed and created anew only where the new file
     matches it in everything but its inode, times and ``chattr`` flags: on
@@ -219,9 +256,14 @@ def open_output(path):
     before costs a rewrite 1-5 ms per map and a new file does not, also
     in separate processes seconds apart; that fits ext4's
     ``auto_da_alloc`` (closing a file that was truncated to zero starts
-    writeback of its bytes) but was not traced.  The bytes written, and
-    the short file that a write stopped halfway leaves, are the same
-    either way.
+    writeback of its bytes) but was not traced.  The bytes written are
+    the same either way.
+
+    A write that raises, closing included, leaves no partial output: the
+    new file is removed, and a file written in place is truncated to zero
+    bytes, which no reader takes for an output.  Then the exception goes
+    on.  A process killed during the write still leaves the bytes written
+    so far.
     """
     try:
         st = os.lstat(path)
@@ -234,17 +276,27 @@ def open_output(path):
             os.unlink(path)
     except (OSError, AttributeError):  # AttributeError: no geteuid or listxattr
         renew = False
-    if not renew:
-        return open(path, "wb")
-    mode = stat.S_IMODE(st.st_mode)
-    fh = open(path, "xb", opener=lambda p, flags: os.open(p, flags, mode))
+    if renew:
+        mode = stat.S_IMODE(st.st_mode)
+        fh = open(path, "xb", opener=lambda p, flags: os.open(p, flags, mode))
+        try:
+            os.fchown(fh.fileno(), -1, st.st_gid)
+            os.fchmod(fh.fileno(), mode)  # the umask, or fchown, may have cleared bits
+        except BaseException:
+            fh.close()
+            raise
+    else:
+        fh = open(path, "wb")
     try:
-        os.fchown(fh.fileno(), -1, st.st_gid)
-        os.fchmod(fh.fileno(), mode)  # the umask, or fchown, may have cleared bits
+        with fh:
+            yield fh
     except BaseException:
-        fh.close()
+        with contextlib.suppress(OSError):  # the write's own error is the one to report
+            if renew:
+                os.unlink(path)  # the new file, which path alone names
+            else:
+                os.truncate(path, 0)
         raise
-    return fh
 
 
 def write_grid_csv(path, header: str, outer, inner, values, convert) -> None:
@@ -259,14 +311,9 @@ def write_grid_csv(path, header: str, outer, inner, values, convert) -> None:
     """
     head = header.encode("ascii") + b"\n"
     values = np.asarray(values, dtype=float)
-    outer_s = [FORMAT % x + "," for x in np.asarray(outer).tolist()]
-    inner_s = [FORMAT % x + "," for x in np.asarray(inner).tolist()]
-    n_outer, n_inner = len(outer_s), len(inner_s)
-    outer_n = np.array([len(s) for s in outer_s], dtype=np.intp)
-    inner_n = np.array([len(s) for s in inner_s], dtype=np.intp)
-    # each axis's NUL-padded "x," strings
-    outer_t = _text(outer_s, max(outer_n, default=0))
-    inner_t = _text(inner_s, max(inner_n, default=0))
+    outer_t, outer_n = _axis_text(outer)
+    inner_t, inner_n = _axis_text(inner)
+    n_outer, n_inner = outer_n.size, inner_n.size
     rows = max(1, _BLOCK_CELLS // max(n_inner, 1))
     span = min(max(n_inner, 1), _BLOCK_CELLS)
     # the converted cells and their value slots are the buffers kept across
@@ -324,21 +371,27 @@ _EXP_INDEX = _U(1 + (10 << 8) + (128 << 14))
 
 
 def _axis(strings):
-    """The values of one axis's ``"x,"`` strings, or None.
+    """The values of one axis's ``"x,"`` strings, the rows of the byte
+    matrix ``strings``, or None.
 
-    None unless every string is a field followed by its comma and the
-    values strictly increase.
+    None unless every string is a ``[-]d.ddddddddde[+-]dd`` field of one
+    sign followed by its comma, with a scale 10^(e - 9) that is an exact
+    double, and the values strictly increase.
     """
-    if not all(s[-1:] == b"," and _FIELD.fullmatch(s, 0, len(s) - 1) for s in strings):
+    n, width = strings.shape
+    neg = width - 16  # the unsigned text "d.ddddddddde+dd," is two words
+    if neg not in (0, 1) or (neg and not (strings[:, 0] == ord("-")).all()):
         return None
-    x = np.array([float(s[:-1]) for s in strings])
+    w = np.empty((5, n), dtype=_U)
+    _word(strings, neg, w[0])
+    _word(strings, neg + 8, w[1])
+    w[1] ^= _U(ord(",") ^ ord("\n")) << _U(56)  # the value template's last byte is "\n"
+    x = np.empty(n)
+    if not _values(w[0], w[1], w[2:], x):
+        return None
+    if neg:
+        np.negative(x, out=x)
     return x if np.all(np.diff(x) > 0.0) else None
-
-
-def _strings(rows):
-    """The rows of a byte matrix as bytes objects."""
-    blob, n = rows.tobytes(), rows.shape[1]
-    return [blob[i:i + n] for i in range(0, len(blob), n)]
 
 
 def _word(rows, at, out):
@@ -482,14 +535,14 @@ def read_grid_csv(fh):
         if inner is None:
             # the first block's inner strings; as words with the
             # value's sign byte, which every row must repeat
-            inner_s = _strings(a[:n_inner, c1:c2])
+            inner_s = a[:n_inner, c1:c2].copy()
             inner = [_word(a[:n_inner], at, w0[:n_inner]).copy()
                      for at in _windows(c1, v0)]
         # every axis string is a field and its comma, at least 16 bytes
         if not (_same_strings(a, 0, c1, n_inner, w0[:n])
                 and _same_strings(a, c1, v0, n_inner, w0[:n], inner)):
             return None
-        outer_s += _strings(a[::n_inner, :c1])
+        outer_s.append(a[::n_inner, :c1].copy())
         _word(a, v0, w0[:n])
         _word(a, v0 + 8, w1[:n])
         # the block's bytes are copied out: its buffer is scratch now
@@ -499,7 +552,7 @@ def read_grid_csv(fh):
             return None
         if neg:
             np.negative(q, out=q)
-    outer = _axis(outer_s)
+    outer = _axis(np.concatenate(outer_s))
     inner = _axis(inner_s)
     if outer is None or inner is None:
         return None

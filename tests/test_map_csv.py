@@ -15,6 +15,7 @@ import functools
 import math
 import os
 import random
+import struct
 import tempfile
 import tracemalloc
 from fractions import Fraction
@@ -252,6 +253,47 @@ def test_tie_band_cells_match_percent_formatter(tmp_path, data):
         assert row.split(",")[2] == "%.9e" % cell
 
 
+def _any_bits(bits):
+    """The float64 whose IEEE 754 pattern is the 64-bit integer ``bits``."""
+    return struct.unpack("<d", struct.pack("<Q", bits))[0]
+
+
+# every class of float64: nan and inf, raw bit patterns (subnormals, nan
+# payloads, decades far off the table), and values next to a tie or a
+# power of ten
+_ANY_FLOAT = st.one_of(
+    st.floats(),
+    st.integers(0, 2**64 - 1).map(_any_bits),
+    _near_ties(),
+    st.sampled_from(_SPECIAL + (math.nan, -math.nan, math.inf, -math.inf)),
+)
+
+
+@given(x=st.lists(_ANY_FLOAT, min_size=1, max_size=40))
+@settings(max_examples=300, deadline=None)
+def test_formatter_matches_percent_formatter_on_every_float_class(x):
+    x = np.array(x)
+    cells = np.empty((x.size, 3), dtype=_gridcsv._WORD)
+    _gridcsv._sci9(x, cells)
+    text, lengths = _gridcsv._axis_text(x)
+    for v, slot, row, n in zip(x.tolist(), cells.view(np.uint8), text, lengths):
+        # a value slot: a signed text from byte 0, an unsigned one from byte 1
+        want = "%.9e\n" % v
+        want = (want if want[0] == "-" else "\0" + want).encode("ascii")
+        assert slot.tobytes() == want.ljust(24, b"\0"), v
+        # an axis string: from byte 0, whatever its sign
+        want = ("%.9e," % v).encode("ascii")
+        assert n == len(want) and row.tobytes() == want.ljust(text.shape[1], b"\0"), v
+
+
+def test_digit_tables_hold_their_text():
+    assert _gridcsv._HEAD.dtype == _gridcsv._FOUR.dtype == np.uint64
+    assert _gridcsv._HEAD.tolist() == [
+        int.from_bytes(b"\0%d.%d" % divmod(t, 10), "little") for t in range(100)]
+    assert _gridcsv._FOUR.tolist() == [
+        int.from_bytes(b"%04d" % v, "little") for v in range(10**4)]
+
+
 def test_dark_fixture_map_rarely_falls_back(tmp_path, monkeypatch):
     # a writer that sent every cell to CPython's formatter would still be
     # byte-exact; this bounds how many cells leave the array path
@@ -261,9 +303,11 @@ def test_dark_fixture_map_rarely_falls_back(tmp_path, monkeypatch):
     counted = []
     sci9 = _gridcsv._sci9
 
-    def counting(*args):
-        counted.append(sci9(*args))
-        return counted[-1]
+    def counting(x, words, end="\n"):
+        slow = sci9(x, words, end)
+        if end == "\n":  # a block of values, not an axis
+            counted.append(slow)
+        return slow
 
     monkeypatch.setattr(_gridcsv, "_sci9", counting)
     dmap.write_csv(tmp_path / "dark.csv")
@@ -569,7 +613,8 @@ def test_single_byte_edits_meet_the_word_checks(tmp_path, monkeypatch, row):
 
 
 @pytest.mark.parametrize("layout, fallbacks", [
-    ("writer", 0), ("crlf", 1), ("mixed sign", 1), ("plus sign", 1)])
+    ("writer", 0), ("crlf", 1), ("mixed sign", 1), ("plus sign", 1),
+    ("negative axis", 0), ("axis off the exact scales", 1)])
 def test_other_layouts_fall_back_once(tmp_path, monkeypatch, layout, fallbacks):
     path = tmp_path / "map.csv"
     data = _small_map()
@@ -577,6 +622,11 @@ def test_other_layouts_fall_back_once(tmp_path, monkeypatch, layout, fallbacks):
         # dB of both signs: the value field's width changes from row to row
         _write_cells(path, np.arange(1.0, 7.0), np.arange(1.0, 8.0) * 1e9,
                      np.linspace(-3.0, 3.0, 42).reshape(6, 7))
+    elif layout in ("negative axis", "axis off the exact scales"):
+        # B strings "-d.ddddddddde+00,", or B at 10^-20, whose scale
+        # 10^(e - 9) is not an exact double
+        B = np.arange(-6.0, 0.0) if layout == "negative axis" else np.arange(1.0, 7.0) * 1e-20
+        _write_cells(path, B, np.arange(1.0, 8.0) * 1e9, np.linspace(-3.0, -1.0, 42).reshape(6, 7))
     elif layout == "plus sign":
         # one negative dB after the template row written "+d.ddd...":
         # as wide, but positive
@@ -755,33 +805,38 @@ def test_extended_attributes_keep_the_output_in_place(tmp_path, where):
 
 
 @pytest.mark.parametrize("failing_block", [2, 40])
-def test_write_that_stops_halfway_leaves_a_short_file(tmp_path, monkeypatch, capsys,
-                                                      failing_block):
-    # Truncation gave this too; the test guards against an overwrite in
-    # place without it, which over an old file of the new map's grid would
-    # leave a complete map of new rows followed by old rows.
-    # Blocks of two cells: block 2 stops the write in the first B row,
-    # block 40 in the second (the first row is 30 blocks).
+@pytest.mark.parametrize("linked", [False, True], ids=["new file", "hard-linked"])
+def test_write_that_stops_halfway_leaves_no_map(tmp_path, monkeypatch, capsys, linked,
+                                                failing_block):
+    # A stop after whole B rows would leave a file that reads as a smaller
+    # map.  Blocks of two cells: value block 2 stops the write in the
+    # first B row, block 40 in the second (the first row is 30 blocks).
+    # A new file is removed; a hard-linked one is written in place and is
+    # truncated to zero bytes.
     path = tmp_path / "map.csv"
     old = _small_dmap()
     DensityMap(old.B_axis, old.f_axis, 0.5 * old.values).write_csv(path)
+    if linked:
+        os.link(path, tmp_path / "link.csv")
     monkeypatch.setattr(_gridcsv, "_BLOCK_CELLS", 2)
     calls = []
     sci9 = _gridcsv._sci9
 
-    def stopping(x, words):
-        calls.append(x.size)
-        if len(calls) == failing_block:
-            raise RuntimeError("write stopped")
-        return sci9(x, words)
+    def stopping(x, words, end="\n"):
+        if end == "\n":  # a block of values, not an axis
+            calls.append(x.size)
+            if len(calls) == failing_block:
+                raise RuntimeError("write stopped")
+        return sci9(x, words, end)
 
     monkeypatch.setattr(_gridcsv, "_sci9", stopping)
     with pytest.raises(RuntimeError, match="write stopped"):
         old.write_csv(path)
-    written = path.read_bytes()
-    # the rows before the failing block, and nothing of the old file
-    assert written == _small_map()[:len(written)]
-    assert written.count(b"\n") == 1 + 2 * (failing_block - 1)
+    assert len(calls) == failing_block
+    if linked:
+        assert path.read_bytes() == (tmp_path / "link.csv").read_bytes() == b""
+    else:
+        assert not os.path.lexists(path)
     assert main(["fit", str(path), "--kind", "two-mode"]) == 4
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("i/o error:")
