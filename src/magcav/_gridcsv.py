@@ -143,9 +143,9 @@ def _sci9(x, words, end="\n"):
     sign = x.view(np.int64) >> 63  # all ones where the sign bit is set
     sign &= ord("-")
     head |= sign.view(_U)
-    hi = np.take(_FOUR, hi, mode="clip")
-    hi <<= _U(32)
-    np.bitwise_or(head, hi, out=words[:, 0])
+    mid = np.take(_FOUR, hi, mode="clip")
+    mid <<= _U(32)
+    np.bitwise_or(head, mid, out=words[:, 0])
     np.bitwise_or(np.take(_FOUR, n, mode="clip"), np.take(_EXPONENT, k, mode="clip"),
                   out=words[:, 1])
     words[:, 2] = ord(end)

@@ -805,7 +805,7 @@ def test_extended_attributes_keep_the_output_in_place(tmp_path, where):
 
 
 @pytest.mark.parametrize("failing_block", [2, 40])
-@pytest.mark.parametrize("linked", [False, True], ids=["new file", "hard-linked"])
+@pytest.mark.parametrize("linked", [False, True], ids=["new-file", "hard-linked"])
 def test_write_that_stops_halfway_leaves_no_map(tmp_path, monkeypatch, capsys, linked,
                                                 failing_block):
     # A stop after whole B rows would leave a file that reads as a smaller
