@@ -12,9 +12,11 @@ from __future__ import annotations
 
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 
+from magcav.cavity import FieldMap
 from magcav.core import DomainError
 from magcav.spectra import DensityMap, MapFormatError
 
@@ -439,6 +441,59 @@ def field_cells_meshgrid(xc, yc, posts, sign_rows, r_post, r_cav, subsample=8):
         energy[ci, cj] = np.where(cnt > 0, e.sum(axis=1) / np.maximum(cnt, 1), 0.0)
         cells.append((Hx, Hy, energy, coverage, outside))
     return cells
+
+
+def offset_cell_centers(radius, n):
+    """Cell centres across [-radius, radius] as ``-radius + (i + 1/2)·dx``.
+
+    The grid ``magcav.cavity.field_map`` used before its maps were
+    computed on the y >= 0 half plane and reflected.  Each centre is
+    within an ulp of the antisymmetric ``(i - (n - 1)/2)·dx``, but most
+    differ from minus their mirror in the last bit.
+    """
+    dx = 2.0 * radius / n
+    return -radius + (np.arange(n) + 0.5) * dx
+
+
+def field_maps_full_plane(geometry, centers):
+    """Dark and bright ``FieldMap`` of ``geometry`` on the grid ``centers``,
+    every cell of the whole plane from ``field_cells_meshgrid``."""
+    rows = field_cells_meshgrid(centers, centers, geometry.post_positions,
+                                [(1.0, 1.0), (1.0, -1.0)], geometry.post_radius,
+                                geometry.cavity_radius)
+    return {
+        mode: FieldMap(centers, centers, energy, coverage, excluded,
+                       (energy * coverage).sum(), mode, geometry)
+        for mode, (_, _, energy, coverage, excluded) in zip(("dark", "bright"), rows)
+    }
+
+
+def cells_on_a_boundary(geometry, n, cells, subsample=8, rel=1e-12):
+    """The cells of ``cells`` with a corner, centre or subsample point on
+    the wall or on a post circle, to within ``rel`` of its squared radius.
+
+    Exact rational arithmetic on the geometry's floats and on the n-cell
+    grid as defined, centre i at (i - (n - 1)/2)·2R/n.  At such a point
+    the domain test is decided by rounding alone, so two grids that differ
+    in the last bit may classify it differently.
+    """
+    R, r_post, spacing = (Fraction(v) for v in (
+        geometry.cavity_radius, geometry.post_radius, geometry.post_spacing))
+    dx = 2 * R / n
+    half = Fraction(1, 2)
+    offs = [Fraction(2 * k + 1, 2 * subsample) - half for k in range(subsample)]
+    # in cell widths from the cell centre
+    points = [(0, 0), *((u, v) for u in (-half, half) for v in (-half, half)),
+              *((u, v) for u in offs for v in offs)]
+    circles = [(0, R * R), (-spacing / 2, r_post * r_post), (spacing / 2, r_post * r_post)]
+    tol = Fraction(rel)
+    found = set()
+    for i, j in cells:
+        xi, yj = i - Fraction(n - 1, 2), j - Fraction(n - 1, 2)
+        if any(abs(((xi + u) * dx - cx) ** 2 + ((yj + v) * dx) ** 2 - r2) <= tol * r2
+               for u, v in points for cx, r2 in circles):
+            found.add((i, j))
+    return found
 
 
 def db_full(values, floor=-200.0):
