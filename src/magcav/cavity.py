@@ -20,8 +20,14 @@ fraction (subsampled along post and wall circles), so integrals over the
 midplane are plain coverage-weighted sums and converge despite the 1/rho
 field blowup at the post surface.  A quadrature pass keeps only what
 those sums read: each mode's cell energies, the coverage, the mask of
-excluded nodes and the coverage-weighted sum over the whole grid.  G's
-wall and post circles take the line-current field at their own points.
+excluded nodes and the coverage-weighted sum over the whole grid.  The
+grid is exactly antisymmetric and the posts lie on y = 0, where y enters
+the field only through y^2 and the sign of Hx, so a pass computes the
+y >= 0 half plane and reflects it: the map is byte for byte the whole
+plane's on the same grid, except at a point that lies on a circle to
+rounding, where the whole-plane pass can classify the two sides apart.
+G's wall and post circles take the line-current field at their own
+points.
 """
 
 from __future__ import annotations
@@ -200,6 +206,16 @@ def _check_resolution(resolution) -> int:
     return int(resolution)
 
 
+def _reflected(half: np.ndarray, n: int) -> np.ndarray:
+    """The (n, n) array whose columns from n // 2 on are ``half`` and whose
+    column j equals column n - 1 - j."""
+    m = n // 2
+    full = np.empty((n, n), dtype=half.dtype)
+    full[:, m:] = half
+    full[:, m - 1::-1] = half[:, n % 2:]
+    return full
+
+
 def _mode_cells(geometry: CavityGeometry, resolution: int):
     """Read-only field cells of both modes for the in-plane geometry."""
     global _last_cells
@@ -210,12 +226,17 @@ def _mode_cells(geometry: CavityGeometry, resolution: int):
     # drop every reference to the old arrays before the new ones exist
     last = _last_cells = None
     R = geometry.cavity_radius
-    dx = 2.0 * R / resolution
-    centers = -R + (np.arange(resolution) + 0.5) * dx
-    posts = geometry.post_positions
-    cells = _kernels.field_cells(
-        centers, centers, posts, list(_MODE_SIGNS.values()), geometry.post_radius, R
-    )
+    n = resolution
+    dx = 2.0 * R / n
+    # exactly antisymmetric: centers[n - 1 - i] == -centers[i]
+    centers = (np.arange(n) - 0.5 * (n - 1)) * dx
+    half = _kernels.field_cells(centers, centers[n // 2:], geometry.post_positions,
+                                list(_MODE_SIGNS.values()), geometry.post_radius, R)
+    # coverage and excluded are the same arrays in both modes' rows
+    energies = [_reflected(row[0], n) for row in half]
+    coverage, excluded = (_reflected(arr, n) for arr in half[0][1:])
+    del half
+    cells = [(energy, coverage, excluded) for energy in energies]
     for arr in (centers, *(a for row in cells for a in row)):
         arr.flags.writeable = False
     # the midplane integral's sum, formed once instead of in every call
@@ -231,8 +252,11 @@ def field_map(geometry: CavityGeometry, mode: str, resolution: int = RESOLUTION)
 
     ``resolution`` counts grid cells across the cavity diameter, an
     integer in [``MIN_RESOLUTION``, ``MAX_RESOLUTION``], the range of the
-    quadrature contracts downstream.  Odd values put a node exactly on
-    the inter-post midpoint.  Both modes of the last in-plane geometry
+    quadrature contracts downstream.  The node grid is exactly
+    antisymmetric, ``xs == -xs[::-1]``; odd values put a node exactly on
+    the inter-post midpoint.  Every array is exactly symmetric in y: the
+    y >= 0 columns are computed and the others are their mirror images.
+    Both modes of the last in-plane geometry
     (cavity radius, post radius and spacing, resolution) are kept, so
     repeated calls share read-only arrays.
     """

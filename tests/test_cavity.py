@@ -6,7 +6,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from magcav import _kernels, cavity
 from magcav.cavity import (
@@ -426,6 +426,91 @@ def test_field_map_node_fields_match_meshgrid_oracle(resolution):
         got = _kernels.line_fields(xs[:, None], xs[None, :], ref.post_positions, row_signs)
         for H, arr in zip(got, row[:2]):
             assert H[inside].tobytes() == arr[inside].tobytes()
+
+
+def _bits_differ(a, b):
+    """Cells where ``a`` and ``b`` differ in any bit, signed zeros included."""
+    return a.view(f"u{a.itemsize}") != b.view(f"u{b.itemsize}")
+
+
+def _check_reflected(geom, n):
+    """The maps of ``geom`` at ``n`` cells: exactly symmetric in y, and the
+    unchanged kernel's whole plane on their own grid wherever that is
+    symmetric itself."""
+    half_planes = []
+
+    def recording(xc, yc, *args):
+        half_planes.append(yc)
+        return real(xc, yc, *args)
+
+    real = _kernels.field_cells
+    cavity._last_cells = None
+    _kernels.field_cells = recording
+    try:
+        fmaps = [field_map(geom, mode, resolution=n) for mode in ("dark", "bright")]
+    finally:
+        _kernels.field_cells = real
+    xs = fmaps[0].xs
+    assert fmaps[1].xs is xs and fmaps[0].ys is xs
+    assert np.array_equal(xs, -xs[::-1])
+    # one quadrature on the y >= 0 half plane; an odd grid's y = 0 column
+    # is in it once, and an even grid has none
+    [ys] = half_planes
+    assert ys.tobytes() == xs[n // 2:].tobytes()
+    if n % 2:
+        assert ys.size == n // 2 + 1 and ys[0] == 0.0 and not np.signbit(ys[0])
+    else:
+        assert ys.size == n // 2 and ys[0] > 0.0 and not np.any(xs == 0.0)
+    want = real(xs, xs, geom.post_positions, list(cavity._MODE_SIGNS.values()),
+                geom.post_radius, geom.cavity_radius)
+    for fmap, row in zip(fmaps, want):
+        for name, full in zip(("energy", "coverage", "excluded"), row):
+            got = getattr(fmap, name)
+            assert not _bits_differ(got, got[:, ::-1]).any(), name
+            # the kernel breaks its own symmetry only at a point that lies
+            # on a circle exactly, where the rounding of its corner lattice
+            # decides; there the map takes the y >= 0 side's cell
+            moved = _bits_differ(got, full)
+            assert not moved[:, n // 2:].any(), name
+            cells = {tuple(int(k) for k in ij) for ij in np.argwhere(moved)}
+            assert cells_on_a_boundary(geom, n, cells) == cells, name
+            assert _bits_differ(full, full[:, ::-1])[moved].all(), name
+    return fmaps
+
+
+@given(
+    radius=st.floats(1.0e-3, 2.0e-2),
+    post_share=st.floats(0.01, 0.45),
+    spacing_share=st.floats(0.01, 1.0),
+    resolution=st.integers(cavity.MIN_RESOLUTION, 160),
+)
+@settings(max_examples=60, deadline=None)
+def test_field_maps_are_reflected_half_planes(radius, post_share, spacing_share, resolution):
+    post_radius = post_share * radius
+    spacing = 2.0 * post_radius + spacing_share * (2.0 * radius - 4.0 * post_radius)
+    try:
+        geom = CavityGeometry(radius, 1.4e-3, post_radius, 73e-6, spacing)
+    except GeometryError:
+        assume(False)
+    _check_reflected(geom, resolution)
+
+
+def test_field_maps_are_reflected_at_the_largest_resolution():
+    _check_reflected(reference_cavity(), cavity.MAX_RESOLUTION)
+    cavity._last_cells = None
+
+
+def test_field_map_reflection_where_the_whole_plane_is_not_symmetric():
+    # 12^2 + 35^2 = 37^2: on a 74-cell grid a corner lies on the wall, and
+    # the whole-plane pass classifies it differently on the two sides
+    geom = CavityGeometry(2.0**-6, 1.4e-3, 2.0**-8, 73e-6, 2.0**-5 - 2.0**-7)
+    dark, _ = _check_reflected(geom, 74)
+    xs = dark.xs
+    full = _kernels.field_cells(xs, xs, geom.post_positions, [(1.0, 1.0)],
+                                geom.post_radius, geom.cavity_radius)[0][0]
+    assert _bits_differ(full, full[:, ::-1]).any()
+    assert _bits_differ(dark.energy, full).any()
+    cavity._last_cells = None
 
 
 def test_field_map_quadrature_memory_stays_at_its_scratch():
