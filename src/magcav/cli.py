@@ -57,8 +57,11 @@ EXIT_IO = 4
 
 # scan --start/--stop are given in the unit the config key uses
 _SCAN_SCALE = {"gap": _UNITS["_um"], "spacing": _UNITS["_mm"], "height": _UNITS["_mm"]}
-# a scan's rows, at most: each may build a field map
+# a scan's rows, by default and at most: each may build a field map
+_SCAN_STEPS = 11
 _MAX_SCAN_STEPS = 10_000
+# options that only a scan reads
+_SCAN_OPTIONS = ("--start", "--stop", "--steps", "--csv")
 # numeric options whose value may begin with "-"; the program checks them
 _SIGNED_OPTIONS = ("--start", "--stop", "--steps", "--prominence")
 
@@ -110,22 +113,29 @@ def _write_map(dmap: DensityMap, prefix: str) -> list[str]:
     return [f"wrote {path}" for path in paths]
 
 
-def _scan_values(args) -> np.ndarray:
-    """The swept values in SI, once --start, --stop and --steps are checked."""
+def _scan_values(args) -> np.ndarray | None:
+    """The swept values in SI once the scan options are checked; None
+    without --scan, which none of them may then be given."""
+    if args.scan is None:
+        for option in _SCAN_OPTIONS:
+            if getattr(args, option[2:]) is not None:
+                raise ConfigError(f"{option} needs --scan")
+        return None
     if args.start is None or args.stop is None:
         raise ConfigError("--scan needs --start and --stop")
     for option, value in (("--start", args.start), ("--stop", args.stop)):
         if not math.isfinite(value):
             raise ConfigError(f"{option} {value!r} is not finite")
-    if not 1 <= args.steps <= _MAX_SCAN_STEPS:
-        raise ConfigError(f"--steps {args.steps} must lie in [1, {_MAX_SCAN_STEPS}]")
+    steps = _SCAN_STEPS if args.steps is None else args.steps
+    if not 1 <= steps <= _MAX_SCAN_STEPS:
+        raise ConfigError(f"--steps {steps} must lie in [1, {_MAX_SCAN_STEPS}]")
     scale = _SCAN_SCALE[args.scan]
-    return np.linspace(args.start * scale, args.stop * scale, args.steps)
+    return np.linspace(args.start * scale, args.stop * scale, steps)
 
 
 def cmd_cavity(args) -> int:
     # the scan's arguments are checked before the config is read
-    values = None if args.scan is None else _scan_values(args)
+    values = _scan_values(args)
     cfg = load_config(args.config)
     geom = cfg.require("geometry")
     sphere = cfg.require("sphere")
@@ -261,8 +271,16 @@ def cmd_predict(args) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser that reports a bad command line as ConfigError,
+    one line, instead of printing its usage and exiting."""
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="magcav",
         description="Hybrid cavity-magnon modeling: geometry, spectra, fits, reports.",
     )
@@ -273,8 +291,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scan", choices=sorted(_SCAN_SCALE), help="parameter to sweep")
     p.add_argument("--start", type=float, help="sweep start (um for gap, mm otherwise)")
     p.add_argument("--stop", type=float, help="sweep stop (um for gap, mm otherwise)")
-    p.add_argument("--steps", type=int, default=11,
-                   help=f"sweep points, 1 to {_MAX_SCAN_STEPS}")
+    p.add_argument("--steps", type=int,
+                   help=f"sweep points, 1 to {_MAX_SCAN_STEPS} (default {_SCAN_STEPS})")
     p.add_argument("--csv", help="also write the scan table to this file")
     p.set_defaults(func=cmd_cavity)
 
@@ -331,8 +349,8 @@ def _join_signed_values(argv):
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    args = _build_parser().parse_args(_join_signed_values(argv))
     try:
+        args = _build_parser().parse_args(_join_signed_values(argv))
         return args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -6,6 +6,7 @@ Commands run in-process through main(argv) with captured stdout.
 """
 
 import hashlib
+import math
 import warnings
 from pathlib import Path
 
@@ -195,6 +196,136 @@ def test_cavity_scan_options_take_separate_signed_values(capsys, option, value, 
         name = "--start" if option == "--sta" else option
         assert separate[1] == "" and separate[2].startswith(f"config error: {name} ")
         assert len(separate[2].splitlines()) == 1
+
+
+@pytest.mark.parametrize("option, value", [
+    ("--start", "10"), ("--stop", "150"), ("--steps", "3"), ("--csv", "scan.csv"),
+])
+def test_cavity_scan_options_need_scan(tmp_path, capsys, option, value):
+    # refused before the config is read: a missing config would exit 4
+    if option == "--csv":
+        value = tmp_path / value
+    for config in (FIXTURES / "reference_cavity.ini", tmp_path / "missing.ini"):
+        code, out, err = run_cli(capsys, "cavity", config, option, value)
+        assert code == 2 and out == ""
+        assert err == f"config error: {option} needs --scan\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--scan", "gap", "--start", "ten"], "argument --start: invalid float value: 'ten'"),
+    (["--scan", "gap", "--start", "10", "--stop"], "argument --stop: expected one argument"),
+    (["--scan", "width"], "argument --scan: invalid choice: 'width'"),
+    (["--steps=2.5"], "argument --steps: invalid int value: '2.5'"),
+    (["--frobnicate"], "unrecognized arguments: --frobnicate"),
+])
+def test_cavity_bad_command_line_is_one_config_error_line(capsys, argv, message):
+    code, out, err = run_cli(capsys, "cavity", FIXTURES / "reference_cavity.ini", *argv)
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith(f"config error: {message}")
+
+
+def test_missing_command_is_one_config_error_line(capsys):
+    code, out, err = run_cli(capsys)
+    assert code == 2 and out == ""
+    assert err == "config error: the following arguments are required: command\n"
+
+
+# drawn option values: None leaves the option out, _MISSING gives it no
+# value; finite ends, zero, negative and huge ones included, and short
+# scans are drawn more often than the others so that scans run
+_MISSING = object()
+_FINITE_ENDS = st.sampled_from(
+    ["10", "150", "1.8", "3.05", "0", "-0", "-1", "-2.5e-3", "1e308", "-1e308", "1e30"])
+_ENDS = st.one_of(_FINITE_ENDS, _FINITE_ENDS, _FINITE_ENDS, _FINITE_ENDS, st.sampled_from(
+    [None, _MISSING, "nan", "-nan", "inf", "-inf", "ten", "1,5", ""]))
+# at most 5 rows, or past the bound: the property never runs a large scan
+_STEPS = st.one_of(
+    st.integers(1, 5).map(str),
+    st.integers(1, 5).map(str),
+    st.sampled_from([None, _MISSING, "0", "-3", "nan", "inf", "2.5", "1e3", "three", ""]),
+    st.integers(10_001, 10**30).map(str),
+)
+
+
+def _number(text, kind):
+    """``text`` read as argparse reads it, or None where it refuses it."""
+    try:
+        return kind(text)
+    except ValueError:
+        return None
+
+
+def _expected_cavity_exit(config, scan, start, stop, steps, csv):
+    """The exit code the README documents for one drawn ``cavity`` call."""
+    options = {"--start": start, "--stop": stop, "--steps": steps, "--csv": csv}
+    kinds = {"--start": float, "--stop": float, "--steps": int}
+    if (_MISSING in options.values() or scan == "width" or any(
+            options[o] is not None and _number(options[o], kind) is None
+            for o, kind in kinds.items())):
+        return 2  # argparse refuses the command line
+    if scan is None:
+        return 2 if any(v is not None for v in options.values()) else (0 if config.is_file() else 4)
+    if start is None or stop is None:
+        return 2
+    if not (math.isfinite(float(start)) and math.isfinite(float(stop))):
+        return 2
+    if not 1 <= (11 if steps is None else int(steps)) <= 10_000:
+        return 2
+    if not config.is_file():
+        return 4
+    return 0 if csv is None or csv.parent.is_dir() and not csv.is_dir() else 4
+
+
+@given(
+    config=st.sampled_from(["fixture", "fixture", "missing", "directory"]),
+    scan=st.sampled_from([None, "gap", "height", "spacing", "width"]),
+    start=_ENDS, stop=_ENDS, steps=_STEPS,
+    csv=st.sampled_from([None, None, None, _MISSING, "scan.csv", "directory",
+                         "missing/scan.csv"]),
+    order=st.permutations(range(5)),
+    plain=st.sampled_from([True, False, False, False]),
+)
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_cavity_command_line_property(tmp_path, capsys, config, scan, start, stop, steps,
+                                      csv, order, plain):
+    # any cavity command line ends in a documented exit code, with one
+    # stderr line when it fails and no warning or traceback; a plain one
+    # has no scan option
+    if plain:
+        scan = start = stop = steps = csv = None
+    config = {"fixture": FIXTURES / "reference_cavity.ini", "missing": tmp_path / "none.ini",
+              "directory": tmp_path}[config]
+    if csv not in (None, _MISSING):
+        csv = tmp_path if csv == "directory" else tmp_path / csv
+    options = [("--scan", scan), ("--start", start), ("--stop", stop), ("--steps", steps),
+               ("--csv", csv)]
+    argv = []
+    for name, value in (options[k] for k in order):
+        if value is not None and value is not _MISSING:
+            argv += [name, value]
+    # an option with no value ends the command line
+    argv += [name for name, value in options if value is _MISSING][:1]
+    want = _expected_cavity_exit(config, scan, start, stop, steps, csv)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run_cli(capsys, "cavity", config, *argv)
+    assert caught == []
+    assert code == want, (argv, err)
+    if code == 0:
+        written = [] if csv is None else [f"wrote {csv}"]
+        assert err.splitlines() == written
+        lines = out.splitlines()
+        if scan is None:
+            assert [line.split(" = ")[0] for line in lines] == list(cli._CAVITY_FIGURES)
+        else:
+            assert lines[0].startswith("value_m,")
+            assert len(lines) == 1 + (11 if steps is None else int(steps))
+    else:
+        assert out == ""
+        prefix = "config error: " if code == 2 else "i/o error: "
+        assert len(err.splitlines()) == 1 and err.startswith(prefix)
 
 
 def test_unknown_key_rejected(tmp_path, capsys):
