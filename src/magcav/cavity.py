@@ -235,6 +235,7 @@ def _mode_cells(geometry: CavityGeometry, resolution: int):
     # coverage and excluded are the same arrays in both modes' rows
     energies = [_reflected(row[0], n) for row in half]
     coverage, excluded = (_reflected(arr, n) for arr in half[0][1:])
+    # the half-plane arrays go before the sums below make their temporaries
     del half
     cells = [(energy, coverage, excluded) for energy in energies]
     for arr in (centers, *(a for row in cells for a in row)):

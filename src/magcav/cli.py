@@ -8,11 +8,11 @@ parameters into figures of merit, and ``predict`` scales a measured
 system to an optimized filling factor.
 
 Exit codes are a stable contract: 0 success, 2 configuration error
-(which includes values whose derived figures overflow or divide by
-zero), 3 fit-identifiability error, 4 I/O error, which includes a
-malformed map file.  A fit that completes but fails to converge exits 1.  All
-file outputs are deterministic functions of the configuration,
-including the noise seed.
+(which includes a command line that does not parse and values whose
+derived figures overflow or divide by zero), 3 fit-identifiability
+error, 4 I/O error, which includes a malformed map file.  A fit that
+completes but fails to converge exits 1.  All file outputs are
+deterministic functions of the configuration, including the noise seed.
 """
 
 from __future__ import annotations

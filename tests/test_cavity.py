@@ -311,7 +311,7 @@ def test_figures_match_full_plane_quadrature_on_the_offset_grid(in_plane):
     # the map's grid (i - (n - 1)/2) dx against the whole plane on
     # -R + (i + 1/2) dx, which differs from it by an ulp here and there:
     # every cell agrees to rounding except where a point of the cell lies
-    # on a circle exactly, which only rounding decides (at 257 cells the
+    # on a circle to rounding, which only rounding decides (at 257 cells the
     # third in-plane geometry puts a post subsample on its circle, from the
     # triple 32, 255, 257); with no such cell the figures agree to rounding
     geom = reference_cavity()
@@ -434,9 +434,9 @@ def _bits_differ(a, b):
 
 
 def _check_reflected(geom, n):
-    """The maps of ``geom`` at ``n`` cells: exactly symmetric in y, and the
-    unchanged kernel's whole plane on their own grid wherever that is
-    symmetric itself."""
+    """Check the maps of ``geom`` at ``n`` cells: exactly symmetric in y, and
+    the unchanged kernel's whole plane on their own grid wherever that is
+    symmetric itself.  Returns the dark map and the whole plane's rows."""
     half_planes = []
 
     def recording(xc, yc, *args):
@@ -468,14 +468,14 @@ def _check_reflected(geom, n):
             got = getattr(fmap, name)
             assert not _bits_differ(got, got[:, ::-1]).any(), name
             # the kernel breaks its own symmetry only at a point that lies
-            # on a circle exactly, where the rounding of its corner lattice
-            # decides; there the map takes the y >= 0 side's cell
+            # on a circle to rounding, where the rounding of its corner
+            # lattice decides; there the map takes the y >= 0 side's cell
             moved = _bits_differ(got, full)
             assert not moved[:, n // 2:].any(), name
             cells = {tuple(int(k) for k in ij) for ij in np.argwhere(moved)}
             assert cells_on_a_boundary(geom, n, cells) == cells, name
             assert _bits_differ(full, full[:, ::-1])[moved].all(), name
-    return fmaps
+    return fmaps[0], want
 
 
 @given(
@@ -497,20 +497,17 @@ def test_field_maps_are_reflected_half_planes(radius, post_share, spacing_share,
 
 def test_field_maps_are_reflected_at_the_largest_resolution():
     _check_reflected(reference_cavity(), cavity.MAX_RESOLUTION)
-    cavity._last_cells = None
+    cavity._last_cells = None  # about 100 MB of arrays
 
 
 def test_field_map_reflection_where_the_whole_plane_is_not_symmetric():
     # 12^2 + 35^2 = 37^2: on a 74-cell grid a corner lies on the wall, and
     # the whole-plane pass classifies it differently on the two sides
     geom = CavityGeometry(2.0**-6, 1.4e-3, 2.0**-8, 73e-6, 2.0**-5 - 2.0**-7)
-    dark, _ = _check_reflected(geom, 74)
-    xs = dark.xs
-    full = _kernels.field_cells(xs, xs, geom.post_positions, [(1.0, 1.0)],
-                                geom.post_radius, geom.cavity_radius)[0][0]
+    dark, want = _check_reflected(geom, 74)
+    full = want[0][0]
     assert _bits_differ(full, full[:, ::-1]).any()
     assert _bits_differ(dark.energy, full).any()
-    cavity._last_cells = None
 
 
 def test_field_map_quadrature_memory_stays_at_its_scratch():

@@ -248,12 +248,13 @@ _STEPS = st.one_of(
 )
 
 
-def _number(text, kind):
-    """``text`` read as argparse reads it, or None where it refuses it."""
+def _parses(text, kind):
+    """Whether argparse reads ``text`` with the option type ``kind``."""
     try:
-        return kind(text)
+        kind(text)
     except ValueError:
-        return None
+        return False
+    return True
 
 
 def _expected_cavity_exit(config, scan, start, stop, steps, csv):
@@ -261,7 +262,7 @@ def _expected_cavity_exit(config, scan, start, stop, steps, csv):
     options = {"--start": start, "--stop": stop, "--steps": steps, "--csv": csv}
     kinds = {"--start": float, "--stop": float, "--steps": int}
     if (_MISSING in options.values() or scan == "width" or any(
-            options[o] is not None and _number(options[o], kind) is None
+            options[o] is not None and not _parses(options[o], kind)
             for o, kind in kinds.items())):
         return 2  # argparse refuses the command line
     if scan is None:
@@ -274,7 +275,7 @@ def _expected_cavity_exit(config, scan, start, stop, steps, csv):
         return 2
     if not config.is_file():
         return 4
-    return 0 if csv is None or csv.parent.is_dir() and not csv.is_dir() else 4
+    return 0 if csv is None or (csv.parent.is_dir() and not csv.is_dir()) else 4
 
 
 @given(
