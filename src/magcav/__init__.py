@@ -10,17 +10,13 @@ from .core import (
     CONSTANTS,
     DEFAULT_GYRO,
     TWO_PI,
-    CouplingStrength,
     DomainError,
     HybridModel,
     ModeKind,
     OscillatorMode,
     PhysicalConstants,
     SphereSample,
-    angular_to_hz,
     gyromagnetic_ratio,
-    hz_to_angular,
-    magnon_frequency,
 )
 from .modes import (
     EigenResult,
@@ -37,7 +33,6 @@ from .modes import (
 from .walker import (
     UnderdeterminedError,
     WalkerFit,
-    WalkerMode,
     fit_gyro_and_Ms,
     walker_frequency,
     walker_offset,

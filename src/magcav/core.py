@@ -2,8 +2,7 @@
 
 Everything downstream stores linear frequencies in Hz; angular quantities
 (rad/s) exist only transiently inside solvers, which multiply by
-``TWO_PI`` themselves.  :func:`hz_to_angular` / :func:`angular_to_hz`
-convert for callers of the library.  Coupling strengths are stored as
+``TWO_PI`` themselves.  Coupling strengths are stored as
 the observable normal-mode splitting g/pi (Hz); the half-splitting g/pi/2
 that enters coupling matrices is derived, never stored.  Magnetic bias
 fields are in tesla.
@@ -25,13 +24,9 @@ __all__ = [
     "CONSTANTS",
     "ModeKind",
     "OscillatorMode",
-    "CouplingStrength",
     "HybridModel",
     "SphereSample",
     "gyromagnetic_ratio",
-    "magnon_frequency",
-    "hz_to_angular",
-    "angular_to_hz",
 ]
 
 TWO_PI = 2.0 * math.pi
@@ -131,22 +126,6 @@ class OscillatorMode:
                 raise DomainError("cavity linewidth must be below f0")
         elif self.f0 < 0.0:
             raise DomainError("magnon intercept must be >= 0")
-
-
-@dataclass(frozen=True)
-class CouplingStrength:
-    """Mode-mode coupling expressed as the resonant splitting g/pi in Hz."""
-
-    g_over_pi: float
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.g_over_pi) and self.g_over_pi >= 0.0):
-            raise DomainError("g_over_pi must be finite and >= 0")
-
-    @property
-    def half_splitting(self) -> float:
-        """Matrix off-diagonal element g/pi/2 (Hz) used by eigensolvers."""
-        return 0.5 * self.g_over_pi
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -340,7 +319,7 @@ class SphereSample:
         return math.pi * self.diameter**3 / 6.0
 
 
-def gyromagnetic_ratio(g_factor: float, constants: PhysicalConstants = CONSTANTS) -> float:
+def gyromagnetic_ratio(g_factor: float) -> float:
     """Electron gyromagnetic ratio in linear-frequency units (Hz/T).
 
     gamma = g * muB / (2*pi*hbar), i.e. the slope of a free-spin resonance
@@ -348,19 +327,4 @@ def gyromagnetic_ratio(g_factor: float, constants: PhysicalConstants = CONSTANTS
     """
     if not 0.0 < g_factor < 10.0:
         raise DomainError("g_factor must lie in (0, 10)")
-    return g_factor * constants.muB / (TWO_PI * constants.hbar)
-
-
-def magnon_frequency(B: float, slope: float, offset: float = 0.0) -> float:
-    """Linear magnon tuning law f = slope*B + offset (Hz), valid for B >= 0."""
-    return slope * B + offset
-
-
-def hz_to_angular(f):
-    """Linear frequency (Hz) to angular frequency (rad/s)."""
-    return TWO_PI * np.asarray(f) if isinstance(f, np.ndarray) else TWO_PI * f
-
-
-def angular_to_hz(omega):
-    """Angular frequency (rad/s) to linear frequency (Hz)."""
-    return np.asarray(omega) / TWO_PI if isinstance(omega, np.ndarray) else omega / TWO_PI
+    return g_factor * CONSTANTS.muB / (TWO_PI * CONSTANTS.hbar)

@@ -15,7 +15,7 @@ branch); they never need branch assignments from the caller.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -331,7 +331,7 @@ def extract_ridge(dmap: DensityMap, min_prominence_rel: float = 0.25):
 # line and crossing fits
 
 
-def fit_lorentzian(f, y, initial=None) -> FitReport:
+def fit_lorentzian(f, y) -> FitReport:
     """Fit baseline + Lorentzian (amplitude, f0, fwhm, baseline) to a trace."""
     f = np.asarray(f, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -347,13 +347,12 @@ def fit_lorentzian(f, y, initial=None) -> FitReport:
             "baseline": (float(y[0]), 0.0),
         }
         return FitReport(params, 0.0, 0, False, ("flat-trace",))
-    if initial is None:
-        base0 = float(y.min())
-        amp0 = float(y.max() - base0)
-        f00 = float(f[int(np.argmax(y))])
-        above = y - base0 > 0.5 * amp0
-        w0 = max(float(above.sum()) * span / f.size, span / f.size)
-        initial = (amp0, f00, w0, base0)
+    base0 = float(y.min())
+    amp0 = float(y.max() - base0)
+    f00 = float(f[int(np.argmax(y))])
+    above = y - base0 > 0.5 * amp0
+    w0 = max(float(above.sum()) * span / f.size, span / f.size)
+    initial = (amp0, f00, w0, base0)
 
     def resid(p):
         return lorentzian(f, p[0], p[1], abs(p[2]), p[3]) - y

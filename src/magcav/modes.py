@@ -224,6 +224,7 @@ class MinimumSplitting:
 
 
 _EPS = float(np.finfo(float).eps)
+_COARSE = 512
 
 
 def _golden(fun, lo: float, hi: float, tol: float, flat_tol: float, noise: float) -> float:
@@ -256,7 +257,6 @@ def minimum_splitting(
     model: HybridModel,
     B_range: tuple[float, float],
     branches: tuple[int, int] = (0, 1),
-    coarse: int = 512,
 ) -> MinimumSplitting:
     """Locate the avoided-crossing center: min over B of a branch gap.
 
@@ -279,7 +279,7 @@ def minimum_splitting(
         f = eigenbranches(model.matrix_at(B))
         return f[..., j] - f[..., i]
 
-    Bs = np.linspace(lo, hi, coarse)
+    Bs = np.linspace(lo, hi, _COARSE)
     f = eigenbranches(model.matrix_at(Bs))
     gaps = f[:, j] - f[:, i]
     interior_min = np.nonzero(
@@ -292,7 +292,7 @@ def minimum_splitting(
         return MinimumSplitting(float(Bd[k]), float(gd[k]), unimodal=False)
     # one interior minimum, or a monotone gap whose minimum is an endpoint
     k = int(interior_min[0]) + 1 if interior_min.size == 1 else int(np.argmin(gaps))
-    a, b = Bs[max(k - 1, 0)], Bs[min(k + 1, coarse - 1)]
+    a, b = Bs[max(k - 1, 0)], Bs[min(k + 1, _COARSE - 1)]
     # a gap is a difference of two branches, each rounded to about eps of
     # its size; near a smooth minimum it moves by curvature * dB^2, so B
     # is fixed only to about sqrt(eps) relative

@@ -16,10 +16,12 @@ magnons on the cavity [A^-1]_cc is 1/(i (f_c - f) + kappa/2 + sum of
 level, and any other coupling graph is solved as a matrix.
 
 A map is written as long-form CSV (``DensityMap.write_csv``) and as an
-8-bit PGM (``DensityMap.write_pgm``).  Each writer converts |S21| to dB
-a block at a time, into one reused float buffer, with the one dB formula
-of ``_db_of``, which ``DensityMap.to_db`` also uses; neither writer makes
-a full-size float temporary.
+8-bit PGM (``DensityMap.write_pgm``), whose gray levels run linearly
+from -120 dB to 0 dB.  Each writer converts |S21| to dB a block at a
+time, into one reused float buffer, with the one dB formula of
+``_to_db``, which ``DensityMap.to_db`` also uses: 20 log10 of |S21|
+clipped below at -200 dB.  Neither writer makes a full-size float
+temporary.
 """
 
 from __future__ import annotations
@@ -101,31 +103,22 @@ def s21(f, model: HybridModel, ports: PortCouplings, B: float = 0.0):
 
 
 _MAP_HEADER = "B_T,f_Hz,s21_dB"
-# The dB level that both writers clip |S21| at, as to_db does by default.
+# The dB level that |S21| is clipped at, and its amplitude
 _DB_FLOOR = -200.0
+_TINY = 10.0 ** (_DB_FLOOR / 20.0)
+# The PGM's gray levels run linearly between these dB clamps
+_PGM_CLAMPS = (-120.0, 0.0)
+_PGM_SCALE = 255.0 / (_PGM_CLAMPS[1] - _PGM_CLAMPS[0])
 
 
-def _db_of(floor):
-    """The conversion ``convert(amplitude, out)`` that writes 20 log10 of
-    max(amplitude, 10^(floor / 20)) into ``out``, in place.
+def _to_db(amplitude, out):
+    """Write 20 log10 max(amplitude, 10^(_DB_FLOOR / 20)) into ``out``.
 
-    The one place the dB formula is written.  Raises DomainError unless
-    10^(floor / 20) is a positive, finite double.
+    The one place the dB formula is written.
     """
-    try:
-        tiny = 10.0 ** (float(floor) / 20.0)
-    except OverflowError:
-        tiny = math.inf
-    if not 0.0 < tiny < math.inf:
-        raise DomainError(
-            f"dB floor {floor!r} must give a positive, finite amplitude 10^(floor/20)")
-
-    def convert(amplitude, out):
-        np.maximum(amplitude, tiny, out=out)
-        np.log10(out, out=out)
-        out *= 20.0
-
-    return convert
+    np.maximum(amplitude, _TINY, out=out)
+    np.log10(out, out=out)
+    out *= 20.0
 
 
 @dataclass(frozen=True, eq=False)
@@ -148,14 +141,13 @@ class DensityMap:
         if np.any(self.values < 0.0):
             raise DomainError("map values are linear amplitudes, >= 0")
 
-    def to_db(self, floor: float = _DB_FLOOR) -> np.ndarray:
-        """20 log10 |S21|, clipped below at ``floor`` to stay finite.
+    def to_db(self) -> np.ndarray:
+        """20 log10 |S21|, clipped below at -200 dB to stay finite.
 
-        Raises DomainError unless 10^(floor / 20) is a positive, finite
-        double.  The one full-size array made is the result.
+        The one full-size array made is the result.
         """
         db = np.empty_like(self.values)
-        _db_of(floor)(self.values, db)
+        _to_db(self.values, db)
         return db
 
     def write_csv(self, path) -> None:
@@ -164,8 +156,7 @@ class DensityMap:
         The dB cells are converted a block at a time, inside the writer's
         block loop, so no full-size temporary is made.
         """
-        write_grid_csv(path, _MAP_HEADER, self.B_axis, self.f_axis, self.values,
-                       _db_of(_DB_FLOOR))
+        write_grid_csv(path, _MAP_HEADER, self.B_axis, self.f_axis, self.values, _to_db)
 
     @classmethod
     def read_csv(cls, path) -> "DensityMap":
@@ -234,41 +225,33 @@ class DensityMap:
         except DomainError as exc:
             raise MapFormatError(f"{path}: {exc}") from None
 
-    def write_pgm(self, path, db_min: float = -120.0, db_max: float = 0.0) -> None:
+    def write_pgm(self, path) -> None:
         """8-bit binary PGM, row = frequency (ascending), column = field.
 
-        Grayscale is linear in dB between the clamps recorded in the
-        header comment; values outside are saturated.  The clamps, their
-        span and the scale 255 / span must be finite; the file is opened
-        by ``open_output`` once they are checked and the image is made.
+        Grayscale is linear in dB between the clamps -120 dB and 0 dB,
+        recorded in the header comment; values outside are saturated.
+        The file is opened by ``open_output`` once the image is made.
 
         The image is filled in blocks of whole B rows (``_BLOCK_CELLS``
         cells), each converted to dB in one reused float buffer, so the
         one full-size array made is the image, already in the file's
         layout.
         """
-        if not db_min < db_max:
-            raise DomainError("db_min must lie below db_max")
-        span = float(db_max) - float(db_min)  # finite only if both clamps are
-        scale = 255.0 / span
-        if not (math.isfinite(span) and math.isfinite(scale)):
-            raise DomainError(
-                "db_min and db_max must be finite, and so must 255 / (db_max - db_min)")
-        convert = _db_of(_DB_FLOOR)
+        low, high = _PGM_CLAMPS
         n_B, n_f = self.values.shape
         gray = np.empty((n_f, n_B), dtype=np.uint8)  # row index runs along f
         rows = max(1, _BLOCK_CELLS // max(n_f, 1))
         block = np.empty((min(rows, n_B), n_f))
         for i in range(0, n_B, rows):
             db = block[: min(rows, n_B - i)]
-            convert(self.values[i:i + rows], db)
-            np.clip(db, db_min, db_max, out=db)
-            db -= db_min
-            db *= scale
+            _to_db(self.values[i:i + rows], db)
+            np.clip(db, low, high, out=db)
+            db -= low
+            db *= _PGM_SCALE
             np.rint(db, out=db)
             gray[:, i:i + rows] = db.T
         header = (
-            f"P5\n# dB clamps [{db_min:g}, {db_max:g}]\n"
+            f"P5\n# dB clamps [{low:g}, {high:g}]\n"
             f"{self.B_axis.size} {self.f_axis.size}\n255\n"
         ).encode("ascii")
         with open_output(path) as fh:

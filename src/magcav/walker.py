@@ -14,7 +14,6 @@ gyromagnetic slope from mu0*Ms by plain linear least squares.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,7 +22,6 @@ from .core import DomainError
 
 __all__ = [
     "UnderdeterminedError",
-    "WalkerMode",
     "WalkerFit",
     "walker_offset",
     "walker_frequency",
@@ -49,31 +47,6 @@ def walker_frequency(m: int, B: float, mu0_Ms: float, gyro: float) -> float:
     slope in Hz/T.
     """
     return gyro * (B + mu0_Ms * walker_offset(m))
-
-
-@dataclass(frozen=True)
-class WalkerMode:
-    """One (n, m) sphere mode on the implemented m = n branch."""
-
-    m: int
-    linewidth: float = 0.0
-    label: str = ""
-
-    def __post_init__(self) -> None:
-        if self.linewidth < 0.0:
-            raise DomainError("linewidth must be >= 0")
-        walker_offset(self.m)  # validates m
-
-    @property
-    def n(self) -> int:
-        return self.m
-
-    @property
-    def offset_coeff(self) -> float:
-        return walker_offset(self.m)
-
-    def frequency(self, B: float, mu0_Ms: float, gyro: float) -> float:
-        return walker_frequency(self.m, B, mu0_Ms, gyro)
 
 
 @dataclass(frozen=True)

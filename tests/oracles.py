@@ -496,10 +496,10 @@ def cells_on_a_boundary(geometry, n, cells, subsample=8, rel=1e-12):
     return found
 
 
-def db_full(values, floor=-200.0):
+def db_full(values):
     """Reference dB conversion: the whole grid at once, as three full-size
     arrays."""
-    return 20.0 * np.log10(np.maximum(values, 10.0 ** (floor / 20.0)))
+    return 20.0 * np.log10(np.maximum(values, 10.0 ** (-200.0 / 20.0)))
 
 
 def write_cells_csv_fstring(path, B_axis, f_axis, cells):
@@ -516,13 +516,12 @@ def write_map_csv_fstring(path, dmap):
     write_cells_csv_fstring(path, dmap.B_axis, dmap.f_axis, db_full(dmap.values))
 
 
-def write_pgm_full(path, dmap, db_min=-120.0, db_max=0.0):
-    """Reference PGM writer: clip, shift, scale, rint and cast on the whole
-    grid, then the transposed image in one write."""
-    scale = 255.0 / (float(db_max) - float(db_min))
-    db = np.clip(db_full(dmap.values), db_min, db_max)
-    gray = np.rint((db - db_min) * scale).astype(np.uint8)
-    header = (f"P5\n# dB clamps [{db_min:g}, {db_max:g}]\n"
+def write_pgm_full(path, dmap):
+    """Reference PGM writer: clip to [-120, 0] dB, shift, scale, rint and
+    cast on the whole grid, then the transposed image in one write."""
+    db = np.clip(db_full(dmap.values), -120.0, 0.0)
+    gray = np.rint((db + 120.0) * (255.0 / 120.0)).astype(np.uint8)
+    header = (f"P5\n# dB clamps [-120, 0]\n"
               f"{dmap.B_axis.size} {dmap.f_axis.size}\n255\n").encode("ascii")
     with open(path, "wb") as fh:
         fh.write(header)

@@ -10,7 +10,6 @@ import math
 from pathlib import Path
 
 import numpy as np
-import pytest
 
 import oracles
 from magcav.cavity import (

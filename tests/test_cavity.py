@@ -22,7 +22,7 @@ from magcav.cavity import (
     post_inductance,
     surface_resistance,
 )
-from magcav.core import CONSTANTS, DomainError, SphereSample
+from magcav.core import DomainError, SphereSample
 from magcav.presets import reference_cavity, reference_sphere
 
 from oracles import (

@@ -17,7 +17,8 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from magcav import cli
 from magcav.cli import main
 from magcav.config import ConfigError, RunConfig, load_config
-from magcav.spectra import DensityMap, lorentzian
+from magcav.presets import bright_crossing_model
+from magcav.spectra import DensityMap, PortCouplings, density_map, lorentzian
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -709,6 +710,72 @@ def test_fit_overflowing_map_is_one_io_error(tmp_path, capsys, db):
     assert err == f"i/o error: {path}: map values must be finite\n"
     assert [str(w.message) for w in caught] == []
 
+
+@pytest.fixture(scope="module")
+def fit_paths(tmp_path_factory):
+    """The map paths the fit property draws from, each written once: a
+    small noiseless bright crossing that both kinds fit, its PGM, a copy
+    with a CRLF header, a missing file and a directory."""
+    root = tmp_path_factory.mktemp("fit")
+    dmap = density_map(bright_crossing_model(), np.linspace(0.68, 0.80, 24),
+                       np.linspace(19.5e9, 22.5e9, 120), PortCouplings())
+    dmap.write_csv(root / "map.csv")
+    dmap.write_pgm(root / "map.pgm")
+    (root / "crlf.csv").write_bytes((root / "map.csv").read_bytes().replace(b"\n", b"\r\n", 1))
+    return {"map": root / "map.csv", "crlf": root / "crlf.csv", "pgm": root / "map.pgm",
+            "missing": root / "none.csv", "directory": root}
+
+
+def _expected_fit_exit(path, kind, prominence):
+    """The exit code the README documents for one drawn ``fit`` call on
+    one of ``fit_paths``."""
+    if (_MISSING in (kind, prominence) or kind not in (None, "two-mode", "three-mode")
+            or (prominence is not None and not _parses(prominence, float))):
+        return 2  # argparse refuses the command line
+    if path not in ("map", "crlf"):
+        return 4  # no file, a directory, or not a map CSV
+    if not 0.0 < float(0.25 if prominence is None else prominence) < 1.0:
+        return 2
+    return 0
+
+
+@given(
+    path=st.sampled_from(["map", "map", "crlf", "pgm", "missing", "directory"]),
+    kind=st.sampled_from([None, "two-mode", "three-mode", "five-mode", _MISSING]),
+    prominence=st.sampled_from([None, None, "0.25", "0.25", "nan", "inf", "-inf", "0", "1",
+                                "-0.5", "1e300", "ten", _MISSING]),
+    order=st.permutations(range(3)),
+)
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_fit_command_line_property(fit_paths, capsys, path, kind, prominence, order):
+    # any fit command line ends in the documented exit code, checked in
+    # order: argparse, the map read, the prominence range, the fit; a
+    # failure prints one stderr line, and nothing warns
+    groups = [[fit_paths[path]]]
+    for name, value in (("--kind", kind), ("--prominence", prominence)):
+        groups.append([] if value in (None, _MISSING) else [name, value])
+    argv = [token for k in order for token in groups[k]]
+    # an option with no value ends the command line
+    argv += [name for name, value in (("--kind", kind), ("--prominence", prominence))
+             if value is _MISSING][:1]
+    want = _expected_fit_exit(path, kind, prominence)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        got = run_cli(capsys, "fit", *argv)
+    assert caught == []
+    code, out, err = got
+    assert code == want, (argv, err)
+    if code == 0:
+        assert err == "" and parse_kv(out)["converged"] == "true"
+        if path == "crlf":
+            lf = [fit_paths["map"] if token == fit_paths["crlf"] else token for token in argv]
+            assert run_cli(capsys, "fit", *lf) == got
+    else:
+        assert out == ""
+        prefix = "config error: " if code == 2 else "i/o error: "
+        assert len(err.splitlines()) == 1 and err.startswith(prefix)
+
 # ---------------------------------------------------------------------------
 # report
 
@@ -847,6 +914,45 @@ def test_predict_error_prints_nothing(tmp_path, capsys, old, new, with_map):
     assert code == 2 and out == ""
     assert err.startswith("config error: ") and err.count("\n") == 1
     assert list(tmp_path.iterdir()) == [cfg]
+
+
+@given(
+    config=st.sampled_from(["fixture", "fixture", "missing", "directory"]),
+    prefix=st.sampled_from([None, "pred", "missing/pred", _MISSING]),
+    map_first=st.booleans(),
+)
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_predict_command_line_property(tmp_path, capsys, config, prefix, map_first):
+    # any predict command line ends in the documented exit code, checked
+    # in order: argparse, the config read, the map write; a failure
+    # prints one stderr line, and nothing warns
+    argv = [{"fixture": FIXTURES / "optimized_prediction.ini",
+             "missing": tmp_path / "none.ini", "directory": tmp_path}[config]]
+    if prefix is _MISSING:
+        argv.append("--map")  # an option with no value ends the command line
+    elif prefix is not None:
+        prefix = tmp_path / prefix
+        argv = ["--map", prefix] + argv if map_first else argv + ["--map", prefix]
+    if prefix is _MISSING:
+        want = 2
+    elif config != "fixture" or (prefix is not None and not prefix.parent.is_dir()):
+        want = 4
+    else:
+        want = 0
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run_cli(capsys, "predict", *argv)
+    assert caught == []
+    assert code == want, (argv, err)
+    if code == 0:
+        assert err == "" and "g_opt_over_pi" in parse_kv(out)
+        if prefix is not None:
+            assert out.endswith(f"wrote {prefix}.csv\nwrote {prefix}.pgm\n")
+    else:
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith("config error: " if code == 2 else "i/o error: ")
 
 
 _WRITES = {

@@ -232,15 +232,6 @@ def test_fit_lorentzian_flat_trace():
     assert rep["amplitude"] == 0.0
 
 
-def test_fit_lorentzian_explicit_initial():
-    f = np.linspace(20.8e9, 21.0e9, 401)
-    y = lorentzian(f, 0.7, 20.88e9, 40e6, 0.1)
-    rep = fit_lorentzian(f, y, initial=(0.8, 20.885e9, 30e6, 0.05))
-    assert rep.converged
-    assert rep["f0"] == pytest.approx(20.88e9, rel=1e-6)
-    assert rep["fwhm"] == pytest.approx(40e6, rel=1e-6)
-
-
 def test_fit_lorentzian_validation():
     with pytest.raises(DomainError):
         fit_lorentzian([1.0, 2.0, 3.0], [0.0, 1.0, 0.0])

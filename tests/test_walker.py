@@ -8,8 +8,6 @@ import pytest
 from magcav.core import DomainError
 from magcav.walker import (
     UnderdeterminedError,
-    WalkerFit,
-    WalkerMode,
     fit_gyro_and_Ms,
     walker_frequency,
     walker_offset,
@@ -50,17 +48,6 @@ def test_walker_frequency_monotone():
         hi = walker_frequency(m, 0.4, 0.255, 28e9)
         assert hi > lo
         assert walker_frequency(m + 1, 0.3, 0.255, 28e9) > lo
-
-
-def test_walker_mode_type():
-    mode = WalkerMode(2, linewidth=1.2e6, label="M3")
-    assert mode.n == mode.m == 2
-    assert mode.offset_coeff == pytest.approx(1.0 / 15.0)
-    assert mode.frequency(0.471, 0.255, 28.13e9) == walker_frequency(
-        2, 0.471, 0.255, 28.13e9
-    )
-    with pytest.raises(DomainError):
-        WalkerMode(0)
 
 
 def test_fit_two_paper_crossings():
