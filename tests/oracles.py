@@ -521,7 +521,7 @@ def write_pgm_full(path, dmap):
     cast on the whole grid, then the transposed image in one write."""
     db = np.clip(db_full(dmap.values), -120.0, 0.0)
     gray = np.rint((db + 120.0) * (255.0 / 120.0)).astype(np.uint8)
-    header = (f"P5\n# dB clamps [-120, 0]\n"
+    header = ("P5\n# dB clamps [-120, 0]\n"
               f"{dmap.B_axis.size} {dmap.f_axis.size}\n255\n").encode("ascii")
     with open(path, "wb") as fh:
         fh.write(header)
