@@ -86,13 +86,20 @@ _RES_TOL = 1e-12
 
 
 def _jacobian(fn, p, r0):
-    J = np.empty((r0.size, p.size))
-    for j in range(p.size):
-        h = 1e-7 * max(abs(p[j]), 1e-12)
-        pp = p.copy()
-        pp[j] += h
-        J[:, j] = (fn(pp) - r0) / h
-    return J
+    """Forward differences, every column from one call of ``fn`` on the
+    (k, k) stack whose row j is p with p[j] stepped."""
+    h = 1e-7 * np.maximum(np.abs(p), 1e-12)
+    stack = np.repeat(p[None, :], p.size, axis=0)
+    stack[np.diag_indices(p.size)] += h
+    # copied to C order: J.T @ J sums in the order a column-by-column
+    # fill gives it, and the fits turn on its last bits
+    return ((fn(stack) - r0) / h[:, None]).T.copy()
+
+
+def _columns(p):
+    """Entries of a parameter vector (n_params,) or of a stack
+    (k, n_params), each as a column that broadcasts against the data."""
+    return np.asarray(p).T[..., None]
 
 
 def _lm(fn, p0):
@@ -260,27 +267,29 @@ def _peaks(f, Y, prominence, live):
     rows, cand, floor = rows[keep], cand[keep], floor[keep]
     keep = ~(Y[rows, cand] - _valley_floors(Y, rows, cand) < floor)
     rows, cand = rows[keep], cand[keep]
-    xs = []
-    hs = []
-    for r, i in zip(rows.tolist(), cand.tolist()):
-        x0, x1, x2 = f[i - 1 : i + 2]
-        y0, y1, y2 = Y[r, i - 1 : i + 2]
-        num = (x1 - x0) ** 2 * (y1 - y2) - (x1 - x2) ** 2 * (y1 - y0)
-        den = (x1 - x0) * (y1 - y2) - (x1 - x2) * (y1 - y0)
-        if den == 0.0:
-            xs.append(float(x1))
-            hs.append(float(y1))
-            continue
-        xv = x1 - 0.5 * num / den
-        # vertex of the interpolating parabola, clamped to the bracket
-        xv = min(max(xv, x0), x2)
-        # its height, in Newton form about x1: exact to a few ulps even at
-        # GHz abscissae, where a monomial-basis fit is ill-conditioned
-        s01 = (y1 - y0) / (x1 - x0)
-        c = ((y2 - y1) / (x2 - x1) - s01) / (x2 - x0)
-        xs.append(float(xv))
-        hs.append(float(y1 + (xv - x1) * (s01 + c * (xv - x0))))
-    return rows, np.array(xs, dtype=float), np.array(hs, dtype=float)
+    x0, x1, x2 = f[cand - 1], f[cand], f[cand + 1]
+    y0, y1, y2 = Y[rows, cand - 1], Y[rows, cand], Y[rows, cand + 1]
+    num = _scalar_squares(x1 - x0) * (y1 - y2) - _scalar_squares(x1 - x2) * (y1 - y0)
+    den = (x1 - x0) * (y1 - y2) - (x1 - x2) * (y1 - y0)
+    # a flat bracket keeps the sample itself
+    flat = den == 0.0
+    xv = x1 - 0.5 * num / np.where(flat, 1.0, den)
+    # vertex of the interpolating parabola, clamped to the bracket
+    xv = np.minimum(np.maximum(xv, x0), x2)
+    # its height, in Newton form about x1: exact to a few ulps even at
+    # GHz abscissae, where a monomial-basis fit is ill-conditioned
+    s01 = (y1 - y0) / (x1 - x0)
+    c = ((y2 - y1) / (x2 - x1) - s01) / (x2 - x0)
+    height = y1 + (xv - x1) * (s01 + c * (xv - x0))
+    return rows, np.where(flat, x1, xv), np.where(flat, y1, height)
+
+
+def _scalar_squares(d):
+    """d ** 2 as a float64 scalar squares: libm pow, which differs from
+    d * d in the last bit for about one value in a thousand.  A map's
+    f steps take few distinct values, so each is squared once."""
+    steps, at = np.unique(d, return_inverse=True)
+    return np.array([v**2 for v in steps], dtype=float)[at]
 
 
 def find_peaks(f, y, min_prominence):
@@ -355,7 +364,8 @@ def fit_lorentzian(f, y) -> FitReport:
     initial = (amp0, f00, w0, base0)
 
     def resid(p):
-        return lorentzian(f, p[0], p[1], abs(p[2]), p[3]) - y
+        amplitude, f0, fwhm, baseline = _columns(p)
+        return lorentzian(f, amplitude, f0, np.abs(fwhm), baseline) - y
 
     fit, _ = _fit(resid, initial, ("amplitude", "f0", "fwhm", "baseline"), f.size)
     # the model sees only |fwhm|
@@ -373,16 +383,29 @@ def _check_ridge(B, f):
     return B, f
 
 
+def _median(x):
+    """np.median of a 1-D float array, bit for bit, without its NaN check,
+    which imports numpy.ma: the same partition, then the middle value or
+    (a + b) / 2 of the middle pair, and a NaN if the data hold one.  Its
+    mean sums from +0.0, so a median of -0.0 is 0.0."""
+    half = x.size // 2
+    middle = [half] if x.size % 2 else [half - 1, half]
+    part = np.partition(x, middle + [-1])
+    if np.isnan(part[-1]):
+        return part[-1]
+    return part[half] + 0.0 if x.size % 2 else (part[half - 1] + part[half] + 0.0) / 2
+
+
 def _initial_lines(B, f):
     """Rough cavity level and magnon line through the far-detuned points."""
-    fc0 = float(np.median(f))
+    fc0 = float(_median(f))
     spread = float(np.ptp(f))
     far = np.abs(f - fc0) > 0.25 * spread
     if far.sum() >= 2 and np.ptp(B[far]) > 0.0:
         gyro0, o0 = np.polyfit(B[far], f[far], 1)
     else:
         gyro0 = DEFAULT_GYRO
-        o0 = fc0 - gyro0 * float(np.median(B))
+        o0 = fc0 - gyro0 * float(_median(B))
     return fc0, float(gyro0), float(o0)
 
 
@@ -428,7 +451,7 @@ def fit_two_mode(B, f_peak) -> FitReport:
     initial = (fc0, gyro0, o0, g2_try[np.argmin(np.sum(d**2, axis=1))])
 
     def resid(p):
-        return _nearest(f_peak, _chain_branches(p, B))[0]
+        return _nearest(f_peak, _chain_branches(_columns(p), B))[0]
 
     fit, p = _fit(resid, initial, ("f_c", "gyro", "offset", "g_over_pi"), B.size,
                   squared=("g_over_pi",))
@@ -450,16 +473,18 @@ def fit_three_mode(B, f_peak) -> FitReport:
     """
     B, f_peak = _check_ridge(B, f_peak)
     uniq, inv = np.unique(B, return_inverse=True)
-    central_B = []
-    central_f = []
-    outer_gaps = []
-    for k in range(uniq.size):
-        fs = np.sort(f_peak[inv == k])
-        if fs.size >= 3:
-            central_B.extend([uniq[k]] * (fs.size - 2))
-            central_f.extend(fs[1:-1])
-            outer_gaps.append(fs[-1] - fs[0])
-    if len(outer_gaps) < 3:
+    # the ridge sorted by column, then by f; each column's run starts at
+    # ``first`` and holds ``counts`` peaks
+    order = np.lexsort((f_peak, inv))
+    col, fs = inv[order], f_peak[order]
+    counts = np.bincount(inv, minlength=uniq.size)
+    first = np.cumsum(counts) - counts
+    rank = np.arange(B.size) - first[col]
+    middle = (rank > 0) & (rank < counts[col] - 1)
+    central_B, central_f = uniq[col[middle]], fs[middle]
+    wide = counts >= 3
+    outer_gaps = fs[first[wide] + counts[wide] - 1] - fs[first[wide]]
+    if outer_gaps.size < 3:
         two = fit_two_mode(B, f_peak)
         flags = ("no-central-branch", "two-mode-fallback")
         params = dict(two.parameters)
@@ -469,7 +494,7 @@ def fit_three_mode(B, f_peak) -> FitReport:
         return FitReport(params, two.residual_rms, two.iterations, two.converged, flags)
 
     gyro0, o0 = np.polyfit(central_B, central_f, 1)
-    fc0 = float(np.median(f_peak))
+    fc0 = float(_median(f_peak))
     # smallest outer gap ~ the on-resonance splitting hypot(gc, gRL)
     gap = float(np.min(outer_gaps))
     p0 = np.array([fc0, gyro0, o0, o0, 0.95 * gap, 0.3 * gap])
@@ -477,7 +502,7 @@ def fit_three_mode(B, f_peak) -> FitReport:
 
     def resid(p):
         # one eigenproblem per field column, the same bits as per point
-        return _nearest(f_peak, _chain_branches(p, uniq)[inv])[0]
+        return _nearest(f_peak, _chain_branches(_columns(p), uniq)[..., inv, :])[0]
 
     names = ("f_c", "gyro", "offset_r", "offset_l", "g_c_over_pi", "g_rl_over_pi")
     return _fit(resid, p0, names, B.size, squared=names[4:])[0]

@@ -303,7 +303,7 @@ def density_map(
 
 def lorentzian(f, amplitude, f0, fwhm, baseline=0.0):
     """baseline + amplitude * (w/2)^2 / ((f - f0)^2 + (w/2)^2)."""
-    if not fwhm > 0.0:
+    if not np.all(fwhm > 0.0):
         raise DomainError("fwhm must be > 0")
     half2 = (0.5 * fwhm) ** 2
     return baseline + amplitude * half2 / ((np.asarray(f, dtype=float) - f0) ** 2 + half2)

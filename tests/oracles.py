@@ -213,6 +213,18 @@ def find_peaks_scalar(f, y, min_prominence):
 
 
 
+def jacobian_columns(fn, p, r0):
+    """Reference forward-difference Jacobian: one call of ``fn`` per
+    column, p[j] stepped by 1e-7 |p[j]| (at least 1e-19)."""
+    J = np.empty((r0.size, p.size))
+    for j in range(p.size):
+        h = 1e-7 * max(abs(p[j]), 1e-12)
+        pp = p.copy()
+        pp[j] += h
+        J[:, j] = (fn(pp) - r0) / h
+    return J
+
+
 def extract_ridge_columns(dmap, min_prominence_rel=0.25):
     """Reference ridge: ``find_peaks_scalar`` on one map column at a time.
 

@@ -7,6 +7,7 @@ Commands run in-process through main(argv) with captured stdout.
 
 import hashlib
 import math
+import tempfile
 import warnings
 from pathlib import Path
 
@@ -16,7 +17,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from magcav import cli
 from magcav.cli import main
-from magcav.config import ConfigError, RunConfig, load_config
+from magcav.config import _REPORT_KEYS, ConfigError, RunConfig, load_config
 from magcav.presets import bright_crossing_model
 from magcav.spectra import DensityMap, PortCouplings, density_map, lorentzian
 
@@ -563,6 +564,79 @@ def test_spectrum_overflowing_coupling_is_one_config_error(tmp_path, capsys, fix
     assert sorted(p.name for p in tmp_path.iterdir()) == [fixture]
 
 
+# the bright fixture on a 4 x 8 grid, its [noise] values drawn; a prefix
+# names a path relative to the working directory
+_SMALL_GRID = ("b_steps = 200\n", "b_steps = 4\n"), ("f_steps = 400\n", "f_steps = 8\n")
+_SIGMAS = st.sampled_from([None, None, "0", "-0", "1e-3", "-1e-3", "nan", "inf", "-inf",
+                           "1e300", "ten", ""])
+_SEEDS = st.sampled_from([None, None, "0", "7", "-1", "1e3", "nan", "", "ten", str(10**30)])
+_PREFIXES = st.sampled_from([None, _MISSING, "map", "map", "missing/map", "taken", "nan",
+                             "inf", "0", "-1", "1e308", "-inf", "ten"])
+
+
+def _expected_spectrum_exit(config, sigma, seed, prefix):
+    """The exit code the README documents for one drawn ``spectrum`` call:
+    argparse, the config read and its values, then the map write."""
+    if prefix in (None, _MISSING, "-inf"):
+        return 2  # no prefix, or one that argparse reads as an option
+    if config != "small":
+        return 4
+    if sigma is not None and not (_parses(sigma, float) and math.isfinite(float(sigma))
+                                  and float(sigma) >= 0.0):
+        return 2
+    if seed is not None and not (_parses(seed, int) and int(seed) >= 0):
+        return 2
+    # "missing/" has no directory, and "taken.csv" is one
+    return 4 if prefix in ("missing/map", "taken") else 0
+
+
+@given(
+    config=st.sampled_from(["small", "small", "small", "missing", "directory"]),
+    sigma=_SIGMAS, seed=_SEEDS, prefix=_PREFIXES,
+    long=st.booleans(), prefix_first=st.booleans(),
+)
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_spectrum_command_line_property(tmp_path, capsys, monkeypatch, config, sigma, seed,
+                                        prefix, long, prefix_first):
+    # any spectrum command line ends in the documented exit code; a
+    # failure prints one stderr line, writes no file, and nothing warns.
+    # Each example works in a new directory: rewriting a file in place is
+    # slow on some file systems
+    work = Path(tempfile.mkdtemp(dir=tmp_path))
+    monkeypatch.chdir(work)
+    (work / "taken.csv").mkdir()
+    text = (FIXTURES / "bright_crossing.ini").read_text()
+    edits = list(_SMALL_GRID)
+    if sigma is not None:
+        edits.append(("sigma = 1e-3\n", f"sigma = {sigma}\n"))
+    if seed is not None:
+        edits.append(("seed = 20260817\n", f"seed = {seed}\n"))
+    for old, new in edits:
+        assert old in text
+        text = text.replace(old, new)
+    (work / "small.ini").write_text(text)
+    path = {"small": "small.ini", "missing": "none.ini", "directory": "taken.csv"}[config]
+    option = "--output" if long else "-o"
+    given_prefix = [] if prefix is None else [option] if prefix is _MISSING else [option, prefix]
+    argv = given_prefix + [path] if prefix_first and prefix is not _MISSING else [path] + given_prefix
+    want = _expected_spectrum_exit(config, sigma, seed, prefix)
+    before = sorted(work.iterdir())
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run_cli(capsys, "spectrum", *argv)
+    assert caught == []
+    assert code == want, (argv, sigma, seed, err)
+    if code == 0:
+        assert err == "" and out == f"wrote {prefix}.csv\nwrote {prefix}.pgm\n"
+        dmap = DensityMap.read_csv(work / f"{prefix}.csv")
+        assert dmap.values.shape == (4, 8)
+    else:
+        assert out == "" and sorted(work.iterdir()) == before
+        assert len(err.splitlines()) == 1
+        assert err.startswith("config error: " if code == 2 else "i/o error: ")
+
+
 # ---------------------------------------------------------------------------
 # fit
 
@@ -832,6 +906,113 @@ def test_report_out_of_domain_value_prints_nothing(tmp_path, capsys, old, new):
     code, out, err = run_cli(capsys, "report", cfg)
     assert code == 2 and out == ""
     assert err.startswith("config error: ") and err.count("\n") == 1
+
+
+_REPORT_VALUES = st.sampled_from([None, None, "0", "-0", "-1", "1e300", "-1e300", "1e-300",
+                                   "nan", "inf", "-inf", "ten", "", _MISSING])
+_REPORT_FIGURES = ("C_bright", "C_dark", "N_spins", "g_per_spin_Hz", "photons", "Rs_ohm",
+                   "Rs_reference_ohm", "Rs_over_reference", "ratio_modeled",
+                   "ratio_measured")
+
+
+def _report_figures(v, hbar):
+    """The ten report figures from the [report] values in SI, computed in
+    Python floats from the README's formulas; raises ArithmeticError on an
+    overflow or a division by zero, and ValueError outside a domain."""
+    for key in ("bright_kappa", "bright_gamma", "dark_kappa", "dark_gamma", "f_bright",
+                "f_dark", "xi_bright", "xi_dark", "photon_f0", "photon_q",
+                "geometric_factor", "q_measured", "rs_reference"):
+        if not v[key] > 0.0:
+            raise ValueError(key)
+    for key in ("bright_g_over_pi", "dark_g_over_pi", "photon_beta"):
+        if v[key] < 0.0:
+            raise ValueError(key)
+    n_spins = 2.1e28 * (math.pi / 6.0) * 0.8e-3**3
+    cooperativity = {}
+    for mode in ("bright", "dark"):
+        product = v[f"{mode}_kappa"] * v[f"{mode}_gamma"]
+        if not math.isfinite(product):
+            raise ValueError(mode)
+        cooperativity[mode] = v[f"{mode}_g_over_pi"] ** 2 / product
+    kappa = v["photon_f0"] / v["photon_q"]
+    # both ports take photon_beta; kappa1 is the input port's share
+    kappa1 = v["photon_beta"] * kappa / (1.0 + 2.0 * v["photon_beta"])
+    power = 1e-3 * 10.0 ** (v["power"] / 10.0)
+    rs = v["geometric_factor"] / v["q_measured"]
+    dark = v["dark_g_over_pi"]
+    return (
+        cooperativity["bright"], cooperativity["dark"], n_spins,
+        0.5 * v["bright_g_over_pi"] / math.sqrt(n_spins),
+        4.0 * (2 * math.pi * kappa1) * power
+        / (hbar * (2 * math.pi * v["photon_f0"]) * (2 * math.pi * kappa) ** 2),
+        rs, v["rs_reference"], rs / v["rs_reference"],
+        (v["f_bright"] / v["f_dark"]) * math.sqrt(v["xi_bright"] / v["xi_dark"]),
+        v["bright_g_over_pi"] / dark if dark > 0.0 else 0.0,
+    )
+
+
+def _expected_report_exit(config, text, extra):
+    """The exit code the README documents for one drawn ``report`` call:
+    argparse, the config read, each value, then the figures."""
+    if extra:
+        return 2
+    if config != "fixture":
+        return 4
+    units = {"_ghz": 1e9, "_mhz": 1e6, "_mohm": 1e-3, "_ohm": 1.0, "_dbm": 1.0}
+    values = {}
+    for key in _REPORT_KEYS:
+        found = [line.split("=", 1)[1] for line in text.splitlines()
+                 if line.split("=")[0].strip() == key]
+        if not found or not _parses(found[0], float):
+            return 2
+        unit = next((u for u in units if key.endswith(u)), "")
+        value = float(found[0]) * units.get(unit, 1.0)
+        if not math.isfinite(value):
+            return 2
+        values[key[: len(key) - len(unit)]] = value
+    try:
+        figures = _report_figures(values, 1.054571817e-34)
+    except (ArithmeticError, ValueError):
+        return 2
+    return 0 if all(math.isfinite(x) for x in figures) else 2
+
+
+@given(
+    config=st.sampled_from(["fixture", "fixture", "fixture", "missing", "directory"]),
+    key=st.sampled_from(_REPORT_KEYS), value=_REPORT_VALUES,
+    extra=st.sampled_from([[], [], [], ["--csv", "x"], ["again.ini"], ["--map"]]),
+)
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_report_command_line_property(tmp_path, capsys, config, key, value, extra):
+    # any report command line ends in the documented exit code; exit 0
+    # prints the ten figures, each finite, and a failure prints nothing
+    # but one stderr line; nothing warns
+    text = (FIXTURES / "reference_cavity.ini").read_text()
+    line = next(line for line in text.splitlines() if line.startswith(key + " = "))
+    if value is _MISSING:
+        text = text.replace(line + "\n", "")
+    elif value is not None:
+        text = text.replace(line + "\n", f"{key} = {value}\n")
+    # a new file each example: rewriting one in place is slow on some
+    # file systems
+    fixture = Path(tempfile.mkdtemp(dir=tmp_path)) / "report.ini"
+    fixture.write_text(text)
+    path = {"fixture": fixture, "missing": tmp_path / "none.ini", "directory": tmp_path}[config]
+    want = _expected_report_exit(config, text, extra)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run_cli(capsys, "report", path, *extra)
+    assert caught == []
+    assert code == want, (key, value, extra, err)
+    if code == 0:
+        assert err == ""
+        kv = parse_kv(out)
+        assert tuple(kv) == _REPORT_FIGURES
+        assert all(math.isfinite(float(v)) for v in kv.values())
+    else:
+        assert out == "" and len(err.splitlines()) == 1
+        assert err.startswith("config error: " if code == 2 else "i/o error: ")
 
 
 # ---------------------------------------------------------------------------

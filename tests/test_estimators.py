@@ -1,11 +1,14 @@
 """Peak finding, damped least-squares fits, and figure-of-merit chains."""
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import oracles
 from magcav import estimators
@@ -434,6 +437,119 @@ def test_fit_three_mode_map_pipeline():
     assert rep.converged
     assert rep["g_c_over_pi"] == pytest.approx(143e6, rel=2e-2)
     assert rep["g_rl_over_pi"] == pytest.approx(12.5e6, rel=2e-2)
+
+
+class _Handed(Exception):
+    """Carries the residual and start that a fit hands to ``_fit``."""
+
+
+def _residual_of(fit, *args):
+    """(resid, p0) of one ``fit`` call, taken where it would start LM."""
+    def hand_over(resid, p0, *rest, **kwargs):
+        raise _Handed(resid, np.asarray(p0, dtype=float))
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(estimators, "_fit", hand_over)
+        with pytest.raises(_Handed) as handed:
+            fit(*args)
+    return handed.value.args
+
+
+@pytest.fixture(scope="module")
+def residuals():
+    """The residuals of the three fits, on ridges and a trace made at the
+    fixtures' parameters, with the start each fit computes."""
+    f = np.linspace(20.8e9, 21.0e9, 101)
+    trace = lorentzian(f, 1.0, 20.9e9, 27e6, 0.0) + 1e-3 * np.cos(f / 1e6)
+    return {
+        "two-mode": _residual_of(fit_two_mode, *synthetic_two_mode_ridge(2.05e9, n=20)),
+        "three-mode": _residual_of(fit_three_mode,
+                                   *synthetic_three_mode_ridge(143e6, 12.5e6, n=20)),
+        "lorentzian": _residual_of(fit_lorentzian, f, trace),
+    }
+
+
+@given(data=st.data())
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_stacked_jacobian_matches_column_by_column(residuals, data):
+    # one residual call on the (k, k) stack gives the bytes of k calls,
+    # one per stepped parameter, in a C-ordered J
+    kind = data.draw(st.sampled_from(sorted(residuals)))
+    resid, p0 = residuals[kind]
+    p = p0 * (1.0 + np.array(data.draw(st.lists(
+        st.floats(-1e-3, 1e-3), min_size=p0.size, max_size=p0.size))))
+    if kind != "lorentzian":
+        # the squared couplings, each at its start or exactly 0
+        for j in range(p.size // 2 + 1, p.size):
+            p[j] = data.draw(st.sampled_from([p[j], 0.0]))
+    r0 = resid(p)
+    J = estimators._jacobian(resid, p, r0)
+    assert J.flags.c_contiguous
+    assert J.tobytes() == oracles.jacobian_columns(resid, p, r0).tobytes()
+
+
+def test_one_lm_jacobian_makes_one_chain_call(monkeypatch):
+    # every column of a crossing fit's Jacobian comes from one model call
+    chain = estimators._chain_branches
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return chain(*args)
+
+    jacobian = estimators._jacobian
+    per_jacobian = []
+
+    def watched(fn, p, r0):
+        before = len(calls)
+        J = jacobian(fn, p, r0)
+        per_jacobian.append(len(calls) - before)
+        return J
+
+    monkeypatch.setattr(estimators, "_chain_branches", counted)
+    monkeypatch.setattr(estimators, "_jacobian", watched)
+    for rep in (fit_two_mode(*synthetic_two_mode_ridge(2.05e9)),
+                fit_three_mode(*synthetic_three_mode_ridge(143e6, 12.5e6))):
+        assert rep.converged and not rep.flags
+    # each fit: one Jacobian per iteration and one for the errors
+    assert len(per_jacobian) >= 4 and set(per_jacobian) == {1}
+
+
+_MEDIAN_VALUES = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, np.nan, -np.nan, np.inf, -np.inf, 1e308]),
+)
+
+
+@given(st.lists(_MEDIAN_VALUES, min_size=1, max_size=12))
+@settings(max_examples=500, deadline=None)
+def test_median_gives_numpys_bits(values):
+    x = np.array(values)
+    with np.errstate(all="ignore"):
+        want = np.median(x)
+        got = estimators._median(x)
+    assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
+
+def test_fit_leaves_numpy_ma_unimported(tmp_path):
+    # np.median's NaN check imports numpy.ma, a few ms of a fresh process
+    path = tmp_path / "map.csv"
+    density_map(bright_crossing_model(), np.linspace(0.68, 0.80, 24),
+                np.linspace(19.5e9, 22.5e9, 120), PORTS).write_csv(path)
+    script = (
+        "import sys\n"
+        "from magcav.cli import main\n"
+        f"codes = [main(['fit', {str(path)!r}, '--kind', kind])\n"
+        "         for kind in ('two-mode', 'three-mode')]\n"
+        "print(codes, 'numpy.ma' in sys.modules)\n"
+    )
+    src = str(Path(estimators.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    run = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                         env=env, check=True)
+    assert run.stdout.splitlines()[-1] == "[0, 0] False"
 
 
 def test_extract_ridge_basics():

@@ -292,12 +292,13 @@ def _bisected(bisect, diag, *off):
 
 
 def _check_stack(m, vals, w):
-    """Values-only and weighted calls agree, each matrix gives the same
-    bits on its own, and the weight rows are unit-sum compositions that
-    rebuild the diagonal, m[j, j] = sum_k vals[k] w[k, j]."""
+    """Values-only and weighted calls agree, each matrix of a stack with
+    any leading axes gives the same bits on its own, and the weight rows
+    are unit-sum compositions that rebuild the diagonal,
+    m[j, j] = sum_k vals[k] w[k, j]."""
     only = eigenbranches(m)
     assert only.shape == vals.shape
-    for k in range(m.shape[0]):
+    for k in np.ndindex(m.shape[:-2]):
         v1, w1 = eigenbranches(m[k], weights=True)
         assert v1.tobytes() == vals[k].tobytes()
         assert w1.tobytes() == w[k].tobytes()
@@ -307,6 +308,13 @@ def _check_stack(m, vals, w):
     np.testing.assert_allclose(w.sum(axis=-1), 1.0, rtol=0.0, atol=1e-12)
     diag = np.diagonal(m, axis1=-2, axis2=-1)
     np.testing.assert_allclose(np.einsum("...k,...kj->...j", vals, w), diag, rtol=1e-12)
+
+
+def _two_axes(m):
+    """A stack (2, k, n, n) of m and m reversed, as the fits' stacked
+    Jacobians make one, with its branches and weights."""
+    m2 = np.stack([m, m[::-1]])
+    return (m2, *eigenbranches(m2, weights=True))
 
 
 @st.composite
@@ -327,6 +335,7 @@ def test_eigenbranches_pair_matches_bisection(case):
     vals, w = eigenbranches(m, weights=True)
     assert vals.shape == (a.size, 2) and w.shape == (a.size, 2, 2)
     _check_stack(m, vals, w)
+    _check_stack(*_two_axes(m))
     free = h == 0.0
     # an uncoupled pair is exactly its sorted diagonal, with pure weights
     assert np.array_equal(vals[free], np.sort(np.stack([a, b], axis=-1)[free], axis=-1))
@@ -363,6 +372,7 @@ def test_eigenbranches_chain_matches_bisection(rows):
     m = np.moveaxis(np.array([[fc, a, zero], [a, fR, b], [zero, b, fL]]), (0, 1), (-2, -1))
     vals, w = eigenbranches(m, weights=True)
     _check_stack(m, vals, w)
+    _check_stack(*_two_axes(m))
     want, tol = _bisected(oracles.eig3_bisect, (fc, fR, fL), a, b)
     assert np.all(np.abs(vals - want) <= tol)
     # on the degenerate triple rwa_three_mode keeps its closed form; the
