@@ -917,8 +917,8 @@ _REPORT_FIGURES = ("C_bright", "C_dark", "N_spins", "g_per_spin_Hz", "photons", 
 
 def _report_figures(v, hbar):
     """The ten report figures from the [report] values in SI, computed in
-    Python floats from the README's formulas; raises ArithmeticError on an
-    overflow or a division by zero, and ValueError outside a domain."""
+    Python floats from their defining formulas; raises ArithmeticError on
+    an overflow or a division by zero, and ValueError outside a domain."""
     for key in ("bright_kappa", "bright_gamma", "dark_kappa", "dark_gamma", "f_bright",
                 "f_dark", "xi_bright", "xi_dark", "photon_f0", "photon_q",
                 "geometric_factor", "q_measured", "rs_reference"):
