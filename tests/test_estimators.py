@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import oracles
 from magcav import estimators
@@ -470,8 +470,7 @@ def residuals():
 
 
 @given(data=st.data())
-@settings(max_examples=150, deadline=None,
-          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@settings(max_examples=150, deadline=None)
 def test_stacked_jacobian_matches_column_by_column(residuals, data):
     # one residual call on the (k, k) stack gives the bytes of k calls,
     # one per stepped parameter, in a C-ordered J
